@@ -6,8 +6,8 @@ game while exchanging Laplace-noised parameters over an unbalanced directed
 graph with bounded, time-varying communication and feedback delays.
 """
 
-from .engine import (AgentState, MessageEnvelope, RunConfig, RunResult, World,
-                     project, run, run_augmented_reference, step_size)
+from .engine import (AgentState, RunConfig, RunResult, World, project, run,
+                     run_augmented_reference, step_size)
 from .game import GameSpec, linear_demand_game, nash_cournot, resolve_game
 from .graph import (ConnectivityReport, DelaySchedule, GraphSchedule,
                     MixingDiagnostics, augment, eigenvector_floor,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentState", "ConnectivityReport", "DelaySchedule", "EquilibriumSolution",
-    "GameSpec", "GraphSchedule", "MessageEnvelope", "MixingDiagnostics",
+    "GameSpec", "GraphSchedule", "MixingDiagnostics",
     "NoiseConfig", "PrivacyLedger", "RegretReport", "RunConfig", "RunResult",
     "StabilizationStat", "World", "augment", "average_loss",
     "density_ratio_check", "dynamic_regret", "eigenvector_floor",

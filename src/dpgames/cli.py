@@ -13,9 +13,9 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +29,8 @@ REQUIRED_KEYS = ("game", "graph", "horizon")
 OPTIONAL_KEYS = ("delays", "privacy", "gamma", "init", "seed", "output",
                  "cold_start", "run_id")
 SWEEP_AXES = ("gamma", "epsilon", "tau_max", "seed", "T", "horizon")
+# what reading a malformed value or block of a config can raise
+_MALFORMED = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -57,39 +59,57 @@ def config_from_dict(raw: dict) -> RunConfig:
     game = raw["game"]
     if isinstance(game, dict):
         game = game.get("name")
-    if game not in GAME_REGISTRY:
+    if not isinstance(game, str) or game not in GAME_REGISTRY:
         errors.append(f"unknown game {game!r}; registered: {sorted(GAME_REGISTRY)}")
 
-    graph_block = dict(raw["graph"])
-    b_window = int(graph_block.pop("b_window", 1))
-    validate_conn = bool(graph_block.pop("validate_connectivity", False))
-    graph = None
+    scalars = {}
+    for key, convert, default in (("horizon", int, None), ("gamma", float, 1.0),
+                                  ("seed", int, 0)):
+        value = raw.get(key, default)
+        try:
+            scalars[key] = convert(value)
+        except _MALFORMED:
+            errors.append(f"{key} must be {'an integer' if convert is int else 'a number'},"
+                          f" got {value!r}")
+
+    graph, b_window, validate_conn = None, 1, False
     try:
+        graph_block = dict(raw["graph"])
+        b_window = int(graph_block.pop("b_window", 1))
+        validate_conn = bool(graph_block.pop("validate_connectivity", False))
         graph = GraphSchedule.from_descriptor(graph_block)
-    except (KeyError, ValueError) as e:
+    except _MALFORMED as e:
         errors.append(f"graph: {e}")
 
     delays = DelaySchedule.none()
     if "delays" in raw:
         try:
             delays = DelaySchedule.from_descriptor(raw["delays"])
-        except (KeyError, ValueError) as e:
+        except _MALFORMED as e:
             errors.append(f"delays: {e}")
 
     noise = NoiseConfig.off()
     if raw.get("privacy") is not None:
         try:
             noise = NoiseConfig.from_descriptor(raw["privacy"])
-        except (KeyError, ValueError) as e:
+        except _MALFORMED as e:
             errors.append(f"privacy: {e}")
 
     x0 = None
     if raw.get("init") is not None:
-        x0 = np.asarray(raw["init"], dtype=float)
-        if x0.ndim == 1:
-            x0 = x0[:, None]
+        try:
+            x0 = np.asarray(raw["init"], dtype=float)
+        except _MALFORMED as e:
+            errors.append(f"init: {e}")
+        else:
+            if x0.ndim == 1:
+                x0 = x0[:, None]
 
-    output = dict(raw.get("output") or {})
+    output = {}
+    try:
+        output = dict(raw.get("output") or {})
+    except _MALFORMED as e:
+        errors.append(f"output: {e}")
     fmt = output.get("format", "tabular")
     if fmt not in ("tabular", "object-lines"):
         errors.append(f"output format must be 'tabular' or 'object-lines', got {fmt!r}")
@@ -99,8 +119,8 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     cfg = RunConfig(
         game=game, graph=graph, delays=delays, noise=noise,
-        horizon=int(raw["horizon"]), gamma=float(raw.get("gamma", 1.0)),
-        x0=x0, seed=int(raw.get("seed", 0)), b_window=b_window,
+        horizon=scalars["horizon"], gamma=scalars["gamma"],
+        x0=x0, seed=scalars["seed"], b_window=b_window,
         validate_connectivity=validate_conn,
         cold_start=raw.get("cold_start", "clamp"),
         run_id=str(raw.get("run_id", "run")), output=output)
@@ -217,52 +237,40 @@ PRESET_NOTES = {
 # Record emission
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    run_id: str
-    seed: int
-    t: int
-    agent: int
-    x: tuple
-    x_hat: tuple
-    v: tuple
-    b_norm: float
-    loss: float
-    avg_loss: float
-    loss_true: float
-    avg_loss_true: float
-
-
-def records_from(result: RunResult) -> Iterator[OutputRecord]:
-    """One record per (t, agent), t ascending. Row 0's running averages are
-    the round-0 losses; later rows average rounds 1..t, matching the
-    benchmark figures' series.
-    """
-    T = result.horizon
-    V = result.x.shape[1]
-    if T >= 1:
-        avg_local = metrics.average_loss(result.loss_local[1:])
-        avg_true = metrics.average_loss(result.loss_true[1:])
-    for t in range(T + 1):
-        for i in range(V):
-            al = result.loss_local[0, i] if t == 0 else avg_local[t - 1, i]
-            at = result.loss_true[0, i] if t == 0 else avg_true[t - 1, i]
-            yield OutputRecord(
-                run_id=result.config.run_id, seed=result.config.seed, t=t, agent=i,
-                x=tuple(map(float, result.x[t, i])),
-                x_hat=tuple(map(float, result.x_hat[t, i])),
-                v=tuple(map(float, result.v[t, i])),
-                b_norm=float(np.linalg.norm(result.b[t, i])),
-                loss=float(result.loss_local[t, i]), avg_loss=float(al),
-                loss_true=float(result.loss_true[t, i]), avg_loss_true=float(at))
-
-
 def _vec_columns(stem: str, m: int) -> list[str]:
     return [stem] if m == 1 else [f"{stem}_{k}" for k in range(m)]
 
 
-def write_records(result: RunResult, path, fmt: str) -> None:
+def _running_average(loss: np.ndarray) -> np.ndarray:
+    """Row 0 keeps the round-0 losses; row t >= 1 averages rounds 1..t,
+    matching the benchmark figures' series."""
+    if len(loss) == 1:
+        return loss
+    return np.concatenate([loss[:1], metrics.average_loss(loss[1:])])
+
+
+def _record_table(result: RunResult) -> list[list[float]]:
+    """One row of floats per (t, agent), t ascending: x, x_hat, v (m each),
+    then b_norm, loss, avg_loss, loss_true, avg_loss_true.
+    """
     m = result.x.shape[2]
+    b = result.b.reshape(-1, m)
+    # row-wise dot products: the same dot that np.linalg.norm takes per row,
+    # so the digits match a per-row norm for every m
+    b_norm = np.sqrt(b[:, None, :] @ b[:, :, None]).reshape(-1, 1)
+    scalars = [result.loss_local, _running_average(result.loss_local),
+               result.loss_true, _running_average(result.loss_true)]
+    return np.hstack([result.x.reshape(-1, m), result.x_hat.reshape(-1, m),
+                      result.v.reshape(-1, m), b_norm]
+                     + [a.reshape(-1, 1) for a in scalars]).tolist()
+
+
+def write_records(result: RunResult, path, fmt: str) -> None:
+    if fmt not in ("tabular", "object-lines"):
+        raise ConfigError([f"unknown output format {fmt!r}"])
+    V, m = result.x.shape[1:]
+    run_id, seed = result.config.run_id, result.config.seed
+    table = _record_table(result)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "tabular":
             header = (["run_id", "seed", "t", "agent"]
@@ -270,22 +278,18 @@ def write_records(result: RunResult, path, fmt: str) -> None:
                       + _vec_columns("v", m)
                       + ["b_norm", "loss", "avg_loss", "loss_true", "avg_loss_true"])
             fh.write(",".join(header) + "\n")
-            for r in records_from(result):
-                row = ([r.run_id, str(r.seed), str(r.t), str(r.agent)]
-                       + [repr(c) for c in r.x] + [repr(c) for c in r.x_hat]
-                       + [repr(c) for c in r.v]
-                       + [repr(r.b_norm), repr(r.loss), repr(r.avg_loss),
-                          repr(r.loss_true), repr(r.avg_loss_true)])
-                fh.write(",".join(row) + "\n")
-        elif fmt == "object-lines":
-            for r in records_from(result):
-                fh.write(json.dumps({
-                    "run_id": r.run_id, "seed": r.seed, "t": r.t, "agent": r.agent,
-                    "x": list(r.x), "x_hat": list(r.x_hat), "v": list(r.v),
-                    "b_norm": r.b_norm, "loss": r.loss, "avg_loss": r.avg_loss,
-                    "loss_true": r.loss_true, "avg_loss_true": r.avg_loss_true}) + "\n")
+            for k, row in enumerate(table):
+                t, i = divmod(k, V)
+                fh.write(f"{run_id},{seed},{t},{i}," + ",".join(map(repr, row)) + "\n")
         else:
-            raise ConfigError([f"unknown output format {fmt!r}"])
+            for k, row in enumerate(table):
+                t, i = divmod(k, V)
+                b_norm, loss, avg_loss, loss_true, avg_loss_true = row[3 * m:]
+                fh.write(json.dumps({
+                    "run_id": run_id, "seed": seed, "t": t, "agent": i,
+                    "x": row[:m], "x_hat": row[m:2 * m], "v": row[2 * m:3 * m],
+                    "b_norm": b_norm, "loss": loss, "avg_loss": avg_loss,
+                    "loss_true": loss_true, "avg_loss_true": avg_loss_true}) + "\n")
 
 
 def run_summary(result: RunResult) -> dict:
@@ -360,28 +364,23 @@ def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50) -> list[tuple[s
                    "strongly connected on every window" if rep.ok
                    else f"first violating window {rep.first_violation}"))
 
-    bad_delay = None
-    for t in scan:
-        D = delays.comm_matrix(t, graph.num_agents)
-        if D.min() < 0 or D.max() > delays.tau_max or np.any(np.diag(D) != 0):
-            bad_delay = (t, int(D.max()))
-            break
-        for i in range(graph.num_agents):
-            fd = delays.feedback_delay(i, t)
-            if not (0 <= fd <= delays.tau_max):
-                bad_delay = (t, fd)
-                break
-    checks.append(("delay-bounds", bad_delay is None,
-                   f"delays within [0, {delays.tau_max}], tau_ii = 0" if bad_delay is None
-                   else f"violation at t={bad_delay[0]}"))
-
+    bad_delay = None  # first round of the scan with a delay out of bounds
     worst_w = 0.0
     worst_aug = 0.0
     for t in range(horizon):
         W = graph.weights_at(t)
+        D = delays.comm_matrix(t, graph.num_agents)
+        if bad_delay is None and t in scan:
+            feedback = [delays.feedback_delay(i, t) for i in range(graph.num_agents)]
+            if (D.min() < 0 or D.max() > delays.tau_max or np.any(np.diag(D) != 0)
+                    or not all(0 <= fd <= delays.tau_max for fd in feedback)):
+                bad_delay = t
         worst_w = max(worst_w, float(np.abs(W.sum(axis=1) - 1.0).max()))
-        A = augment(W, delays.comm_matrix(t, graph.num_agents), delays.tau_max)
+        A = augment(W, D, delays.tau_max)
         worst_aug = max(worst_aug, float(np.abs(A.sum(axis=1) - 1.0).max()))
+    checks.append(("delay-bounds", bad_delay is None,
+                   f"delays within [0, {delays.tau_max}], tau_ii = 0" if bad_delay is None
+                   else f"violation at t={bad_delay}"))
     checks.append(("row-stochastic", worst_w <= 1e-12, f"max row-sum error {worst_w:.2e}"))
     checks.append(("augmented-row-stochastic", worst_aug <= 1e-12,
                    f"max row-sum error {worst_aug:.2e}"))

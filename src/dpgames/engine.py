@@ -1,16 +1,20 @@
 """Discrete-time executor of the private, delay-tolerant dual-averaging loop.
 
-Each step is a two-phase barrier: every agent first noises and broadcasts its
-dual variable and aggregate estimate to its current out-neighbors (envelopes
-stamped with the send time, delivered send_time + tau_ij(send_time) steps
-later), then every agent folds in whatever arrived this step, weighted by the
-send-time weight matrix, adds its delayed compensated gradient, projects, and
-updates its running average and aggregate estimate. Self contributions use
-the raw, un-noised values and never incur delay.
+Each step is a two-phase barrier: every agent first noises its dual variable
+and aggregate estimate and sends both to its current out-neighbors, then every
+agent folds in whatever arrives this step, adds its delayed compensated
+gradient, projects, and updates its running average and aggregate estimate.
+Self contributions use the raw, un-noised values and never incur delay.
+
+Transport is an arrival ring of tau_max + 1 slots of shape (V, m): a message
+sent by j to i at time s is weighted by W(s)[i, j] when it is sent and added
+into the slot of round s + tau_ij(s), so at round t the slot t mod
+(tau_max + 1) holds the arrival sum
+sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
 
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
-snapshots; it serves as an independent oracle for the envelope-queue path.
+snapshots; it serves as an independent oracle for the arrival ring.
 """
 
 from __future__ import annotations
@@ -52,15 +56,6 @@ def project(b: np.ndarray, eta: float, box_lo, box_hi) -> np.ndarray:
 def step_size(gamma: float, k: int) -> float:
     """eta(k) = gamma / sqrt(k + 1); the projection producing x(t+1) uses eta(t+1)."""
     return gamma / math.sqrt(k + 1.0)
-
-
-@dataclass(frozen=True)
-class MessageEnvelope:
-    sender: int
-    send_time: int
-    arrival_time: int
-    payload_b: np.ndarray
-    payload_v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,16 +107,18 @@ class RunConfig:
             errors.append(f"graph has {self.graph.num_agents} agents, game has {game.num_agents}")
         if self.horizon < 0:
             errors.append(f"horizon must be >= 0, got {self.horizon}")
-        if self.gamma <= 0:
-            errors.append(f"gamma must be positive, got {self.gamma}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            errors.append(f"gamma must be positive and finite, got {self.gamma}")
         if self.b_window < 1:
             errors.append(f"b_window must be >= 1, got {self.b_window}")
         if self.cold_start not in ("clamp", "zero"):
             errors.append(f"cold_start must be 'clamp' or 'zero', got {self.cold_start!r}")
         try:
             x0 = self.resolved_x0(game)
-            if np.any(x0 < game.box_lo - 1e-12) or np.any(x0 > game.box_hi + 1e-12):
-                bad = np.nonzero(np.any((x0 < game.box_lo - 1e-12) | (x0 > game.box_hi + 1e-12), axis=1))[0]
+            # written as "inside" so that NaN entries count as outside
+            inside = np.all((x0 >= game.box_lo - 1e-12) & (x0 <= game.box_hi + 1e-12), axis=1)
+            if not inside.all():
+                bad = np.nonzero(~inside)[0]
                 errors.append(f"initial action(s) of agent(s) {bad.tolist()} outside their boxes")
         except ValueError as e:
             errors.append(f"bad initial actions: {e}")
@@ -158,13 +155,15 @@ class World:
         self.v = np.stack([self.game.psi(i, self.x[i]) for i in range(V)])
         self.Y = np.eye(V)
         self.history: dict[int, tuple[np.ndarray, np.ndarray]] = {0: (self.x.copy(), self.v.copy())}
-        self.inbox: dict[int, list[tuple[int, MessageEnvelope]]] = {}
+        slots = self.delays.tau_max + 1
+        self.ring_b = np.zeros((slots, V, m))
+        self.ring_v = np.zeros((slots, V, m))
+        self.ring_count = [0] * slots  # messages waiting in each slot
         self.ledger = PrivacyLedger()
         self.min_y_diag = 1.0
         self.messages_enqueued = 0
         self.messages_delivered = 0
         self.last_arrivals: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._weights: dict[int, np.ndarray] = {}
         self._delta_t: Optional[float] = None
         if self.noise.enabled:
             self._delta_t = self._resolve_sensitivity()
@@ -174,11 +173,6 @@ class World:
             return float(self.noise.delta)
         floor = eigenvector_floor(self.graph, max(self.cfg.horizon, 1))
         return sensitivity_bound(self.game.L, 1.0 / floor, self.m)
-
-    def weights(self, s: int) -> np.ndarray:
-        if s not in self._weights:
-            self._weights[s] = self.graph.weights_at(s)
-        return self._weights[s]
 
     def draw_noise(self, i: int, t: int) -> tuple[np.ndarray, np.ndarray, float]:
         """(noise for dual, noise for aggregate, sigma_t); zeros when disabled."""
@@ -191,6 +185,17 @@ class World:
             return n_b, n_b, sigma
         n_v = sample_noise(sigma, self.m, substream(self.cfg.seed, STREAM_NOISE_AGGREGATE, i, t))
         return n_b, n_v, sigma
+
+    def _noised(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Every agent's noised (b, v) snapshot at round t, and sigma_t."""
+        b_tilde = np.empty((self.V, self.m))
+        v_tilde = np.empty((self.V, self.m))
+        sigma_t = 0.0
+        for i in range(self.V):
+            n_b, n_v, sigma_t = self.draw_noise(i, t)
+            b_tilde[i] = self.b[i] + n_b
+            v_tilde[i] = self.v[i] + n_v
+        return b_tilde, v_tilde, sigma_t
 
     def delayed_gradient(self, i: int, t: int) -> np.ndarray:
         tau = self.delays.feedback_delay(i, t)
@@ -206,34 +211,30 @@ class World:
 
     def step(self) -> None:
         t = self.t
-        V, m = self.V, self.m
-        W = self.weights(t)
+        V = self.V
+        W = self.graph.weights_at(t)
+        b_tilde, v_tilde, sigma_t = self._noised(t)
 
-        # phase 1: noise, stamp, broadcast
-        sigma_t = 0.0
-        b_tilde = np.empty((V, m))
-        v_tilde = np.empty((V, m))
-        for i in range(V):
-            n_b, n_v, sigma_t = self.draw_noise(i, t)
-            b_tilde[i] = self.b[i] + n_b
-            v_tilde[i] = self.v[i] + n_v
+        # phase 1: add each message, weighted at send time, into the slot of
+        # its arrival round; sender by sender, so every receiver's slot sums
+        # in send order
+        slots = len(self.ring_count)
         for sender in range(V):
             for receiver in range(V):
                 if receiver != sender and W[receiver, sender] > 0:
-                    d = self.delays.comm_delay(receiver, sender, t)
-                    env = MessageEnvelope(sender, t, t + d,
-                                          b_tilde[sender].copy(), v_tilde[sender].copy())
-                    self.inbox.setdefault(env.arrival_time, []).append((receiver, env))
+                    k = (t + self.delays.comm_delay(receiver, sender, t)) % slots
+                    self.ring_b[k, receiver] += W[receiver, sender] * b_tilde[sender]
+                    self.ring_v[k, receiver] += W[receiver, sender] * v_tilde[sender]
+                    self.ring_count[k] += 1
                     self.messages_enqueued += 1
 
-        # phase 2: receive everything arriving now, weighted at send time
-        sum_b = np.zeros((V, m))
-        sum_v = np.zeros((V, m))
-        for receiver, env in self.inbox.pop(t, []):
-            w = self.weights(env.send_time)[receiver, env.sender]
-            sum_b[receiver] += w * env.payload_b
-            sum_v[receiver] += w * env.payload_v
-            self.messages_delivered += 1
+        # phase 2: this round's slot holds everything arriving now
+        k = t % slots
+        sum_b, sum_v = self.ring_b[k].copy(), self.ring_v[k].copy()
+        self.ring_b[k] = 0.0
+        self.ring_v[k] = 0.0
+        self.messages_delivered += self.ring_count[k]
+        self.ring_count[k] = 0
 
         self._apply_updates(t, W, sum_b, sum_v, sigma_t)
 
@@ -241,13 +242,13 @@ class World:
                        sum_v: np.ndarray, sigma_t: float) -> None:
         """Local part of a round: dual update with compensated delayed
         gradient, eigenvector recursion, projection, running average,
-        aggregate-estimate tracking, ledger entry. Shared by the envelope
-        and virtual-relay routes, which differ only in how the arrival sums
-        are formed.
+        aggregate-estimate tracking, ledger entry. Shared by the arrival
+        ring and virtual-relay routes, which differ only in how the arrival
+        sums are formed.
         """
         V = self.V
         game = self.game
-        self.last_arrivals = (sum_b.copy(), sum_v.copy())
+        self.last_arrivals = (sum_b, sum_v)
 
         y_diag = np.diag(self.Y).copy()
         if y_diag.min() < Y_FLOOR:
@@ -273,16 +274,10 @@ class World:
         self.b, self.x, self.x_hat, self.v = b_new, x_new, x_hat_new, v_new
         self.t = t + 1
         self.history[self.t] = (self.x.copy(), self.v.copy())
-        self._prune(self.t - self.delays.tau_max)
-
-    def _prune(self, oldest_needed: int) -> None:
-        for s in [s for s in self.history if s < oldest_needed]:
-            del self.history[s]
-        for s in [s for s in self._weights if s < oldest_needed]:
-            del self._weights[s]
+        self.history.pop(self.t - self.delays.tau_max - 1, None)
 
     def messages_pending(self) -> int:
-        return sum(len(v) for v in self.inbox.values())
+        return sum(self.ring_count)
 
     def agent_state(self, i: int) -> AgentState:
         return AgentState(b=self.b[i].copy(), y=self.Y[i].copy(), x=self.x[i].copy(),
@@ -375,7 +370,7 @@ def _execute(world: World, start: float) -> RunResult:
 
 
 def run(config: RunConfig, game: Optional[GameSpec] = None) -> RunResult:
-    """Execute the envelope-queue simulation for t = 0..T-1.
+    """Execute the arrival-ring simulation for t = 0..T-1.
 
     Deterministic for a given (config, seed): records for rounds 0..T.
     """
@@ -384,7 +379,7 @@ def run(config: RunConfig, game: Optional[GameSpec] = None) -> RunResult:
 
 
 class _AugmentedWorld(World):
-    """Oracle twin: virtual relay chains instead of an envelope queue.
+    """Oracle twin: virtual relay chains instead of the arrival ring.
 
     Chain stage r holds the noised snapshots from r steps ago; real agents
     read stage r through block r of the augmented matrix built at the send
@@ -397,30 +392,21 @@ class _AugmentedWorld(World):
         tau = self.delays.tau_max
         self.chain_b = np.zeros((tau + 1, self.V, self.m))
         self.chain_v = np.zeros((tau + 1, self.V, self.m))
-        self._aug: dict[int, np.ndarray] = {}
-
-    def _augmented_at(self, s: int) -> np.ndarray:
-        if s not in self._aug:
-            tau = self.delays.tau_max
-            self._aug[s] = augment(self.weights(s), self.delays.comm_matrix(s, self.V), tau)
-        return self._aug[s]
+        # top block row of the augmented matrix built at time s, in slot s mod (tau + 1)
+        self.aug_rows = np.zeros((tau + 1, self.V, self.V * (tau + 1)))
 
     def step(self) -> None:
         t = self.t
         V, m = self.V, self.m
         tau = self.delays.tau_max
-        W = self.weights(t)
-
-        sigma_t = 0.0
-        for i in range(V):
-            n_b, n_v, sigma_t = self.draw_noise(i, t)
-            self.chain_b[0, i] = self.b[i] + n_b
-            self.chain_v[0, i] = self.v[i] + n_v
+        W = self.graph.weights_at(t)
+        self.aug_rows[t % (tau + 1)] = augment(W, self.delays.comm_matrix(t, V), tau)[:V]
+        self.chain_b[0], self.chain_v[0], sigma_t = self._noised(t)
 
         sum_b = np.zeros((V, m))
         sum_v = np.zeros((V, m))
         for r in range(min(t, tau) + 1):
-            block = self._augmented_at(t - r)[:V, r * V:(r + 1) * V].copy()
+            block = self.aug_rows[(t - r) % (tau + 1), :, r * V:(r + 1) * V].copy()
             if r == 0:
                 np.fill_diagonal(block, 0.0)  # self term uses the raw value
             sum_b += block @ self.chain_b[r]
@@ -430,8 +416,6 @@ class _AugmentedWorld(World):
             self.chain_b[1:] = self.chain_b[:-1].copy()
             self.chain_v[1:] = self.chain_v[:-1].copy()
         self._apply_updates(t, W, sum_b, sum_v, sigma_t)
-        for s in [s for s in self._aug if s < self.t - tau]:
-            del self._aug[s]
 
 
 def run_augmented_reference(config: RunConfig, game: Optional[GameSpec] = None) -> RunResult:
@@ -439,7 +423,7 @@ def run_augmented_reference(config: RunConfig, game: Optional[GameSpec] = None) 
 
     Injects the identical noise substreams as ``run`` and is algebraically
     identical to it up to summation order. Message counters stay zero: this
-    route has no envelope transport.
+    route has no arrival ring.
     """
     start = time.perf_counter()
     return _execute(_AugmentedWorld(config, game), start)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
-import networkx as nx
 import numpy as np
 
 from .privacy import substream, STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY
@@ -290,15 +289,24 @@ def validate_b_connectivity(schedule: GraphSchedule, b_window: int, horizon: int
         raise ScheduleError(f"horizon {horizon} shorter than window {b_window}")
     V = schedule.num_agents
     for start in range(0, horizon - b_window + 1, b_window):
-        g = nx.DiGraph()
-        g.add_nodes_from(range(V))
+        adj = np.eye(V, dtype=bool)
         for t in range(start, start + b_window):
             for (src, dst) in schedule.edges_at(t):
-                if src != dst:
-                    g.add_edge(src, dst)
-        if V > 1 and not nx.is_strongly_connected(g):
+                adj[src, dst] = True
+        if not _strongly_connected(adj):
             return ConnectivityReport(False, b_window, (start, start + b_window - 1))
     return ConnectivityReport(True, b_window)
+
+
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """True when every node reaches every other along the edges of the
+    reflexive boolean adjacency ``adj``: after k squarings the closure
+    covers paths of up to 2^k hops, and V - 1 hops reach every node.
+    """
+    reach = adj.astype(float)
+    for _ in range((len(adj) - 1).bit_length()):
+        reach = ((reach @ reach) > 0).astype(float)
+    return bool(reach.all())
 
 
 # ---------------------------------------------------------------------------

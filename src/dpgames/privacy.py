@@ -77,6 +77,11 @@ def density_ratio_check(b: np.ndarray, b_prime: np.ndarray, sigma: float,
     return float(np.abs(log_ratio).max())
 
 
+def _positive_finite(value) -> bool:
+    """False for None, NaN, infinities and values <= 0; TypeError for non-numbers."""
+    return value is not None and value > 0 and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """How (and whether) exchanged parameters are randomized.
@@ -101,17 +106,15 @@ class NoiseConfig:
     def __post_init__(self):
         if self.mode not in ("off", "epsilon", "sigma"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "epsilon":
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError("epsilon mode needs epsilon > 0")
-        if self.mode == "sigma":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("sigma mode needs sigma > 0")
+        if self.mode == "epsilon" and not _positive_finite(self.epsilon):
+            raise ValueError(f"epsilon mode needs a finite epsilon > 0, got {self.epsilon!r}")
+        if self.mode == "sigma" and not _positive_finite(self.sigma):
+            raise ValueError(f"sigma mode needs a finite sigma > 0, got {self.sigma!r}")
         if self.sensitivity_mode not in ("manual", "analytic"):
             raise ValueError(f"unknown sensitivity mode {self.sensitivity_mode!r}")
         if self.mode != "off" and self.sensitivity_mode == "manual":
-            if self.delta is None or self.delta <= 0:
-                raise ValueError("manual sensitivity needs delta > 0")
+            if not _positive_finite(self.delta):
+                raise ValueError(f"manual sensitivity needs a finite delta > 0, got {self.delta!r}")
 
     @property
     def enabled(self) -> bool:

@@ -242,3 +242,35 @@ def test_config_error_exit_code(tmp_path, capsys):
     p.write_text("{}")
     assert cli.main(["run", "--config", str(p)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+_PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta": 1.0}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("privacy", {**_PRIVATE, "epsilon": float("nan")}),
+    ("privacy", {**_PRIVATE, "delta": float("inf")}),
+    ("privacy", {"mode": "sigma", "sigma": float("inf"), "delta": 1.0}),
+    ("privacy", {**_PRIVATE, "epsilon": "0.2"}),
+    ("gamma", float("nan")),
+    ("gamma", float("inf")),
+    ("horizon", None),
+    ("horizon", float("inf")),
+    ("seed", "abc"),
+    ("graph", [1]),
+    ("delays", {"tau_max": 2, "comm": [1]}),
+    ("game", ["nash-cournot"]),
+    ("init", [[float("nan")], [2.0], [2.0], [5.0], [1.0]]),
+    ("init", {"a": 1}),
+    ("output", 5),
+])
+def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
+    d = config_to_dict(preset("fig2-baseline"))
+    d["horizon"] = 3
+    d[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))  # NaN and Infinity tokens, as Python's json reads them
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

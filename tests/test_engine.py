@@ -117,7 +117,7 @@ def test_delivery_accounting_exactly_once():
     res = dp.run(cfg)
     assert res.messages_enqueued == res.messages_delivered + res.messages_pending
 
-    # independent recount from the schedule: an envelope sent at s arrives at
+    # independent recount from the schedule: a message sent at s arrives at
     # s + tau_ij(s) and is delivered iff that lands inside the run
     delays = cfg.delays.with_seed(cfg.seed)
     expected_sent = expected_delivered = 0

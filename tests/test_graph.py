@@ -60,9 +60,14 @@ def test_b_connectivity_alternating_two_agents():
 
 
 def test_b_connectivity_disconnected_pair():
-    sched = dp.GraphSchedule.static(2, [])  # self-loops only
-    for b in (1, 2, 5):
-        assert not dp.validate_b_connectivity(sched, b, 20).ok
+    pair = dp.GraphSchedule.static(2, [])  # self-loops only
+    # 0 reaches every agent but nobody reaches 0: weakly, not strongly, connected
+    chain = dp.GraphSchedule.static(3, [(0, 1), (1, 2)])
+    for sched in (pair, chain):
+        for b in (1, 2, 5):
+            rep = dp.validate_b_connectivity(sched, b, 20)
+            assert not rep.ok
+            assert rep.first_violation == (0, b - 1)
 
 
 def test_augment_no_delay_is_identity_embedding():
