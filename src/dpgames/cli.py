@@ -59,7 +59,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     game = raw["game"]
     if isinstance(game, dict):
         game = game.get("name")
-    if not isinstance(game, str) or game not in GAME_REGISTRY:
+    num_agents = None
+    if isinstance(game, str) and game in GAME_REGISTRY:
+        num_agents = GAME_REGISTRY[game]().num_agents
+    else:
         errors.append(f"unknown game {game!r}; registered: {sorted(GAME_REGISTRY)}")
 
     scalars = {}
@@ -77,7 +80,13 @@ def config_from_dict(raw: dict) -> RunConfig:
         graph_block = dict(raw["graph"])
         b_window = int(graph_block.pop("b_window", 1))
         validate_conn = bool(graph_block.pop("validate_connectivity", False))
-        graph = GraphSchedule.from_descriptor(graph_block)
+        # the agent count is compared before the graph is built, which takes
+        # time and memory per agent; an unknown game (reported above) skips both
+        n = int(graph_block["num_agents"])
+        if num_agents is not None and n != num_agents:
+            errors.append(f"graph has {n} agents, game has {num_agents}")
+        elif num_agents is not None:
+            graph = GraphSchedule.from_descriptor(graph_block)
     except _MALFORMED as e:
         errors.append(f"graph: {e}")
 
@@ -331,6 +340,9 @@ def _resolve_config(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "horizon", None) is not None:
         cfg = replace(cfg, horizon=args.horizon)
+    errors = cfg.validate()
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 

@@ -107,6 +107,8 @@ class RunConfig:
             errors.append(f"graph has {self.graph.num_agents} agents, game has {game.num_agents}")
         if self.horizon < 0:
             errors.append(f"horizon must be >= 0, got {self.horizon}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            errors.append(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             errors.append(f"gamma must be positive and finite, got {self.gamma}")
         if self.b_window < 1:

@@ -37,6 +37,12 @@ class GameSpec:
     fixed, ``grad_agg`` the partial in the aggregate value; ``grad_psi``
     returns the (m, m) Jacobian with grad_psi[a, b] = d psi_a / d x_b.
 
+    ``vectorized`` declares that the callables also take an index array i of
+    shape (k,) with x and psi_val of shape (k, m) (t stays a scalar) and
+    return (k,) costs, (k, m) gradients and psi values and (k, m, m)
+    Jacobians; ``pseudogradient``, ``psi_values`` and ``costs`` then make one
+    call per callable instead of one per agent.
+
     L bounds ||grad_own|| on the joint box, G is the own-action smoothness
     constant, mu the strong-monotonicity modulus of the pseudogradient, and R
     the regularizer-radius constant; grad_lipschitz, when known analytically,
@@ -59,14 +65,17 @@ class GameSpec:
     mu: float = 1.0
     R: float = 1.0
     grad_lipschitz: float | None = None
+    vectorized: bool = False
 
     def check_in_box(self, i: int, x_i: Vec, tol: float = 1e-9) -> Vec:
         x_i = _as_vec(x_i, self.dim)
         if np.any(x_i < self.box_lo[i] - tol) or np.any(x_i > self.box_hi[i] + tol):
-            raise ActionDomainError(
-                f"action {x_i} of agent {i} outside box "
-                f"[{self.box_lo[i]}, {self.box_hi[i]}]")
+            raise self._outside(i, x_i)
         return x_i
+
+    def _outside(self, i: int, x_i: Vec) -> ActionDomainError:
+        return ActionDomainError(f"action {x_i} of agent {i} outside box "
+                                 f"[{self.box_lo[i]}, {self.box_hi[i]}]")
 
     def cost(self, i: int, t: int, x_i, psi_val) -> float:
         """Cost of agent i at time t given an aggregate value."""
@@ -76,9 +85,16 @@ class GameSpec:
     def psi(self, i: int, x_i) -> Vec:
         return np.asarray(self.psi_fn(i, _as_vec(x_i, self.dim)), dtype=float)
 
+    def psi_values(self, x: np.ndarray) -> np.ndarray:
+        """The (V, m) block of psi_j(x_j) for x of shape (V, m)."""
+        x = np.asarray(x, dtype=float)
+        if self.vectorized:
+            return np.asarray(self.psi_fn(np.arange(self.num_agents), x), dtype=float)
+        return np.stack([self.psi(j, x[j]) for j in range(self.num_agents)])
+
     def aggregate(self, x: np.ndarray) -> Vec:
         """Exact aggregate Psi(x) = (1/V) sum_j psi_j(x_j); x has shape (V, m)."""
-        return sum(self.psi(j, x[j]) for j in range(self.num_agents)) / self.num_agents
+        return _sum_in_order(self.psi_values(x)) / self.num_agents
 
     def local_gradient(self, i: int, t: int, x_i, v_i) -> Vec:
         """Full aggregative gradient with the agent's aggregate estimate v_i
@@ -98,10 +114,40 @@ class GameSpec:
 
     def pseudogradient(self, t: int, x: np.ndarray) -> np.ndarray:
         """Stacked local gradients at the exact aggregate; x and result are (V, m)."""
-        x = np.asarray(x, dtype=float).reshape(self.num_agents, self.dim)
+        V, m = self.num_agents, self.dim
+        x = np.asarray(x, dtype=float).reshape(V, m)
         psi_val = self.aggregate(x)
-        return np.stack([self.local_gradient(i, t, x[i], psi_val)
-                         for i in range(self.num_agents)])
+        if not self.vectorized:
+            return np.stack([self.local_gradient(i, t, x[i], psi_val) for i in range(V)])
+        i = np.arange(V)
+        psi_val = np.full((V, m), psi_val)
+        g1 = np.asarray(self.grad_own(i, t, x, psi_val), dtype=float)
+        g2 = np.asarray(self.grad_agg(i, t, x, psi_val), dtype=float)
+        J = np.asarray(self.grad_psi(i, x), dtype=float)
+        return g1 + (g2[:, None] @ J)[:, 0] / V  # row k: J_k^T g2_k
+
+    def costs(self, t: int, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
+        """Costs of all agents at time t; x and the per-agent aggregate
+        values psi_val are (V, m), the result is (V,).
+        """
+        V, m = self.num_agents, self.dim
+        x = np.asarray(x, dtype=float).reshape(V, m)
+        psi_val = np.asarray(psi_val, dtype=float).reshape(V, m)
+        # written as "inside" so that NaN entries count as outside
+        inside = np.all((x >= self.box_lo - 1e-9) & (x <= self.box_hi + 1e-9), axis=1)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise self._outside(i, x[i])
+        if self.vectorized:
+            return np.asarray(self.cost_fn(np.arange(V), t, x, psi_val), dtype=float)
+        return np.array([float(self.cost_fn(i, t, x[i], psi_val[i])) for i in range(V)])
+
+
+def _sum_in_order(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows added one after another in agent order, the rounding
+    of a Python ``sum`` over agents (``ndarray.sum`` adds pairwise).
+    """
+    return np.add.accumulate(rows)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +175,21 @@ def nash_cournot() -> GameSpec:
         firm = i + 1
         return 4.0 * (firm + 1) * math.sin(t / 6.0) + 50.0 * firm
 
+    # i is an index or an index array, x_i and psi_val are (m,) or (k, m);
+    # a.T[0] is coordinate 0: a scalar for one agent (nearly as fast as a[0],
+    # unlike a[..., 0]), a (k,) row for k agents
     def cost_fn(i, t, x_i, psi_val):
-        market = 850.0 - 10.0 * math.sin(t / 6.0) - V * psi_val[0]
-        return (price(i, t) - market) * x_i[0]
+        market = 850.0 - 10.0 * math.sin(t / 6.0) - V * psi_val.T[0]
+        return (price(i, t) - market) * x_i.T[0]
 
     def grad_own(i, t, x_i, psi_val):
-        return np.array([price(i, t) - 850.0 + 10.0 * math.sin(t / 6.0)
-                         + V * psi_val[0]])
+        return (price(i, t) - 850.0 + 10.0 * math.sin(t / 6.0)
+                + V * psi_val.T[0])[..., None]
 
     def grad_agg(i, t, x_i, psi_val):
-        return np.array([V * x_i[0]])
+        return V * x_i
 
-    identity = np.eye(m)
+    identities = np.broadcast_to(np.eye(m), (V, m, m))
 
     # |grad_own| = |(4(i+1)+10) s + 50 i - 850 + S|, affine in s in [-1, 1]
     # and S = sum_j x_j in [sum lo, sum hi]: extremes at the corners.
@@ -152,8 +201,8 @@ def nash_cournot() -> GameSpec:
     return GameSpec(
         name="nash-cournot", num_agents=V, dim=m, box_lo=lo, box_hi=hi,
         cost_fn=cost_fn, grad_own=grad_own, grad_agg=grad_agg,
-        psi_fn=lambda i, x: x, grad_psi=lambda i, x: identity,
-        L=L, G=2.0, mu=1.0, R=R, grad_lipschitz=float(V + 1))
+        psi_fn=lambda i, x: x, grad_psi=lambda i, x: identities[i],
+        L=L, G=2.0, mu=1.0, R=R, grad_lipschitz=float(V + 1), vectorized=True)
 
 
 def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSpec:
@@ -170,10 +219,11 @@ def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSp
     if np.any(hi <= lo):
         raise ValueError("boxes must have positive extent")
 
+    # index or index array i, as in nash_cournot
     def cost_fn(i, t, x_i, psi_val):
-        return (c[i] + V * psi_val[0]) * x_i[0]
+        return (c[i] + V * psi_val.T[0]) * x_i.T[0]
 
-    identity = np.eye(m)
+    identities = np.broadcast_to(np.eye(m), (V, m, m))
     s_lo, s_hi = float(lo.sum()), float(hi.sum())
     L = max(abs(ci + S) for ci in c for S in (s_lo, s_hi))
     R = float(np.max(np.maximum(np.abs(lo), np.maximum(np.abs(hi), hi - lo))))
@@ -181,10 +231,10 @@ def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSp
     return GameSpec(
         name=name, num_agents=V, dim=m, box_lo=lo, box_hi=hi,
         cost_fn=cost_fn,
-        grad_own=lambda i, t, x_i, psi_val: np.array([c[i] + V * psi_val[0]]),
-        grad_agg=lambda i, t, x_i, psi_val: np.array([V * x_i[0]]),
-        psi_fn=lambda i, x: x, grad_psi=lambda i, x: identity,
-        L=L, G=2.0, mu=1.0, R=R, grad_lipschitz=float(V + 1))
+        grad_own=lambda i, t, x_i, psi_val: (c[i] + V * psi_val.T[0])[..., None],
+        grad_agg=lambda i, t, x_i, psi_val: V * x_i,
+        psi_fn=lambda i, x: x, grad_psi=lambda i, x: identities[i],
+        L=L, G=2.0, mu=1.0, R=R, grad_lipschitz=float(V + 1), vectorized=True)
 
 
 GAME_REGISTRY: dict[str, Callable[[], GameSpec]] = {

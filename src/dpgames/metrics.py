@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .game import GameSpec
+from .game import GameSpec, _sum_in_order
 
 
 class OracleError(RuntimeError):
@@ -103,20 +103,11 @@ def kkt_max_violation(game: GameSpec, t: int, x: np.ndarray, face_tol: float = 1
     """
     x = np.asarray(x, float).reshape(game.num_agents, game.dim)
     g = game.pseudogradient(t, x)
-    worst = 0.0
-    for i in range(game.num_agents):
-        for k in range(game.dim):
-            at_lo = x[i, k] <= game.box_lo[i, k] + face_tol
-            at_hi = x[i, k] >= game.box_hi[i, k] - face_tol
-            if at_lo and at_hi:
-                continue  # degenerate box
-            if at_lo:
-                worst = max(worst, -g[i, k])
-            elif at_hi:
-                worst = max(worst, g[i, k])
-            else:
-                worst = max(worst, abs(g[i, k]))
-    return worst
+    at_lo = x <= game.box_lo + face_tol
+    at_hi = x >= game.box_hi - face_tol
+    violation = np.where(at_lo, -g, np.where(at_hi, g, np.abs(g)))
+    violation[at_lo & at_hi] = 0.0  # degenerate box
+    return float(np.max(violation, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +152,12 @@ def dynamic_regret(game: GameSpec, x_traj: np.ndarray,
         raise ValueError(f"horizon mismatch: {N} trajectory rounds, {len(solutions)} oracle solutions")
     increments = np.zeros((N, V))
     times = np.array([s.t for s in solutions])
-    for r in range(N):
-        t = solutions[r].t
-        xs = solutions[r].x_star
-        psi_star = [game.psi(j, xs[j]) for j in range(V)]
-        psi_sum = sum(psi_star)
-        agg_star = psi_sum / V
-        for i in range(V):
-            mixed_agg = (psi_sum - psi_star[i] + game.psi(i, x_traj[r, i])) / V
-            increments[r, i] = (game.cost(i, t, x_traj[r, i], mixed_agg)
-                                - game.cost(i, t, xs[i], agg_star))
+    for r, sol in enumerate(solutions):
+        psi_star = game.psi_values(sol.x_star)
+        psi_sum = _sum_in_order(psi_star)
+        mixed_agg = (psi_sum - psi_star + game.psi_values(x_traj[r])) / V
+        increments[r] = (game.costs(sol.t, x_traj[r], mixed_agg)
+                         - game.costs(sol.t, sol.x_star, np.full_like(psi_star, psi_sum / V)))
     per_agent = np.cumsum(increments, axis=0)
     cum = per_agent.sum(axis=1)
     avg = average_loss(losses) if losses is not None else None

@@ -263,14 +263,25 @@ _PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta":
     ("init", [[float("nan")], [2.0], [2.0], [5.0], [1.0]]),
     ("init", {"a": 1}),
     ("output", 5),
+    ("seed", -1),
+    ("--seed", -1),
+    ("--horizon", -5),
+    # the agent count is checked before the graph is built: building this
+    # one would add 10**30 self-loops
+    ("graph", {**cli.benchmark_graph().to_descriptor(), "num_agents": 10 ** 30}),
 ])
 def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
+    """A bad config value, or a bad ``--option`` override of a good config."""
     d = config_to_dict(preset("fig2-baseline"))
     d["horizon"] = 3
-    d[key] = value
+    overrides = []
+    if key.startswith("--"):
+        overrides = [key, str(value)]
+    else:
+        d[key] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(d))  # NaN and Infinity tokens, as Python's json reads them
-    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "r.csv")])
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "r.csv"), *overrides])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,95 @@ def test_resolve_game_registry(cournot):
     assert dp.resolve_game(cournot) is cournot
     with pytest.raises(ValueError):
         dp.resolve_game("no-such-game")
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-agent loop
+
+
+def per_agent(game, t, x, psi_val):
+    """Pseudogradient and costs from one call per agent (the adapter path)."""
+    loop = dataclasses.replace(game, vectorized=False)
+    costs = np.array([game.cost(i, t, x[i], psi_val[i]) for i in range(game.num_agents)])
+    return loop.pseudogradient(t, x), costs
+
+
+def random_profile(game, rng):
+    """Actions inside the boxes and unrelated per-agent aggregate values."""
+    lo, hi = game.box_lo, game.box_hi
+    return lo + rng.random(lo.shape) * (hi - lo), rng.normal(0.0, 5.0, lo.shape)
+
+
+def curved_game(vectorized):
+    """m = 2 game with a nonlinear aggregate map whose Jacobian is not
+    symmetric, so a transposed Jacobian would show. The callables are
+    written in broadcasting form, so the same ones serve both paths.
+    """
+    V, m = 4, 2
+    c = np.array([[-3.0, 1.0], [2.0, -1.0], [0.5, 0.0], [-1.0, 4.0]])
+    M = np.array([[1.0, 0.5], [-0.25, 2.0]])
+
+    def psi_fn(i, x):
+        return x @ M.T + 0.1 * x * x
+
+    def grad_psi(i, x):
+        return M + 0.2 * x[..., None, :] * np.eye(m)
+
+    return dp.GameSpec(
+        name="curved-2d", num_agents=V, dim=m,
+        box_lo=np.full((V, m), -2.0), box_hi=np.full((V, m), 3.0),
+        cost_fn=lambda i, t, x, p: np.sum((c[i] + V * p + 0.5 * x) * x, axis=-1),
+        grad_own=lambda i, t, x, p: c[i] + V * p + x,
+        grad_agg=lambda i, t, x, p: V * x,
+        psi_fn=psi_fn, grad_psi=grad_psi, vectorized=vectorized)
+
+
+@pytest.mark.parametrize("t", [0, 1, 7, 40, 123])
+def test_batched_cournot_matches_per_agent_loop(cournot, t):
+    assert cournot.vectorized
+    x, psi_val = random_profile(cournot, np.random.default_rng(t))
+    grad, costs = per_agent(cournot, t, x, psi_val)
+    np.testing.assert_allclose(cournot.pseudogradient(t, x), grad, rtol=1e-12)
+    np.testing.assert_allclose(cournot.costs(t, x, psi_val), costs, rtol=1e-12)
+
+
+def test_batched_linear_game_matches_per_agent_loop():
+    game = small_linear_game(20)
+    assert game.vectorized
+    rng = np.random.default_rng(31)
+    for t in (0, 5):
+        x, psi_val = random_profile(game, rng)
+        grad, costs = per_agent(game, t, x, psi_val)
+        # the aggregate adds agents in order, as the loop does, not pairwise
+        loop = dataclasses.replace(game, vectorized=False)
+        assert np.array_equal(game.aggregate(x), loop.aggregate(x))
+        assert game.aggregate(x)[0] == sum(x[:, 0]) / 20
+        np.testing.assert_allclose(game.pseudogradient(t, x), grad, rtol=1e-12)
+        np.testing.assert_allclose(game.costs(t, x, psi_val), costs, rtol=1e-12)
+
+
+def test_per_agent_adapter_matches_batched_form_and_closed_form():
+    loop, batched = curved_game(False), curved_game(True)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x, psi_val = random_profile(loop, rng)
+        grad, costs = loop.pseudogradient(2, x), loop.costs(2, x, psi_val)
+        np.testing.assert_allclose(batched.pseudogradient(2, x), grad, rtol=1e-12)
+        np.testing.assert_allclose(batched.costs(2, x, psi_val), costs, rtol=1e-12)
+        # grad_own + J^T grad_agg / V at the exact aggregate, one agent at a time
+        agg = np.mean([loop.psi(i, x[i]) for i in range(4)], axis=0)
+        for i in range(4):
+            J = loop.grad_psi(i, x[i])
+            expected = loop.grad_own(i, 2, x[i], agg) + J.T @ loop.grad_agg(i, 2, x[i], agg) / 4
+            np.testing.assert_allclose(grad[i], expected, rtol=1e-12)
+            assert costs[i] == pytest.approx(loop.cost(i, 2, x[i], psi_val[i]), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [6.0, float("nan")])
+def test_costs_reject_an_action_outside_its_box(cournot, bad):
+    x = BENCH_X0[:, None].copy()
+    x[0, 0] = bad  # box of agent 0 is [-5, 5]
+    with pytest.raises(ActionDomainError, match="agent 0"):
+        cournot.costs(0, x, np.zeros((5, 1)))
+    x[0, 0] = 5.0 + 1e-10  # within the face tolerance
+    assert cournot.costs(0, x, np.zeros((5, 1))).shape == (5,)

@@ -47,6 +47,35 @@ def test_oracle_kkt_conditions(cournot):
     assert (g < 0).all()
 
 
+def constant_gradient_game(g):
+    """Four agents whose pseudogradient is the constant g; boxes [0, 1]
+    except agent 3's, which is the single point 2.
+    """
+    return dp.GameSpec(
+        name="constant-gradient", num_agents=4, dim=1,
+        box_lo=np.array([[0.0], [0.0], [0.0], [2.0]]),
+        box_hi=np.array([[1.0], [1.0], [1.0], [2.0]]),
+        cost_fn=lambda i, t, x, p: g[i] * x[0],
+        grad_own=lambda i, t, x, p: np.array([g[i]]),
+        grad_agg=lambda i, t, x, p: np.zeros(1),
+        psi_fn=lambda i, x: x, grad_psi=lambda i, x: np.eye(1))
+
+
+def test_kkt_violation_hand_values():
+    # agents at the lower face, the upper face, inside, and in a degenerate box
+    x = np.array([[0.0], [1.0], [0.5], [2.0]])
+    # a descent direction out of each face, and a nonzero interior gradient
+    assert dp.kkt_max_violation(constant_gradient_game([-3.0, 2.0, -1.5, 10.0]), 0, x) == 3.0
+    assert dp.kkt_max_violation(constant_gradient_game([-1.0, 2.5, -1.5, 10.0]), 0, x) == 2.5
+    # faces pushed outward are satisfied; only the interior gradient counts
+    assert dp.kkt_max_violation(constant_gradient_game([3.0, -2.0, -0.5, 10.0]), 0, x) == 0.5
+    # the degenerate box is skipped whatever its gradient
+    assert dp.kkt_max_violation(constant_gradient_game([3.0, -2.0, 0.0, -10.0]), 0, x) == 0.0
+    # within face_tol of a face counts as on it
+    near = x + np.array([[1e-10], [-1e-10], [0.0], [0.0]])
+    assert dp.kkt_max_violation(constant_gradient_game([3.0, -2.0, 0.0, 10.0]), 0, near) == 0.0
+
+
 def test_oracle_agrees_from_random_starts(cournot):
     rng = np.random.default_rng(14)
     tol = 1e-10

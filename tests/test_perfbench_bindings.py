@@ -1,0 +1,49 @@
+"""The benchmark under ``perfbench/`` patches library functions by name and
+reads some of their results; a rename or a changed result type there would
+only show when the benchmark runs traced. These tests read ``perfbench/``
+and change nothing in it.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import dpgames as dp
+from dpgames import metrics
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import layers  # noqa: E402
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name, owner, attr", tracing.TRACED, ids=[n for n, _, _ in tracing.TRACED])
+def test_traced_binding_resolves_to_a_callable(name, owner, attr):
+    assert callable(tracing._get(owner, attr)), name
+
+
+def test_required_spans_are_traced():
+    traced = {name for name, _, _ in tracing.TRACED}
+    assert set(layers.REQUIRED_SPANS) <= traced
+
+
+def test_solve_equilibria_calls_the_module_oracle_once_per_round(monkeypatch):
+    # the tracer counts oracle iterations through the module global
+    calls = []
+
+    def counting(*args, **kwargs):
+        sol = oracle(*args, **kwargs)
+        calls.append(sol.iterations)
+        return sol
+
+    oracle = metrics.ne_oracle
+    monkeypatch.setattr(metrics, "ne_oracle", counting)
+    sols = metrics.solve_equilibria(dp.nash_cournot(), range(3))
+    assert calls == [s.iterations for s in sols] and len(calls) == 3
+
+
+def test_scale_oracle_iteration_count_is_pinned():
+    # a change to the oracle's step or stopping rule moves this count
+    sol = metrics.ne_oracle(workloads.scale_game(), 0)
+    assert sol.iterations == 8324
