@@ -383,9 +383,9 @@ def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50) -> list[tuple[s
         W = graph.weights_at(t)
         D = delays.comm_matrix(t, graph.num_agents)
         if bad_delay is None and t in scan:
-            feedback = [delays.feedback_delay(i, t) for i in range(graph.num_agents)]
+            feedback = delays.feedback_delays(t, graph.num_agents)
             if (D.min() < 0 or D.max() > delays.tau_max or np.any(np.diag(D) != 0)
-                    or not all(0 <= fd <= delays.tau_max for fd in feedback)):
+                    or feedback.min() < 0 or feedback.max() > delays.tau_max):
                 bad_delay = t
         worst_w = max(worst_w, float(np.abs(W.sum(axis=1) - 1.0).max()))
         A = augment(W, D, delays.tau_max)
@@ -455,13 +455,26 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ConfigError(["--values must be a non-empty comma-separated list"])
-    rows = []
+    # every member is built and validated before the first one runs
+    members, errors = [], []
     for raw_value in values:
-        value = float(raw_value) if axis not in ("seed",) else int(raw_value)
-        member = _apply_axis(cfg, axis, value)
+        try:
+            value = float(raw_value) if axis not in ("seed",) else int(raw_value)
+            if axis in ("T", "horizon", "tau_max") and not value.is_integer():
+                raise ValueError(f"{axis} takes integer values")
+            member = _apply_axis(cfg, axis, value)
+        except _MALFORMED as e:  # ConfigError is a ValueError
+            errors.append(f"--values {raw_value!r}: {e}")
+            continue
         if axis != "seed":
             member = replace(member, seed=derive_seed(cfg.seed, axis, value))
         member = replace(member, run_id=f"{cfg.run_id}-{axis}-{raw_value}")
+        errors += [f"--values {raw_value!r}: {e}" for e in member.validate()]
+        members.append((raw_value, member))
+    if errors:
+        raise ConfigError(errors)
+    rows = []
+    for raw_value, member in members:
         result = engine.run(member)
         s = run_summary(result)
         tail = s["stabilization"].values()

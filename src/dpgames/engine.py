@@ -6,11 +6,14 @@ agent folds in whatever arrives this step, adds its delayed compensated
 gradient, projects, and updates its running average and aggregate estimate.
 Self contributions use the raw, un-noised values and never incur delay.
 
-Transport is an arrival ring of tau_max + 1 slots of shape (V, m): a message
-sent by j to i at time s is weighted by W(s)[i, j] when it is sent and added
-into the slot of round s + tau_ij(s), so at round t the slot t mod
-(tau_max + 1) holds the arrival sum
-sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
+Transport is an arrival ring of tau_max + 1 slots of shape (V, 2m), the
+dual-variable columns before the aggregate-estimate columns: a message sent
+by j to i at time s is weighted by W(s)[i, j] when it is sent and added into
+the slot of round s + tau_ij(s), so at round t the slot t mod (tau_max + 1)
+holds the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
+
+Each round draws its randomness as one block per purpose: the (V, m) noise
+block, the (V, V) communication-delay matrix and the (V,) feedback delays.
 
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
@@ -113,6 +116,7 @@ class RunConfig:
             errors.append(f"gamma must be positive and finite, got {self.gamma}")
         if self.b_window < 1:
             errors.append(f"b_window must be >= 1, got {self.b_window}")
+        errors += self.delays.entry_errors(game.num_agents)
         if self.cold_start not in ("clamp", "zero"):
             errors.append(f"cold_start must be 'clamp' or 'zero', got {self.cold_start!r}")
         try:
@@ -154,13 +158,13 @@ class World:
         for i in range(V):
             self.game.check_in_box(i, self.x[i])
         self.x_hat = self.x.copy()
-        self.v = np.stack([self.game.psi(i, self.x[i]) for i in range(V)])
+        self.v = self.game.psi_values(self.x)
         self.Y = np.eye(V)
         self.history: dict[int, tuple[np.ndarray, np.ndarray]] = {0: (self.x.copy(), self.v.copy())}
         slots = self.delays.tau_max + 1
-        self.ring_b = np.zeros((slots, V, m))
-        self.ring_v = np.zeros((slots, V, m))
-        self.ring_count = [0] * slots  # messages waiting in each slot
+        self.ring = np.zeros((slots, V, 2 * m))
+        self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
+        self._off_diagonal = ~np.eye(V, dtype=bool)
         self.ledger = PrivacyLedger()
         self.min_y_diag = 1.0
         self.messages_enqueued = 0
@@ -176,69 +180,73 @@ class World:
         floor = eigenvector_floor(self.graph, max(self.cfg.horizon, 1))
         return sensitivity_bound(self.game.L, 1.0 / floor, self.m)
 
-    def draw_noise(self, i: int, t: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """(noise for dual, noise for aggregate, sigma_t); zeros when disabled."""
+    def noise_block(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Round t's (V, m) noise for the duals and for the aggregate
+        estimates (one draw when shared), and sigma_t; zeros when disabled.
+        """
         if not self.noise.enabled:
-            z = np.zeros(self.m)
+            z = np.zeros((self.V, self.m))
             return z, z, 0.0
         _, sigma = self.noise.resolve(self._delta_t)
-        n_b = sample_noise(sigma, self.m, substream(self.cfg.seed, STREAM_NOISE, i, t))
+        shape = (self.V, self.m)
+        n_b = sample_noise(sigma, shape, substream(self.cfg.seed, STREAM_NOISE, t))
         if self.noise.shared_draw:
             return n_b, n_b, sigma
-        n_v = sample_noise(sigma, self.m, substream(self.cfg.seed, STREAM_NOISE_AGGREGATE, i, t))
+        n_v = sample_noise(sigma, shape, substream(self.cfg.seed, STREAM_NOISE_AGGREGATE, t))
         return n_b, n_v, sigma
+
+    def draw_noise(self, i: int, t: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Agent i's row of ``noise_block(t)``."""
+        n_b, n_v, sigma = self.noise_block(t)
+        return n_b[i], n_v[i], sigma
 
     def _noised(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Every agent's noised (b, v) snapshot at round t, and sigma_t."""
-        b_tilde = np.empty((self.V, self.m))
-        v_tilde = np.empty((self.V, self.m))
-        sigma_t = 0.0
-        for i in range(self.V):
-            n_b, n_v, sigma_t = self.draw_noise(i, t)
-            b_tilde[i] = self.b[i] + n_b
-            v_tilde[i] = self.v[i] + n_v
-        return b_tilde, v_tilde, sigma_t
+        n_b, n_v, sigma_t = self.noise_block(t)
+        return self.b + n_b, self.v + n_v, sigma_t
 
-    def delayed_gradient(self, i: int, t: int) -> np.ndarray:
-        tau = self.delays.feedback_delay(i, t)
-        s = t - tau
-        if s < 0:
-            if self.cfg.cold_start == "zero":
-                return np.zeros(self.m)
-            s = 0
-        if s not in self.history:
-            raise HistoryMissError(f"state at t={s} evicted (asked at t={t}, agent {i})")
-        xs, vs = self.history[s]
-        return self.game.local_gradient(i, s, xs[i], vs[i])
+    def _delayed_gradients(self, t: int) -> np.ndarray:
+        """(V, m): agent i's gradient at its stored state of round t - tau_i(t)."""
+        g = np.empty((self.V, self.m))
+        for i, tau in enumerate(self.delays.feedback_delays(t, self.V).tolist()):
+            s = t - tau
+            if s < 0:
+                if self.cfg.cold_start == "zero":
+                    g[i] = 0.0
+                    continue
+                s = 0
+            if s not in self.history:
+                raise HistoryMissError(f"state at t={s} evicted (asked at t={t}, agent {i})")
+            xs, vs = self.history[s]
+            g[i] = self.game.local_gradient(i, s, xs[i], vs[i])
+        return g
 
     def step(self) -> None:
         t = self.t
-        V = self.V
         W = self.graph.weights_at(t)
+        D = self.delays.comm_matrix(t, self.V)
         b_tilde, v_tilde, sigma_t = self._noised(t)
 
-        # phase 1: add each message, weighted at send time, into the slot of
-        # its arrival round; sender by sender, so every receiver's slot sums
-        # in send order
-        slots = len(self.ring_count)
-        for sender in range(V):
-            for receiver in range(V):
-                if receiver != sender and W[receiver, sender] > 0:
-                    k = (t + self.delays.comm_delay(receiver, sender, t)) % slots
-                    self.ring_b[k, receiver] += W[receiver, sender] * b_tilde[sender]
-                    self.ring_v[k, receiver] += W[receiver, sender] * v_tilde[sender]
-                    self.ring_count[k] += 1
-                    self.messages_enqueued += 1
+        # phase 1: every message j -> i, weighted at send time, goes into the
+        # slot of its arrival round t + tau_ij(t). Messages are listed sender
+        # by sender and np.add.at applies them one at a time in that order,
+        # so each receiver's slot sums in send order.
+        slots = len(self.ring)
+        sender, receiver = np.nonzero(np.where(self._off_diagonal, W, 0.0).T)
+        slot = (t + D[receiver, sender]) % slots
+        snapshot = np.hstack([b_tilde, v_tilde])
+        np.add.at(self.ring, (slot, receiver), W[receiver, sender, None] * snapshot[sender])
+        np.add.at(self.ring_count, slot, 1)
+        self.messages_enqueued += len(slot)
 
         # phase 2: this round's slot holds everything arriving now
         k = t % slots
-        sum_b, sum_v = self.ring_b[k].copy(), self.ring_v[k].copy()
-        self.ring_b[k] = 0.0
-        self.ring_v[k] = 0.0
-        self.messages_delivered += self.ring_count[k]
+        arrived = self.ring[k].copy()
+        self.ring[k] = 0.0
+        self.messages_delivered += int(self.ring_count[k])
         self.ring_count[k] = 0
 
-        self._apply_updates(t, W, sum_b, sum_v, sigma_t)
+        self._apply_updates(t, W, arrived[:, :self.m], arrived[:, self.m:], sigma_t)
 
     def _apply_updates(self, t: int, W: np.ndarray, sum_b: np.ndarray,
                        sum_v: np.ndarray, sigma_t: float) -> None:
@@ -248,7 +256,6 @@ class World:
         ring and virtual-relay routes, which differ only in how the arrival
         sums are formed.
         """
-        V = self.V
         game = self.game
         self.last_arrivals = (sum_b, sum_v)
 
@@ -258,7 +265,7 @@ class World:
                 f"y_ii = {y_diag.min():.3e} at t={t}; self-loop structure violated")
         self.min_y_diag = min(self.min_y_diag, float(y_diag.min()))
 
-        g = np.stack([self.delayed_gradient(i, t) for i in range(V)])
+        g = self._delayed_gradients(t)
         w_self = np.diag(W)[:, None]
         b_new = w_self * self.b + sum_b + g / y_diag[:, None]
 
@@ -266,9 +273,8 @@ class World:
         eta = step_size(self.cfg.gamma, t + 1)
         x_new = project(b_new, eta, game.box_lo, game.box_hi)
         x_hat_new = ((t + 1) * self.x_hat + x_new) / (t + 2)
-        psi_new = np.stack([game.psi(i, x_hat_new[i]) for i in range(V)])
-        psi_old = np.stack([game.psi(i, self.x_hat[i]) for i in range(V)])
-        v_new = w_self * self.v + sum_v + psi_new - psi_old
+        v_new = (w_self * self.v + sum_v + game.psi_values(x_hat_new)
+                 - game.psi_values(self.x_hat))
 
         if self.noise.enabled:
             self.ledger.record(t, self._delta_t, sigma_t)
@@ -279,7 +285,7 @@ class World:
         self.history.pop(self.t - self.delays.tau_max - 1, None)
 
     def messages_pending(self) -> int:
-        return sum(self.ring_count)
+        return int(self.ring_count.sum())
 
     def agent_state(self, i: int) -> AgentState:
         return AgentState(b=self.b[i].copy(), y=self.Y[i].copy(), x=self.x[i].copy(),
@@ -334,11 +340,9 @@ class RunResult:
 
 
 def _losses(game: GameSpec, t: int, x_t: np.ndarray, v_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    V = game.num_agents
-    agg = game.aggregate(x_t)
-    local = np.array([game.cost(i, t, x_t[i], v_t[i]) for i in range(V)])
-    true = np.array([game.cost(i, t, x_t[i], agg) for i in range(V)])
-    return local, true
+    """Costs at each agent's own aggregate estimate, and at the exact aggregate."""
+    agg = np.broadcast_to(game.aggregate(x_t), x_t.shape)
+    return game.costs(t, x_t, v_t), game.costs(t, x_t, agg)
 
 
 def _collect(world: World, record) -> None:
@@ -423,9 +427,10 @@ class _AugmentedWorld(World):
 def run_augmented_reference(config: RunConfig, game: Optional[GameSpec] = None) -> RunResult:
     """Delay-free execution on V(1 + tau_max) nodes; real-agent trajectories.
 
-    Injects the identical noise substreams as ``run`` and is algebraically
-    identical to it up to summation order. Message counters stay zero: this
-    route has no arrival ring.
+    Draws the same per-round noise and delay blocks as ``run`` (one keyed
+    generator per purpose and round) and is algebraically identical to it up
+    to summation order. Message counters stay zero: this route has no
+    arrival ring.
     """
     start = time.perf_counter()
     return _execute(_AugmentedWorld(config, game), start)

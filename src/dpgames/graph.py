@@ -9,6 +9,7 @@ agent ``i`` weighted ``1 / in_degree(i)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
@@ -146,8 +147,9 @@ class DelaySchedule:
       {"type": "fixed", "entries": {(i, j): d}}     constant per (receiver i, sender j)
       {"type": "uniform", "low": a, "high": b}      iid uniform integers, seeded
 
-    A ``seed`` of None is resolved to the run's master seed by the engine;
-    the draw for a given (i, j, t) is independent of query order.
+    A ``seed`` of None is resolved to the run's master seed by the engine.
+    Random delays are drawn as one block per (purpose, round), so the delay
+    of a given (i, j, t) is independent of query order and of V.
     """
 
     tau_max: int
@@ -198,36 +200,75 @@ class DelaySchedule:
     def with_seed(self, seed: int) -> "DelaySchedule":
         return self if self.seed is not None else replace(self, seed=seed)
 
-    def comm_delay(self, i: int, j: int, t: int) -> int:
-        """Delay of the message sent by j at time t to receiver i."""
-        if i == j:
-            return 0
+    def comm_matrix(self, t: int, num_agents: int) -> np.ndarray:
+        """(V, V) integer matrix of the delays tau_ij(t) of messages sent at
+        time t, receiver i by row and sender j by column, zero diagonal.
+
+        A uniform rule makes one keyed generator per round and draws V^2
+        integers laid out shell by shell over max(i, j) (see
+        ``_shell_order``), so every smaller V's matrix is the top-left block
+        of this one. Fixed entries naming an agent outside [0, V) are left
+        out here and rejected by ``RunConfig.validate``.
+        """
+        V = num_agents
         kind = self.comm["type"]
-        if kind == "none":
-            return 0
+        if kind == "uniform":
+            rng = substream(self._need_seed(), STREAM_COMM_DELAY, t)
+            D = rng.integers(self.comm["low"], self.comm["high"] + 1, size=V * V)[_shell_order(V)]
+        else:
+            D = np.zeros((V, V), dtype=int)
+            if kind == "fixed":
+                for (i, j), d in self.comm["entries"].items():
+                    if 0 <= i < V and 0 <= j < V:
+                        D[i, j] = d
+        np.fill_diagonal(D, 0)
+        return D
+
+    def feedback_delays(self, t: int, num_agents: int) -> np.ndarray:
+        """(V,) integer vector of the feedback delays tau_i(t); a uniform
+        rule makes one keyed generator per round, and every smaller V's
+        vector is a prefix of this one.
+        """
+        V = num_agents
+        kind = self.feedback["type"]
+        if kind == "uniform":
+            rng = substream(self._need_seed(), STREAM_FEEDBACK_DELAY, t)
+            return rng.integers(self.feedback["low"], self.feedback["high"] + 1, size=V)
+        tau = np.zeros(V, dtype=int)
         if kind == "fixed":
-            return self.comm["entries"].get((i, j), 0)
-        lo, hi = self.comm["low"], self.comm["high"]
-        rng = substream(self._need_seed(), STREAM_COMM_DELAY, i, j, t)
-        return int(rng.integers(lo, hi + 1))
+            for i, d in self.feedback["entries"].items():
+                if 0 <= i < V:
+                    tau[i] = d
+        return tau
+
+    def comm_delay(self, i: int, j: int, t: int) -> int:
+        """Delay of the message sent by j at time t to receiver i: entry
+        (i, j) of ``comm_matrix(t, V)`` for every V > max(i, j).
+        """
+        return int(self.comm_matrix(t, max(i, j) + 1)[i, j])
 
     def feedback_delay(self, i: int, t: int) -> int:
-        kind = self.feedback["type"]
-        if kind == "none":
-            return 0
-        if kind == "fixed":
-            return self.feedback["entries"].get(i, 0)
-        lo, hi = self.feedback["low"], self.feedback["high"]
-        rng = substream(self._need_seed(), STREAM_FEEDBACK_DELAY, i, t)
-        return int(rng.integers(lo, hi + 1))
+        """Entry i of ``feedback_delays(t, V)`` for every V > i."""
+        return int(self.feedback_delays(t, i + 1)[i])
 
-    def comm_matrix(self, t: int, num_agents: int) -> np.ndarray:
-        D = np.zeros((num_agents, num_agents), dtype=int)
-        for i in range(num_agents):
-            for j in range(num_agents):
-                if i != j:
-                    D[i, j] = self.comm_delay(i, j, t)
-        return D
+    def entry_errors(self, num_agents: int) -> list[str]:
+        """Fixed entries a run on ``num_agents`` agents would never read:
+        an agent outside [0, V), or a non-zero self-delay (tau_ii is 0).
+        """
+        errors = []
+        if self.comm["type"] == "fixed":
+            for (i, j), d in sorted(self.comm["entries"].items()):
+                if not (0 <= i < num_agents and 0 <= j < num_agents):
+                    errors.append(f"comm delay entry {[i, j, d]} names an agent"
+                                  f" outside [0, {num_agents})")
+                elif i == j and d != 0:
+                    errors.append(f"comm delay entry {[i, j, d]} is a non-zero self-delay")
+        if self.feedback["type"] == "fixed":
+            for i, d in sorted(self.feedback["entries"].items()):
+                if not 0 <= i < num_agents:
+                    errors.append(f"feedback delay entry {[i, d]} names an agent"
+                                  f" outside [0, {num_agents})")
+        return errors
 
     def _need_seed(self) -> int:
         if self.seed is None:
@@ -260,6 +301,20 @@ class DelaySchedule:
 
         return DelaySchedule(int(d["tau_max"]), dec(d.get("comm", {"type": "none"}), True),
                              dec(d.get("feedback", {"type": "none"}), False), d.get("seed"))
+
+
+@functools.lru_cache(maxsize=16)
+def _shell_order(num_agents: int) -> np.ndarray:
+    """(V, V) index of entry (i, j) in the flat draw of a delay matrix.
+
+    Shell k = max(i, j) takes draws k^2 .. (k + 1)^2 - 1: first (k, 0) ..
+    (k, k - 1), then (0, k) .. (k, k). The first V^2 draws therefore fill
+    shells 0 .. V - 1, which is the whole V x V matrix for any V.
+    """
+    i, j = np.indices((num_agents, num_agents))
+    order = np.where(j < i, i * i + j, j * j + j + i)
+    order.flags.writeable = False
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Laplace mechanism, sensitivity bound, and cumulative privacy accounting.
 
-All randomness in a run flows from one master seed through hierarchical
-substreams keyed by (purpose, agent indices, time), so draws are reproducible
-independent of iteration order.
+All randomness in a run flows from one master seed through substreams keyed
+by (purpose, round): each round makes one generator per purpose and draws
+that purpose's whole block from it (the (V, m) noise block, the (V, V)
+communication-delay matrix, the (V,) feedback delays), in the keyed
+counter-RNG style of Salmon et al., "Parallel Random Numbers: As Easy as
+1, 2, 3" (SC'11). Per-agent and per-edge values are views onto those
+blocks, so draws are reproducible independent of iteration order.
 """
 
 from __future__ import annotations
@@ -52,11 +56,13 @@ def sigma_for(delta_t: float, epsilon_t: float) -> float:
     return delta_t / epsilon_t
 
 
-def sample_noise(sigma: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m iid draws from the zero-mean Laplace density (1/2s) exp(-|z|/s)."""
+def sample_noise(sigma: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """An array of the given shape (an int or a tuple) of iid draws from the
+    zero-mean Laplace density (1/2s) exp(-|z|/s).
+    """
     if sigma <= 0:
         raise ValueError(f"Laplace scale must be positive, got {sigma}")
-    return rng.laplace(0.0, sigma, size=m)
+    return rng.laplace(0.0, sigma, size=shape)
 
 
 def density_ratio_check(b: np.ndarray, b_prime: np.ndarray, sigma: float,

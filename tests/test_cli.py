@@ -269,19 +269,31 @@ _PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta":
     # the agent count is checked before the graph is built: building this
     # one would add 10**30 self-loops
     ("graph", {**cli.benchmark_graph().to_descriptor(), "num_agents": 10 ** 30}),
+    # fixed delay entries a 5-agent run would never read
+    ("delays", {"tau_max": 2, "comm": {"type": "fixed", "entries": [[7, 1, 2]]}}),
+    ("delays", {"tau_max": 2, "feedback": {"type": "fixed", "entries": [[9, 1]]}}),
+    ("delays", {"tau_max": 2, "comm": {"type": "fixed", "entries": [[2, 2, 1]]}}),
+    # sweep members are validated like the config they come from
+    ("sweep", ["--axis", "seed", "--values", "-1"]),
+    ("sweep", ["--axis", "gamma", "--values", "nan"]),
+    ("sweep", ["--axis", "T", "--values", "2.7"]),
 ])
 def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
-    """A bad config value, or a bad ``--option`` override of a good config."""
+    """A bad config value, a bad ``--option`` override of a good config, or
+    a bad sweep member built from one.
+    """
     d = config_to_dict(preset("fig2-baseline"))
     d["horizon"] = 3
-    overrides = []
-    if key.startswith("--"):
-        overrides = [key, str(value)]
+    command, extra = "run", []
+    if key == "sweep":
+        command, extra = "sweep", value
+    elif key.startswith("--"):
+        extra = [key, str(value)]
     else:
         d[key] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(d))  # NaN and Infinity tokens, as Python's json reads them
-    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "r.csv"), *overrides])
+    rc = cli.main([command, "--config", str(p), "--out", str(tmp_path / "r.csv"), *extra])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()

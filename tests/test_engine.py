@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import dpgames as dp
-from dpgames.engine import DegeneracyError, World, step_size
+from dpgames.cli import preset
+from dpgames.engine import DegeneracyError, World, _AugmentedWorld, step_size
 
 from conftest import bench_init, complete_graph, ring_graph, small_linear_game
 
@@ -234,6 +235,50 @@ def test_shared_draw_uses_one_vector_per_agent_step():
     n_b2, n_v2, _ = indep.draw_noise(1, 4)
     assert np.array_equal(n_b, n_b2)  # dual-variable stream unchanged
     assert not np.array_equal(n_b2, n_v2)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_draw_noise_is_a_row_of_the_round_block(shared):
+    from dpgames.privacy import STREAM_NOISE, STREAM_NOISE_AGGREGATE, substream
+    world = World(bench_cfg(noise=dp.NoiseConfig.fixed_epsilon(
+        0.2, delta=1.0, shared_draw=shared)))
+    for t in (0, 4, 33):
+        n_b, n_v, sigma = world.noise_block(t)
+        assert n_b.shape == n_v.shape == (5, 1) and sigma == 5.0
+        assert np.array_equal(n_b, dp.sample_noise(5.0, (5, 1), substream(42, STREAM_NOISE, t)))
+        if shared:
+            assert n_v is n_b
+        else:
+            assert np.array_equal(n_v, dp.sample_noise(
+                5.0, (5, 1), substream(42, STREAM_NOISE_AGGREGATE, t)))
+        for i in range(5):
+            row_b, row_v, s = world.draw_noise(i, t)
+            assert np.array_equal(row_b, n_b[i]) and np.array_equal(row_v, n_v[i])
+            assert s == sigma
+
+
+@pytest.mark.parametrize("world_class", [World, _AugmentedWorld])
+@pytest.mark.parametrize("preset_name, per_round", [
+    ("fig7-random-delays-private", 3),  # noise block, comm matrix, feedback vector
+    ("fig5-fixed-delay", 0),            # fixed delays and no noise draw nothing
+])
+def test_one_generator_per_purpose_and_round(preset_name, per_round, world_class, monkeypatch):
+    from dpgames import engine, graph, privacy
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return privacy.substream(*args)
+
+    monkeypatch.setattr(engine, "substream", counting)
+    monkeypatch.setattr(graph, "substream", counting)
+    world = world_class(bench_cfg(**{k: getattr(preset(preset_name), k)
+                                     for k in ("delays", "noise")}))
+    for t in range(12):
+        world.step()
+        assert len(calls) == per_round * (t + 1)
+    # keyed by (purpose, round) only
+    assert all(len(key) == 2 and key[1] < 12 for key in calls)
 
 
 def test_noise_stream_determinism_across_runs():

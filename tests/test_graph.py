@@ -218,6 +218,45 @@ def test_random_delays_are_order_independent():
     assert any(first)  # not degenerate
 
 
+@pytest.mark.parametrize("V", [3, 5, 20])
+def test_comm_delay_is_a_view_onto_the_round_matrix(V):
+    d = dp.DelaySchedule.uniform(6, seed=19)
+    for t in (0, 1, 9, 250):
+        D = d.comm_matrix(t, V)
+        assert D.shape == (V, V) and not np.diag(D).any()
+        assert D.min() >= 0 and D.max() <= 6
+        for i in range(V):
+            for j in range(V):
+                assert d.comm_delay(i, j, t) == D[i, j]
+        # shell-by-shell layout: every smaller matrix is the top-left block
+        assert np.array_equal(d.comm_matrix(t, V - 1), D[:V - 1, :V - 1])
+        assert np.array_equal(d.comm_matrix(t, 20)[:V, :V], D)
+
+
+def test_feedback_delay_is_a_view_onto_the_round_vector():
+    d = dp.DelaySchedule.uniform(6, seed=19)
+    for t in (0, 3, 77):
+        tau = d.feedback_delays(t, 20)
+        assert tau.shape == (20,) and 0 <= tau.min() and tau.max() <= 6
+        assert [d.feedback_delay(i, t) for i in range(20)] == tau.tolist()
+        assert np.array_equal(d.feedback_delays(t, 5), tau[:5])
+    assert d.feedback_delays(0, 20).tolist() != d.feedback_delays(1, 20).tolist()
+
+
+def test_fixed_delay_blocks_and_entries_a_run_would_ignore():
+    d = dp.DelaySchedule.fixed(3, comm={(3, 1): 2, (7, 1): 1, (2, 2): 1},
+                               feedback={0: 1, 9: 3})
+    D = d.comm_matrix(4, 5)
+    assert D[3, 1] == 2 and D.sum() == 2  # (7, 1) lies outside, (2, 2) is a self-delay
+    assert d.feedback_delays(4, 5).tolist() == [1, 0, 0, 0, 0]
+    errors = d.entry_errors(5)
+    assert len(errors) == 3
+    assert "[2, 2, 1]" in errors[0] and "self-delay" in errors[0]
+    assert "[7, 1, 1]" in errors[1] and "[9, 3]" in errors[2]
+    assert dp.DelaySchedule.fixed(3, comm={(3, 1): 2}, feedback={4: 1}).entry_errors(5) == []
+    assert dp.DelaySchedule.uniform(3).entry_errors(5) == []
+
+
 def test_procedural_schedule_rule():
     sched = dp.GraphSchedule.procedural(
         3, lambda t: [(0, 1), (1, 2), (2, 0)] if t % 2 == 0 else [(0, 2), (2, 1), (1, 0)])

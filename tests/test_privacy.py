@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import dpgames as dp
-from dpgames.privacy import (LedgerError, STREAM_NOISE, NoiseConfig, PrivacyLedger,
-                             substream)
+from dpgames.privacy import (LedgerError, STREAM_NOISE, STREAM_NOISE_AGGREGATE, NoiseConfig,
+                             PrivacyLedger, substream)
 
 
 def test_sensitivity_bound_values():
@@ -38,13 +38,16 @@ def test_sample_noise_needs_positive_scale():
 
 
 def test_noise_streams_are_deterministic_and_disjoint():
-    a = dp.sample_noise(5.0, 4, substream(42, STREAM_NOISE, 1, 10))
-    b = dp.sample_noise(5.0, 4, substream(42, STREAM_NOISE, 1, 10))
-    c = dp.sample_noise(5.0, 4, substream(42, STREAM_NOISE, 2, 10))
-    d = dp.sample_noise(5.0, 4, substream(42, STREAM_NOISE, 1, 11))
+    # one (V, m) block per (purpose, round)
+    a = dp.sample_noise(5.0, (4, 2), substream(42, STREAM_NOISE, 10))
+    b = dp.sample_noise(5.0, (4, 2), substream(42, STREAM_NOISE, 10))
+    c = dp.sample_noise(5.0, (4, 2), substream(42, STREAM_NOISE_AGGREGATE, 10))
+    d = dp.sample_noise(5.0, (4, 2), substream(42, STREAM_NOISE, 11))
+    assert a.shape == (4, 2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    assert dp.sample_noise(5.0, 3, substream(42, STREAM_NOISE, 10)).shape == (3,)
 
 
 def test_ledger_constant_epsilon_is_exact():
