@@ -505,6 +505,8 @@ def cmd_presets(args) -> int:
 
 
 def cmd_ne_oracle(args) -> int:
+    if not 0 < args.tol < np.inf:  # also rejects NaN
+        raise ConfigError([f"--tol must be finite and positive, got {args.tol}"])
     cfg = _resolve_config(args)
     game = cfg.resolved_game()
     sol = metrics.ne_oracle(game, args.time, tol=args.tol)

@@ -63,6 +63,8 @@ class GraphSchedule:
     edge_sets: tuple[frozenset[Edge], ...] = ()
     rule: Optional[Callable[[int], Iterable[Edge]]] = field(default=None, compare=False)
     require_self_loops: bool = True
+    # read-only weight matrix per edge set of a static or periodic schedule
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def static(num_agents: int, edges: Iterable[Edge], require_self_loops: bool = True) -> "GraphSchedule":
@@ -94,12 +96,18 @@ class GraphSchedule:
     def weights_at(self, t: int) -> np.ndarray:
         """Row-stochastic weight matrix at time t, each in-edge weighted 1/d_i.
 
+        Static and periodic schedules build each phase's matrix once and
+        return it read-only; procedural ones build a new matrix every call.
         Raises ScheduleError if some agent has an empty in-neighborhood
         (with self-loops required this cannot happen by construction).
         """
+        edges = self.edges_at(t)
+        W = self._weights.get(edges)
+        if W is not None:
+            return W
         V = self.num_agents
         W = np.zeros((V, V))
-        for (src, dst) in self.edges_at(t):
+        for (src, dst) in edges:
             W[dst, src] = 1.0
         deg = W.sum(axis=1)
         empty = np.nonzero(deg == 0)[0]
@@ -107,7 +115,11 @@ class GraphSchedule:
             raise ScheduleError(
                 f"agent(s) {empty.tolist()} have no in-neighbors at t={t}"
                 " (self-loop requirement violated)")
-        return W / deg[:, None]
+        W = W / deg[:, None]
+        if self.kind != "procedural":
+            W.flags.writeable = False
+            self._weights[edges] = W
+        return W
 
     def to_descriptor(self) -> dict:
         if self.kind == "procedural":

@@ -237,6 +237,16 @@ def test_ne_oracle_command(capsys):
     assert "5.0, 10.0, 8.0, 12.0, 6.0" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_ne_oracle_rejects_bad_tolerance(tol, capsys):
+    # unchecked, nan runs until the stall detector fires and inf returns
+    # an unconverged point with exit 0
+    assert cli.main(["ne-oracle", "--preset", "fig2-baseline", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "--tol" in captured.err
+    assert captured.out == ""
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{}")

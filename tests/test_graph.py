@@ -36,6 +36,36 @@ def test_empty_in_neighborhood_is_an_error():
         sched.weights_at(0)  # agent 0 has no in-edges at all
 
 
+def test_weights_are_built_once_per_phase_and_read_only():
+    from dpgames.cli import benchmark_graph
+    sched = benchmark_graph()
+    period = len(sched.edge_sets)
+    for t in range(period):
+        W = sched.weights_at(t)
+        assert sched.weights_at(t + period) is W
+        with pytest.raises(ValueError):
+            W[0, 0] = 0.5
+    static = complete_graph(3)
+    assert static.weights_at(0) is static.weights_at(7)
+    assert not static.weights_at(0).flags.writeable
+
+
+def test_procedural_weights_are_rebuilt_every_call():
+    sched = dp.GraphSchedule.procedural(3, lambda t: [(t % 3, (t + 1) % 3)])
+    assert sched.weights_at(0) is not sched.weights_at(3)
+    assert np.array_equal(sched.weights_at(0), sched.weights_at(3))
+
+
+def test_empty_in_neighborhood_raises_at_its_phase_every_time():
+    sched = dp.GraphSchedule.periodic(2, [[(0, 0), (1, 1)], [(0, 1), (1, 1)]],
+                                      require_self_loops=False)
+    sched.weights_at(0)
+    for t in (1, 3):
+        with pytest.raises(ScheduleError, match=f"t={t}"):
+            sched.weights_at(t)
+    assert sched.weights_at(2) is sched.weights_at(0)
+
+
 def test_row_stochastic_and_self_loop_floor():
     from dpgames.cli import benchmark_graph
     sched = benchmark_graph()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dpgames as dp
+from dpgames import metrics
 from dpgames.metrics import OracleError
 
 from conftest import small_linear_game
@@ -101,6 +102,61 @@ def test_oracle_detects_non_contraction():
     game = dataclasses.replace(game, grad_lipschitz=0.2)
     with pytest.raises(OracleError):
         dp.ne_oracle(game, 0, tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_oracle_rejects_bad_tolerance(tol, cournot):
+    with pytest.raises(ValueError, match="finite and positive"):
+        dp.ne_oracle(cournot, 0, tol=tol)
+
+
+def nonsymmetric_game(box):
+    """Per-agent game with F_i(x) = a_i x_i + b_i sum_j x_j + c_i, so the
+    Jacobian diag(a) + b 1^T is not symmetric; no analytic Lipschitz
+    constant, so the oracle samples one. Returns the game and (M, c).
+    """
+    rng = np.random.default_rng(31)
+    V = 6
+    a = rng.uniform(3.0, 6.0, V)
+    b = np.array([0.05, 0.3, 0.1, 0.25, 0.15, 0.2])
+    c = rng.uniform(-20.0, 20.0, V)
+    M = np.diag(a) + np.outer(b, np.ones(V))
+    mu = float(np.linalg.eigvalsh((M + M.T) / 2).min())
+    # cost ((a_i - b_i)/2) x_i^2 + b_i V psi x_i + c_i x_i with psi the mean
+    # action; the own partial holds psi fixed, so F_i adds b_i x_i back
+    game = dp.GameSpec(
+        name="nonsymmetric", num_agents=V, dim=1,
+        box_lo=np.full((V, 1), -box), box_hi=np.full((V, 1), box),
+        cost_fn=lambda i, t, x, p: (a[i] - b[i]) / 2 * x[0] ** 2 + (b[i] * V * p[0] + c[i]) * x[0],
+        grad_own=lambda i, t, x, p: np.array([(a[i] - b[i]) * x[0] + b[i] * V * p[0] + c[i]]),
+        grad_agg=lambda i, t, x, p: np.array([b[i] * V * x[0]]),
+        psi_fn=lambda i, x: x, grad_psi=lambda i, x: np.eye(1),
+        mu=mu, grad_lipschitz=None)
+    return game, M, c
+
+
+def test_oracle_on_nonsymmetric_per_agent_game():
+    game, M, c = nonsymmetric_game(1e6)
+    assert game.mu > 0 and not game.vectorized
+    x = np.linspace(-1.0, 1.0, 6).reshape(6, 1)
+    assert np.allclose(game.pseudogradient(0, x).ravel(), M @ x.ravel() + c, atol=1e-12)
+    sol = dp.ne_oracle(game, 0, tol=1e-12)
+    assert np.allclose(sol.x_star.ravel(), np.linalg.solve(M, -c), atol=1e-9)
+
+    boxed, _, _ = nonsymmetric_game(1.0)
+    tol = 1e-10
+    sol = dp.ne_oracle(boxed, 0, tol=tol)
+    x_star = sol.x_star.ravel()
+    assert np.any(np.abs(x_star) == 1.0) and np.any(np.abs(x_star) < 1.0)
+    L_F = metrics._lipschitz_estimate(boxed, 0)
+    assert dp.kkt_max_violation(boxed, 0, sol.x_star) <= tol * L_F ** 2 / boxed.mu
+
+
+def test_cournot_equilibria_take_two_then_one_iteration(cournot):
+    # fig7 and fig5 solve these rounds warm-started; each later round's
+    # equilibrium is the box corner the previous round ended on
+    sols = dp.solve_equilibria(cournot, range(201))
+    assert [s.iterations for s in sols] == [2] + [1] * 200
 
 
 def test_solve_equilibria_warm_starts(cournot):

@@ -46,4 +46,14 @@ def test_solve_equilibria_calls_the_module_oracle_once_per_round(monkeypatch):
 def test_scale_oracle_iteration_count_is_pinned():
     # a change to the oracle's step or stopping rule moves this count
     sol = metrics.ne_oracle(workloads.scale_game(), 0)
-    assert sol.iterations == 8324
+    assert sol.iterations == 453
+
+
+def test_scale_oracle_meets_the_benchmark_kkt_gate():
+    # the benchmark's oracle-kkt gate: a forward-backward residual tol with
+    # step alpha = mu / L_F^2 bounds the KKT violation by tol / alpha
+    game = workloads.scale_game()
+    tol = 1e-10
+    sol = metrics.ne_oracle(game, 0, tol=tol)
+    bound = tol * game.grad_lipschitz ** 2 / game.mu
+    assert metrics.kkt_max_violation(game, 0, sol.x_star) <= bound
