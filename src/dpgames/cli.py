@@ -145,7 +145,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
     graph_block = cfg.graph.to_descriptor()
     graph_block["b_window"] = cfg.b_window
     graph_block["validate_connectivity"] = cfg.validate_connectivity
-    d = {
+    return {
         "game": game_name,
         "graph": graph_block,
         "delays": cfg.delays.to_descriptor(),
@@ -158,7 +158,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "run_id": cfg.run_id,
         "output": dict(cfg.output),
     }
-    return d
 
 
 def load_config(path) -> RunConfig:

@@ -15,6 +15,11 @@ holds the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
 Each round draws its randomness as one block per purpose: the (V, m) noise
 block, the (V, V) communication-delay matrix and the (V,) feedback delays.
 
+A state ring of the same shape holds round s's (x, v) in slot s mod
+(tau_max + 1), so the delayed gradients of round t are one gather at
+s_i = max(t - tau_i(t), 0) and one batched gradient call at the times s_i.
+Records fill preallocated arrays; losses are computed after the loop.
+
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
 snapshots; it serves as an independent oracle for the arrival ring.
@@ -30,7 +35,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .game import GameSpec, resolve_game
+from .game import GameSpec, _sum_in_order, resolve_game
 from .graph import DelaySchedule, GraphSchedule, augment, eigenvector_floor, validate_b_connectivity
 from .privacy import (NoiseConfig, PrivacyLedger, sample_noise, sensitivity_bound,
                       substream, STREAM_NOISE, STREAM_NOISE_AGGREGATE)
@@ -42,8 +47,8 @@ class DegeneracyError(RuntimeError):
     """y_ii collapsed to ~0: the schedule violates the self-loop requirement."""
 
 
-class HistoryMissError(RuntimeError):
-    """A delayed-gradient lookup requested a state outside the ring buffer."""
+class NonFiniteStateError(RuntimeError):
+    """A run produced a non-finite dual variable, action or aggregate estimate."""
 
 
 def project(b: np.ndarray, eta: float, box_lo, box_hi) -> np.ndarray:
@@ -96,8 +101,7 @@ class RunConfig:
     def resolved_x0(self, game: GameSpec) -> np.ndarray:
         if self.x0 is None:
             return (game.box_lo + game.box_hi) / 2.0
-        x0 = np.asarray(self.x0, dtype=float).reshape(game.num_agents, game.dim)
-        return x0
+        return np.asarray(self.x0, dtype=float).reshape(game.num_agents, game.dim)
 
     def validate(self) -> list[str]:
         """Itemized config errors (empty list when valid)."""
@@ -160,9 +164,10 @@ class World:
         self.x_hat = self.x.copy()
         self.v = self.game.psi_values(self.x)
         self.Y = np.eye(V)
-        self.history: dict[int, tuple[np.ndarray, np.ndarray]] = {0: (self.x.copy(), self.v.copy())}
         slots = self.delays.tau_max + 1
         self.ring = np.zeros((slots, V, 2 * m))
+        self.states = np.zeros((slots, V, 2 * m))  # (x, v) of round s in slot s mod slots
+        self.states[0] = np.concatenate((self.x, self.v), axis=1)
         self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
         self._off_diagonal = ~np.eye(V, dtype=bool)
         self.ledger = PrivacyLedger()
@@ -170,9 +175,7 @@ class World:
         self.messages_enqueued = 0
         self.messages_delivered = 0
         self.last_arrivals: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._delta_t: Optional[float] = None
-        if self.noise.enabled:
-            self._delta_t = self._resolve_sensitivity()
+        self._delta_t = self._resolve_sensitivity() if self.noise.enabled else None
 
     def _resolve_sensitivity(self) -> float:
         if self.noise.sensitivity_mode == "manual":
@@ -207,18 +210,12 @@ class World:
 
     def _delayed_gradients(self, t: int) -> np.ndarray:
         """(V, m): agent i's gradient at its stored state of round t - tau_i(t)."""
-        g = np.empty((self.V, self.m))
-        for i, tau in enumerate(self.delays.feedback_delays(t, self.V).tolist()):
-            s = t - tau
-            if s < 0:
-                if self.cfg.cold_start == "zero":
-                    g[i] = 0.0
-                    continue
-                s = 0
-            if s not in self.history:
-                raise HistoryMissError(f"state at t={s} evicted (asked at t={t}, agent {i})")
-            xs, vs = self.history[s]
-            g[i] = self.game.local_gradient(i, s, xs[i], vs[i])
+        tau = self.delays.feedback_delays(t, self.V)
+        s = np.maximum(t - tau, 0)
+        xv = self.states[s % len(self.states), np.arange(self.V)]
+        g = self.game.gradients(s, xv[:, :self.m], xv[:, self.m:])
+        if self.cfg.cold_start == "zero":
+            g[tau > t] = 0.0
         return g
 
     def step(self) -> None:
@@ -234,7 +231,7 @@ class World:
         slots = len(self.ring)
         sender, receiver = np.nonzero(np.where(self._off_diagonal, W, 0.0).T)
         slot = (t + D[receiver, sender]) % slots
-        snapshot = np.hstack([b_tilde, v_tilde])
+        snapshot = np.concatenate((b_tilde, v_tilde), axis=1)
         np.add.at(self.ring, (slot, receiver), W[receiver, sender, None] * snapshot[sender])
         np.add.at(self.ring_count, slot, 1)
         self.messages_enqueued += len(slot)
@@ -281,8 +278,7 @@ class World:
 
         self.b, self.x, self.x_hat, self.v = b_new, x_new, x_hat_new, v_new
         self.t = t + 1
-        self.history[self.t] = (self.x.copy(), self.v.copy())
-        self.history.pop(self.t - self.delays.tau_max - 1, None)
+        self.states[self.t % len(self.states)] = np.concatenate((x_new, v_new), axis=1)
 
     def messages_pending(self) -> int:
         return int(self.ring_count.sum())
@@ -290,7 +286,7 @@ class World:
     def agent_state(self, i: int) -> AgentState:
         return AgentState(b=self.b[i].copy(), y=self.Y[i].copy(), x=self.x[i].copy(),
                           x_hat=self.x_hat[i].copy(), v=self.v[i].copy(),
-                          history_times=tuple(sorted(self.history)))
+                          history_times=tuple(range(self.t + 1)[-len(self.states):]))
 
     def clone(self) -> "World":
         return copy.deepcopy(self)
@@ -339,35 +335,44 @@ class RunResult:
         }
 
 
-def _losses(game: GameSpec, t: int, x_t: np.ndarray, v_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Costs at each agent's own aggregate estimate, and at the exact aggregate."""
-    agg = np.broadcast_to(game.aggregate(x_t), x_t.shape)
-    return game.costs(t, x_t, v_t), game.costs(t, x_t, agg)
+def _losses(game: GameSpec, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T + 1, V) costs at each agent's own aggregate estimate and at the
+    exact aggregate of every round: two row-form ``costs`` calls.
+    """
+    n, V, m = x.shape
+    t, rows = np.repeat(np.arange(n), V), x.reshape(-1, m)
+    exact = np.repeat(_sum_in_order(game.psi_values(rows).reshape(n, V, m)) / V, V, axis=0)
+    return (game.costs(t, rows, v.reshape(-1, m)).reshape(n, V),
+            game.costs(t, rows, exact).reshape(n, V))
 
 
-def _collect(world: World, record) -> None:
-    record["x"].append(world.x.copy())
-    record["x_hat"].append(world.x_hat.copy())
-    record["v"].append(world.v.copy())
-    record["b"].append(world.b.copy())
-    record["y_diag"].append(np.diag(world.Y).copy())
-    ll, lt = _losses(world.game, world.t, world.x, world.v)
-    record["loss_local"].append(ll)
-    record["loss_true"].append(lt)
+def _collect(world: World, rec: dict, t: int) -> None:
+    for name in ("x", "x_hat", "v", "b"):
+        rec[name][t] = getattr(world, name)
+    rec["y_diag"][t] = np.diag(world.Y)
+
+
+def _check_finite(rec: dict) -> None:
+    """Raise on the first round and agent whose b, x or v is not finite."""
+    finite = (np.isfinite(rec["b"]) & np.isfinite(rec["x"]) & np.isfinite(rec["v"])).all(axis=2)
+    if not finite.all():
+        t, i = np.argwhere(~finite)[0]  # earliest round, then lowest agent
+        raise NonFiniteStateError(f"non-finite state at round {t}, agent {i}: b = {rec['b'][t, i]}, "
+                                  f"x = {rec['x'][t, i]}, v = {rec['v'][t, i]}")
 
 
 def _execute(world: World, start: float) -> RunResult:
-    record = {k: [] for k in ("x", "x_hat", "v", "b", "y_diag", "loss_local", "loss_true")}
-    _collect(world, record)
-    for _ in range(world.cfg.horizon):
+    T, V, m = world.cfg.horizon, world.V, world.m
+    rec = {k: np.empty((T + 1, V, m)) for k in ("x", "x_hat", "v", "b")}
+    rec["y_diag"] = np.empty((T + 1, V))
+    _collect(world, rec, 0)
+    for t in range(1, T + 1):
         world.step()
-        _collect(world, record)
+        _collect(world, rec, t)
+    _check_finite(rec)
+    loss_local, loss_true = _losses(world.game, rec["x"], rec["v"])
     return RunResult(
-        config=world.cfg,
-        x=np.array(record["x"]), x_hat=np.array(record["x_hat"]),
-        v=np.array(record["v"]), b=np.array(record["b"]),
-        y_diag=np.array(record["y_diag"]),
-        loss_local=np.array(record["loss_local"]), loss_true=np.array(record["loss_true"]),
+        config=world.cfg, **rec, loss_local=loss_local, loss_true=loss_true,
         ledger=world.ledger, min_y_diag=world.min_y_diag,
         messages_enqueued=world.messages_enqueued,
         messages_delivered=world.messages_delivered,

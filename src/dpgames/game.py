@@ -9,7 +9,7 @@ benchmark, whose market price subtracts sum_j x_j) rescale internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,15 +38,15 @@ class GameSpec:
     returns the (m, m) Jacobian with grad_psi[a, b] = d psi_a / d x_b.
 
     ``vectorized`` declares that the callables also take an index array i of
-    shape (k,) with x and psi_val of shape (k, m) (t stays a scalar) and
-    return (k,) costs, (k, m) gradients and psi values and (k, m, m)
-    Jacobians; ``pseudogradient``, ``psi_values`` and ``costs`` then make one
-    call per callable instead of one per agent.
+    shape (k,), x and psi_val of shape (k, m) and t a scalar or a (k,) array,
+    and return (k,) costs, (k, m) gradients and psi values and (k, m, m)
+    Jacobians. ``gradients``, ``psi_values`` and ``costs`` take (k, m) tables
+    whose row r belongs to agent r mod V: one call per callable on such a
+    game, one call per row otherwise.
 
-    L bounds ||grad_own|| on the joint box, G is the own-action smoothness
-    constant, mu the strong-monotonicity modulus of the pseudogradient, and R
-    the regularizer-radius constant; grad_lipschitz, when known analytically,
-    is the Lipschitz constant of the pseudogradient used by the equilibrium
+    L bounds ||grad_own|| on the joint box, mu is the strong-monotonicity
+    modulus of the pseudogradient, and grad_lipschitz, when known
+    analytically, is its Lipschitz constant, used by the equilibrium
     oracle's step size.
     """
 
@@ -61,11 +61,14 @@ class GameSpec:
     psi_fn: Callable[[int, Vec], Vec]
     grad_psi: Callable[[int, Vec], np.ndarray]
     L: float = 1.0
-    G: float = 1.0
     mu: float = 1.0
-    R: float = 1.0
     grad_lipschitz: float | None = None
     vectorized: bool = False
+    _index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):  # arange(V), shared read-only by the batched calls
+        object.__setattr__(self, "_index", np.arange(self.num_agents))
+        self._index.flags.writeable = False
 
     def check_in_box(self, i: int, x_i: Vec, tol: float = 1e-9) -> Vec:
         x_i = _as_vec(x_i, self.dim)
@@ -73,9 +76,13 @@ class GameSpec:
             raise self._outside(i, x_i)
         return x_i
 
-    def _outside(self, i: int, x_i: Vec) -> ActionDomainError:
-        return ActionDomainError(f"action {x_i} of agent {i} outside box "
+    def _outside(self, i: int, x_i: Vec, at: str = "") -> ActionDomainError:
+        return ActionDomainError(f"action {x_i} of agent {i}{at} outside box "
                                  f"[{self.box_lo[i]}, {self.box_hi[i]}]")
+
+    def _agents(self, k: int) -> np.ndarray:
+        """Agent of each row of a (k, m) table of stacked (V, m) blocks."""
+        return self._index if k == self.num_agents else np.arange(k) % self.num_agents
 
     def cost(self, i: int, t: int, x_i, psi_val) -> float:
         """Cost of agent i at time t given an aggregate value."""
@@ -86,11 +93,12 @@ class GameSpec:
         return np.asarray(self.psi_fn(i, _as_vec(x_i, self.dim)), dtype=float)
 
     def psi_values(self, x: np.ndarray) -> np.ndarray:
-        """The (V, m) block of psi_j(x_j) for x of shape (V, m)."""
+        """psi_j(x_j) for every row of x, a (k, m) table of stacked (V, m) blocks."""
         x = np.asarray(x, dtype=float)
+        i = self._agents(len(x))
         if self.vectorized:
-            return np.asarray(self.psi_fn(np.arange(self.num_agents), x), dtype=float)
-        return np.stack([self.psi(j, x[j]) for j in range(self.num_agents)])
+            return np.asarray(self.psi_fn(i, x), dtype=float)
+        return np.stack([self.psi(j, x_j) for j, x_j in zip(i.tolist(), x)])
 
     def aggregate(self, x: np.ndarray) -> Vec:
         """Exact aggregate Psi(x) = (1/V) sum_j psi_j(x_j); x has shape (V, m)."""
@@ -112,42 +120,47 @@ class GameSpec:
         J = np.asarray(self.grad_psi(i, x_i), dtype=float)
         return g1 + J.T @ g2 / self.num_agents
 
-    def pseudogradient(self, t: int, x: np.ndarray) -> np.ndarray:
-        """Stacked local gradients at the exact aggregate; x and result are (V, m)."""
-        V, m = self.num_agents, self.dim
-        x = np.asarray(x, dtype=float).reshape(V, m)
-        psi_val = self.aggregate(x)
+    def gradients(self, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
+        """Row form of ``local_gradient``; t is a scalar or a (k,) array of row times."""
+        i = self._agents(len(x))
         if not self.vectorized:
-            return np.stack([self.local_gradient(i, t, x[i], psi_val) for i in range(V)])
-        i = np.arange(V)
-        psi_val = np.full((V, m), psi_val)
+            ts = np.broadcast_to(t, i.shape).tolist()
+            return np.stack([self.local_gradient(*row) for row in zip(i.tolist(), ts, x, psi_val)])
         g1 = np.asarray(self.grad_own(i, t, x, psi_val), dtype=float)
         g2 = np.asarray(self.grad_agg(i, t, x, psi_val), dtype=float)
         J = np.asarray(self.grad_psi(i, x), dtype=float)
-        return g1 + (g2[:, None] @ J)[:, 0] / V  # row k: J_k^T g2_k
+        return g1 + (g2[:, None] @ J)[:, 0] / self.num_agents  # row k: J_k^T g2_k
 
-    def costs(self, t: int, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
-        """Costs of all agents at time t; x and the per-agent aggregate
-        values psi_val are (V, m), the result is (V,).
+    def pseudogradient(self, t: int, x: np.ndarray) -> np.ndarray:
+        """Stacked local gradients at the exact aggregate; x and result are (V, m)."""
+        x = np.asarray(x, dtype=float).reshape(self.num_agents, self.dim)
+        return self.gradients(t, x, np.full(x.shape, self.aggregate(x)))
+
+    def costs(self, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
+        """(k,) costs of the rows of the (k, m) tables x and psi_val, stacked
+        (V, m) blocks, at time t: a scalar or a (k,) array of row times.
         """
         V, m = self.num_agents, self.dim
-        x = np.asarray(x, dtype=float).reshape(V, m)
-        psi_val = np.asarray(psi_val, dtype=float).reshape(V, m)
+        x = np.asarray(x, dtype=float).reshape(-1, m)
+        psi_val = np.asarray(psi_val, dtype=float).reshape(-1, m)
         # written as "inside" so that NaN entries count as outside
-        inside = np.all((x >= self.box_lo - 1e-9) & (x <= self.box_hi + 1e-9), axis=1)
+        blocks = x.reshape(-1, V, m)
+        inside = (blocks >= self.box_lo - 1e-9) & (blocks <= self.box_hi + 1e-9)
         if not inside.all():
-            i = int(np.argmin(inside))
-            raise self._outside(i, x[i])
+            r = int(np.argmin(inside.all(axis=2).ravel()))
+            raise self._outside(r % V, x[r], f" at round {np.broadcast_to(t, len(x))[r]}")
+        i = self._agents(len(x))
         if self.vectorized:
-            return np.asarray(self.cost_fn(np.arange(V), t, x, psi_val), dtype=float)
-        return np.array([float(self.cost_fn(i, t, x[i], psi_val[i])) for i in range(V)])
+            return np.asarray(self.cost_fn(i, t, x, psi_val), dtype=float)
+        ts = np.broadcast_to(t, i.shape).tolist()
+        return np.array([float(self.cost_fn(*row)) for row in zip(i.tolist(), ts, x, psi_val)])
 
 
 def _sum_in_order(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows added one after another in agent order, the rounding
-    of a Python ``sum`` over agents (``ndarray.sum`` adds pairwise).
+    """Sum over the agent axis (-2), adding the rows one after another: the
+    rounding of a Python ``sum`` over agents (``ndarray.sum`` adds pairwise).
     """
-    return np.add.accumulate(rows)[-1]
+    return np.add.accumulate(rows, axis=-2)[..., -1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +175,7 @@ def nash_cournot() -> GameSpec:
     m(t) = 850 - 10 sin(t/6) - sum_j x_j; its cost is (p_i - m) x_i.
     The aggregate map is the identity, so sum_j x_j = V * Psi.
 
-    The constants L, mu, R are derived from the box geometry at construction
+    The constants L and mu are derived from the box geometry at construction
     (L from the affine structure of the own-gradient over the sin and
     aggregate ranges); the pseudogradient Jacobian is I + 11^T, giving
     mu = 1 and Lipschitz constant V + 1.
@@ -171,20 +184,24 @@ def nash_cournot() -> GameSpec:
     lo = np.array([[-5.0], [0.0], [-4.0], [3.0], [-1.0]])
     hi = np.array([[5.0], [10.0], [8.0], [12.0], [6.0]])
 
+    # t is a scalar or a (k,) time array; math.sin keeps scalar calls cheap
+    # and gives the same bits as np.sin
+    def sin6(t):
+        return np.sin(t / 6.0) if isinstance(t, np.ndarray) else math.sin(t / 6.0)
+
     def price(i, t):
         firm = i + 1
-        return 4.0 * (firm + 1) * math.sin(t / 6.0) + 50.0 * firm
+        return 4.0 * (firm + 1) * sin6(t) + 50.0 * firm
 
     # i is an index or an index array, x_i and psi_val are (m,) or (k, m);
     # a.T[0] is coordinate 0: a scalar for one agent (nearly as fast as a[0],
     # unlike a[..., 0]), a (k,) row for k agents
     def cost_fn(i, t, x_i, psi_val):
-        market = 850.0 - 10.0 * math.sin(t / 6.0) - V * psi_val.T[0]
+        market = 850.0 - 10.0 * sin6(t) - V * psi_val.T[0]
         return (price(i, t) - market) * x_i.T[0]
 
     def grad_own(i, t, x_i, psi_val):
-        return (price(i, t) - 850.0 + 10.0 * math.sin(t / 6.0)
-                + V * psi_val.T[0])[..., None]
+        return (price(i, t) - 850.0 + 10.0 * sin6(t) + V * psi_val.T[0])[..., None]
 
     def grad_agg(i, t, x_i, psi_val):
         return V * x_i
@@ -196,13 +213,12 @@ def nash_cournot() -> GameSpec:
     s_lo, s_hi = float(lo.sum()), float(hi.sum())
     L = max(abs((4.0 * (i + 2) + 10.0) * s + 50.0 * (i + 1) - 850.0 + S)
             for i in range(V) for s in (-1.0, 1.0) for S in (s_lo, s_hi))
-    R = float(np.max(np.maximum(np.abs(lo), np.maximum(np.abs(hi), hi - lo))))
 
     return GameSpec(
         name="nash-cournot", num_agents=V, dim=m, box_lo=lo, box_hi=hi,
         cost_fn=cost_fn, grad_own=grad_own, grad_agg=grad_agg,
         psi_fn=lambda i, x: x, grad_psi=lambda i, x: identities[i],
-        L=L, G=2.0, mu=1.0, R=R, grad_lipschitz=float(V + 1), vectorized=True)
+        L=L, mu=1.0, grad_lipschitz=float(V + 1), vectorized=True)
 
 
 def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSpec:
@@ -226,7 +242,6 @@ def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSp
     identities = np.broadcast_to(np.eye(m), (V, m, m))
     s_lo, s_hi = float(lo.sum()), float(hi.sum())
     L = max(abs(ci + S) for ci in c for S in (s_lo, s_hi))
-    R = float(np.max(np.maximum(np.abs(lo), np.maximum(np.abs(hi), hi - lo))))
 
     return GameSpec(
         name=name, num_agents=V, dim=m, box_lo=lo, box_hi=hi,
@@ -234,7 +249,7 @@ def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSp
         grad_own=lambda i, t, x_i, psi_val: (c[i] + V * psi_val.T[0])[..., None],
         grad_agg=lambda i, t, x_i, psi_val: V * x_i,
         psi_fn=lambda i, x: x, grad_psi=lambda i, x: identities[i],
-        L=L, G=2.0, mu=1.0, R=R, grad_lipschitz=float(V + 1), vectorized=True)
+        L=L, mu=1.0, grad_lipschitz=float(V + 1), vectorized=True)
 
 
 GAME_REGISTRY: dict[str, Callable[[], GameSpec]] = {

@@ -380,10 +380,6 @@ def _strongly_connected(adj: np.ndarray) -> bool:
 # Augmented delay matrix
 
 
-def augmented_size(num_agents: int, tau_max: int) -> int:
-    return num_agents * (1 + tau_max)
-
-
 def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
     """Augmented matrix on V' = V(1 + tau_max) nodes for one time step.
 
@@ -407,13 +403,12 @@ def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray
     if np.any(np.diag(D) != 0):
         raise DelayRangeError("self delays tau_ii must be zero")
 
-    Vp = augmented_size(V, tau_max)
-    A = np.zeros((Vp, Vp))
-    for r in range(tau_max + 1):
-        A[:V, r * V:(r + 1) * V] = np.where(D == r, W, 0.0)
-    for r in range(1, tau_max + 1):
-        idx = np.arange(V)
-        A[r * V + idx, (r - 1) * V + idx] = 1.0
+    S = tau_max + 1
+    A = np.zeros((V * S, V * S))
+    # W^r[i, j] = W[i, j] if D[i, j] == r, laid out side by side as A[i, r V + j]
+    A[:V] = np.where(D == np.arange(S)[:, None, None], W, 0.0).transpose(1, 0, 2).reshape(V, -1)
+    relay = np.arange(V, V * S)
+    A[relay, relay - V] = 1.0  # stage r - 1 of agent i feeds stage r
     return A
 
 
@@ -495,14 +490,6 @@ def mixing_diagnostics(schedule: GraphSchedule, delays: DelaySchedule,
     return MixingDiagnostics(
         c_hat=c, lambda_hat=lam, r_squared=r2, pi_trace=trace, deviations=devs,
         min_pi_real=float(trace[:, :V].min()), min_pi_all=float(trace.min()))
-
-
-def matrix_text(matrix: np.ndarray, precision: int = 6) -> str:
-    """Dense tabular rendering of a weight matrix for debugging."""
-    M = np.atleast_2d(np.asarray(matrix, float))
-    width = precision + 4
-    return "\n".join(
-        " ".join(f"{v:{width}.{precision}f}" for v in row) for row in M)
 
 
 def eigenvector_floor(schedule: GraphSchedule, horizon: int) -> float:

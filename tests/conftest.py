@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ def ring_graph(num_agents):
 def small_linear_game(num_agents, box=5.0):
     c = [-20.0 - 5.0 * i for i in range(num_agents)]
     return dp.linear_demand_game(c, [-box] * num_agents, [box] * num_agents)
+
+
+def diverging_cournot():
+    """The benchmark game with an own-gradient that overflows at t = 1."""
+    return dataclasses.replace(
+        dp.nash_cournot(), grad_own=lambda i, t, x, p: np.multiply(1e308, t + 1.0)[..., None])
 
 
 def avg_series(result):

@@ -213,7 +213,8 @@ def _perturbed_price_game(game, agent, t_hat, g_prime):
             return g_prime
         return original(i, t, x_i, psi_val)
 
-    return dataclasses.replace(game, grad_own=grad_own)
+    # grad_own takes one agent at a time, so the game loses the batched form
+    return dataclasses.replace(game, grad_own=grad_own, vectorized=False)
 
 
 def test_a8_structural_invariants():

@@ -7,6 +7,8 @@ from dpgames import cli
 from dpgames.cli import (ConfigError, config_from_dict, config_to_dict, derive_seed,
                          load_config, preset, write_config)
 
+from conftest import diverging_cournot
+
 
 def test_config_round_trip(tmp_path):
     for name in cli.PRESETS:
@@ -307,3 +309,14 @@ def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, ca
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_diverging_run_exits_nonzero_with_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(dp.game.GAME_REGISTRY, "nash-cournot", diverging_cournot)
+    out = tmp_path / "r.csv"
+    rc = cli.main(["run", "--preset", "fig5-fixed-delay", "--horizon", "6", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and not out.exists()
+    assert err.count("\n") == 1
+    assert err.startswith("error: non-finite state at round 2, agent 0")

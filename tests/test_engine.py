@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 import dpgames as dp
 from dpgames.cli import preset
-from dpgames.engine import DegeneracyError, World, _AugmentedWorld, step_size
+from dpgames.engine import (DegeneracyError, NonFiniteStateError, World, _AugmentedWorld,
+                            step_size)
 
-from conftest import bench_init, complete_graph, ring_graph, small_linear_game
+from conftest import (bench_init, complete_graph, diverging_cournot, ring_graph,
+                      small_linear_game)
 
 
 def bench_cfg(**kw):
@@ -383,7 +386,7 @@ def test_two_dimensional_actions_full_loop():
         grad_own=lambda i, t, x, p: c[i] + V * p,
         grad_agg=lambda i, t, x, p: V * x,
         psi_fn=lambda i, x: x, grad_psi=lambda i, x: identity,
-        L=float(np.abs(c).max() + V * m * 4.0), G=2.0, mu=1.0, R=8.0,
+        L=float(np.abs(c).max() + V * m * 4.0), mu=1.0,
         grad_lipschitz=float(V + 1))
     cfg = dp.RunConfig(game=game, graph=ring_graph(3),
                        delays=dp.DelaySchedule.uniform(2),
@@ -413,3 +416,71 @@ def test_agent_state_snapshot():
     game = cfg.resolved_game()
     assert game.box_lo[2] <= st.x <= game.box_hi[2]
     assert 0 < st.y[2] <= 1
+
+
+# ---------------------------------------------------------------------------
+# batched delayed gradients, post-loop losses, finite-state check
+
+
+def test_one_batched_gradient_call_per_round(monkeypatch):
+    calls = []
+    game = dp.nash_cournot()
+
+    def counting_grad_own(i, t, x, psi_val):
+        calls.append(np.shape(i))
+        return game.grad_own(i, t, x, psi_val)
+
+    def no_local_gradient(*args):
+        raise AssertionError("the engine must not evaluate agents one at a time")
+
+    monkeypatch.setattr(dp.GameSpec, "local_gradient", no_local_gradient)
+    cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=25)
+    dp.run(cfg, dataclasses.replace(game, grad_own=counting_grad_own))
+    assert calls == [(5,)] * 25
+
+
+def test_zero_cold_start_with_uniform_feedback_delays_matches_hand_reference(cournot):
+    delays = dp.DelaySchedule(3, {"type": "none"}, {"type": "uniform", "low": 0, "high": 3})
+    cfg = bench_cfg(horizon=30, delays=delays, cold_start="zero", seed=5)
+    res = dp.run(cfg)
+    feedback = cfg.delays.with_seed(cfg.seed)
+    skipped = used = 0
+    for t in range(cfg.horizon):
+        tau = feedback.feedback_delays(t, 5)
+        g = np.zeros((5, 1))
+        for i in range(5):
+            s = t - int(tau[i])
+            if s < 0:
+                skipped += 1  # zero gradient before the state exists
+            else:
+                g[i] = cournot.local_gradient(i, s, res.x[s, i], res.v[s, i])
+                used += 1
+        # no comm delays and no noise: the arrivals are the in-neighbors' b(t)
+        expected = cfg.graph.weights_at(t) @ res.b[t] + g / res.y_diag[t][:, None]
+        np.testing.assert_allclose(res.b[t + 1], expected, rtol=1e-12, atol=1e-9)
+    assert skipped > 0 and used > 100
+
+
+@pytest.mark.parametrize("cfg", [
+    dataclasses.replace(preset("fig7-random-delays-private"), horizon=40),
+    # 20 agents: an exact aggregate summed pairwise would round differently
+    dp.RunConfig(game=small_linear_game(20), graph=ring_graph(20), horizon=15,
+                 delays=dp.DelaySchedule.uniform(2), seed=9,
+                 x0=np.linspace(-4.0, 4.0, 20)[:, None]),
+], ids=["fig7", "linear-20"])
+def test_losses_after_the_loop_equal_per_round_costs(cfg):
+    res = dp.run(cfg)
+    game = cfg.resolved_game()
+    for t in range(cfg.horizon + 1):
+        x = res.x[t]
+        assert np.array_equal(res.loss_local[t], game.costs(t, x, res.v[t]))
+        exact = np.broadcast_to(game.aggregate(x), x.shape)
+        assert np.array_equal(res.loss_true[t], game.costs(t, x, exact))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference])
+def test_non_finite_state_raises_naming_round_and_agent(execute):
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=6)
+    with pytest.raises(NonFiniteStateError, match="round 2, agent 0"):
+        execute(cfg, diverging_cournot())

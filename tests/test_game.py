@@ -228,3 +228,57 @@ def test_costs_reject_an_action_outside_its_box(cournot, bad):
         cournot.costs(0, x, np.zeros((5, 1)))
     x[0, 0] = 5.0 + 1e-10  # within the face tolerance
     assert cournot.costs(0, x, np.zeros((5, 1))).shape == (5,)
+
+
+# ---------------------------------------------------------------------------
+# row form: stacked (V, m) blocks with per-row times
+
+
+def per_row_gradients(game, t, x, psi_val):
+    """One ``local_gradient`` call per row, row r belonging to agent r mod V."""
+    return np.stack([game.local_gradient(r % game.num_agents, int(t[r]), x[r], psi_val[r])
+                     for r in range(len(x))])
+
+
+def stacked_profiles(game, rng, blocks):
+    rows = [random_profile(game, rng) for _ in range(blocks)]
+    return np.concatenate([x for x, _ in rows]), np.concatenate([p for _, p in rows])
+
+
+def test_batched_cournot_gradients_at_mixed_times_equal_the_loop_exactly(cournot):
+    rng = np.random.default_rng(41)
+    x, psi_val = stacked_profiles(cournot, rng, 3)
+    t = rng.integers(0, 500, size=len(x))
+    assert np.array_equal(cournot.gradients(t, x, psi_val),
+                          per_row_gradients(cournot, t, x, psi_val))
+    # a scalar time equals the same time repeated, bit for bit
+    assert np.array_equal(cournot.gradients(7, x, psi_val),
+                          cournot.gradients(np.full(len(x), 7), x, psi_val))
+
+
+@pytest.mark.parametrize("game", [small_linear_game(20), curved_game(True), curved_game(False)],
+                         ids=["linear-20", "curved-batched", "curved-per-agent"])
+def test_batched_gradients_at_mixed_times_match_the_loop(game):
+    rng = np.random.default_rng(43)
+    x, psi_val = stacked_profiles(game, rng, 2)
+    t = rng.integers(0, 50, size=len(x))
+    np.testing.assert_allclose(game.gradients(t, x, psi_val),
+                               per_row_gradients(game, t, x, psi_val), rtol=1e-12)
+
+
+def test_row_form_costs_and_psi_values_match_per_round_calls(cournot):
+    rng = np.random.default_rng(47)
+    x, psi_val = stacked_profiles(cournot, rng, 4)
+    t = np.repeat([3, 0, 11, 250], 5)
+    costs, psi = cournot.costs(t, x, psi_val), cournot.psi_values(x)
+    for k, s in enumerate((3, 0, 11, 250)):
+        rows = slice(5 * k, 5 * k + 5)
+        assert np.array_equal(costs[rows], cournot.costs(s, x[rows], psi_val[rows]))
+        assert np.array_equal(psi[rows], cournot.psi_values(x[rows]))
+
+
+def test_row_form_box_error_names_round_and_agent(cournot):
+    x = np.tile(BENCH_X0[:, None], (3, 1))
+    x[5 + 3, 0] = 13.0  # block 1, agent 3: box [3, 12]
+    with pytest.raises(ActionDomainError, match="agent 3 at round 21"):
+        cournot.costs(np.repeat([20, 21, 22], 5), x, np.zeros_like(x))

@@ -296,14 +296,6 @@ def test_procedural_schedule_rule():
         sched.to_descriptor()  # not expressible in config
 
 
-def test_matrix_text_rendering():
-    from dpgames.graph import matrix_text
-    text = matrix_text(np.array([[0.5, 0.5], [0.0, 1.0]]))
-    lines = text.splitlines()
-    assert len(lines) == 2
-    assert [float(v) for v in lines[0].split()] == [0.5, 0.5]
-
-
 def test_schedule_and_delay_descriptors_round_trip(bench_graph):
     assert dp.GraphSchedule.from_descriptor(bench_graph.to_descriptor()) == bench_graph
     d = dp.DelaySchedule.fixed(3, comm={(3, 1): 2}, feedback={0: 1})
