@@ -6,7 +6,7 @@ game while exchanging Laplace-noised parameters over an unbalanced directed
 graph with bounded, time-varying communication and feedback delays.
 """
 
-from .engine import (AgentState, RunConfig, RunResult, World, project, run,
+from .engine import (RunConfig, RunResult, World, project, run,
                      run_augmented_reference, step_size)
 from .game import GameSpec, linear_demand_game, nash_cournot, resolve_game
 from .graph import (ConnectivityReport, DelaySchedule, GraphSchedule,
@@ -21,7 +21,7 @@ from .privacy import (NoiseConfig, PrivacyLedger, density_ratio_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState", "ConnectivityReport", "DelaySchedule", "EquilibriumSolution",
+    "ConnectivityReport", "DelaySchedule", "EquilibriumSolution",
     "GameSpec", "GraphSchedule", "MixingDiagnostics",
     "NoiseConfig", "PrivacyLedger", "RegretReport", "RunConfig", "RunResult",
     "StabilizationStat", "World", "augment", "average_loss",

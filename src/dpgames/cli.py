@@ -435,16 +435,15 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "seed":
         return replace(cfg, seed=int(value))
     if axis == "epsilon":
-        delta = cfg.noise.delta if (cfg.noise.enabled and cfg.noise.delta) else 1.0
-        shared = cfg.noise.shared_draw
-        return replace(cfg, noise=NoiseConfig.fixed_epsilon(float(value), delta=delta,
-                                                            shared_draw=shared))
+        noise = cfg.noise  # the member keeps the sensitivity mode, and a manual delta
+        return replace(cfg, noise=NoiseConfig.fixed_epsilon(
+            float(value), delta=noise.delta if noise.enabled else 1.0,
+            sensitivity_mode=noise.sensitivity_mode, shared_draw=noise.shared_draw))
     if axis == "tau_max":
-        tm = int(value)
         d = cfg.delays
-        if d.comm["type"] == "fixed" or d.feedback["type"] == "fixed":
+        if "fixed" in (d.comm["type"], d.feedback["type"]):
             raise ConfigError(["cannot sweep tau_max over a fixed-entry delay schedule"])
-        return replace(cfg, delays=DelaySchedule.uniform(tm, seed=d.seed))
+        return replace(cfg, delays=DelaySchedule.uniform(int(value), seed=d.seed))
     raise ConfigError([f"axis {axis!r} is not sweepable; choose from {SWEEP_AXES}"])
 
 

@@ -22,7 +22,8 @@ Records fill preallocated arrays; losses are computed after the loop.
 
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
-snapshots; it serves as an independent oracle for the arrival ring.
+snapshots, kept in a third ring of that shape by send round; it serves as
+an independent oracle for the arrival ring.
 """
 
 from __future__ import annotations
@@ -64,17 +65,6 @@ def project(b: np.ndarray, eta: float, box_lo, box_hi) -> np.ndarray:
 def step_size(gamma: float, k: int) -> float:
     """eta(k) = gamma / sqrt(k + 1); the projection producing x(t+1) uses eta(t+1)."""
     return gamma / math.sqrt(k + 1.0)
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Read-only snapshot of one agent, mainly for tests and debugging."""
-    b: np.ndarray
-    y: np.ndarray
-    x: np.ndarray
-    x_hat: np.ndarray
-    v: np.ndarray
-    history_times: tuple[int, ...]
 
 
 @dataclass
@@ -138,12 +128,12 @@ class RunConfig:
 class World:
     """Mutable simulation state; ``step()`` advances one synchronous round."""
 
-    def __init__(self, config: RunConfig, game: Optional[GameSpec] = None):
+    def __init__(self, config: RunConfig):
         errors = config.validate()
         if errors:
             raise ValueError("invalid run config: " + "; ".join(errors))
         self.cfg = config
-        self.game = game if game is not None else config.resolved_game()
+        self.game = config.resolved_game()
         self.graph = config.graph
         self.delays = config.delays.with_seed(config.seed)
         self.noise = config.noise
@@ -159,10 +149,9 @@ class World:
         self.t = 0
         self.b = np.zeros((V, m))
         self.x = config.resolved_x0(self.game).copy()
-        for i in range(V):
-            self.game.check_in_box(i, self.x[i])
         self.x_hat = self.x.copy()
         self.v = self.game.psi_values(self.x)
+        self.psi_x_hat = self.v  # psi_values(x_hat), carried from round to round
         self.Y = np.eye(V)
         slots = self.delays.tau_max + 1
         self.ring = np.zeros((slots, V, 2 * m))
@@ -270,23 +259,19 @@ class World:
         eta = step_size(self.cfg.gamma, t + 1)
         x_new = project(b_new, eta, game.box_lo, game.box_hi)
         x_hat_new = ((t + 1) * self.x_hat + x_new) / (t + 2)
-        v_new = (w_self * self.v + sum_v + game.psi_values(x_hat_new)
-                 - game.psi_values(self.x_hat))
+        psi_x_hat_new = game.psi_values(x_hat_new)
+        v_new = w_self * self.v + sum_v + psi_x_hat_new - self.psi_x_hat
 
         if self.noise.enabled:
             self.ledger.record(t, self._delta_t, sigma_t)
 
         self.b, self.x, self.x_hat, self.v = b_new, x_new, x_hat_new, v_new
+        self.psi_x_hat = psi_x_hat_new
         self.t = t + 1
         self.states[self.t % len(self.states)] = np.concatenate((x_new, v_new), axis=1)
 
     def messages_pending(self) -> int:
         return int(self.ring_count.sum())
-
-    def agent_state(self, i: int) -> AgentState:
-        return AgentState(b=self.b[i].copy(), y=self.Y[i].copy(), x=self.x[i].copy(),
-                          x_hat=self.x_hat[i].copy(), v=self.v[i].copy(),
-                          history_times=tuple(range(self.t + 1)[-len(self.states):]))
 
     def clone(self) -> "World":
         return copy.deepcopy(self)
@@ -380,56 +365,50 @@ def _execute(world: World, start: float) -> RunResult:
         wall_time=time.perf_counter() - start)
 
 
-def run(config: RunConfig, game: Optional[GameSpec] = None) -> RunResult:
+def run(config: RunConfig) -> RunResult:
     """Execute the arrival-ring simulation for t = 0..T-1.
 
     Deterministic for a given (config, seed): records for rounds 0..T.
     """
     start = time.perf_counter()
-    return _execute(World(config, game), start)
+    return _execute(World(config), start)
 
 
 class _AugmentedWorld(World):
     """Oracle twin: virtual relay chains instead of the arrival ring.
 
-    Chain stage r holds the noised snapshots from r steps ago; real agents
-    read stage r through block r of the augmented matrix built at the send
-    time t - r, which reproduces the arrival sum
-    sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r} term by term.
+    Slot s mod (tau_max + 1) holds the noised (b, v) snapshot sent at s and
+    the top block row of the augmented matrix built at s, block 0's diagonal
+    zeroed (self terms use raw values). Stage r of round t reads slot
+    (t - r) mod (tau_max + 1); one contraction over r reproduces the arrival
+    sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r} term by term.
     """
 
-    def __init__(self, config: RunConfig, game: Optional[GameSpec] = None):
-        super().__init__(config, game)
-        tau = self.delays.tau_max
-        self.chain_b = np.zeros((tau + 1, self.V, self.m))
-        self.chain_v = np.zeros((tau + 1, self.V, self.m))
-        # top block row of the augmented matrix built at time s, in slot s mod (tau + 1)
-        self.aug_rows = np.zeros((tau + 1, self.V, self.V * (tau + 1)))
+    def __init__(self, config: RunConfig):
+        super().__init__(config)
+        slots = self.delays.tau_max + 1
+        self.sent = np.zeros((slots, self.V, 2 * self.m))  # (b~, v~) sent at s
+        self.blocks = np.zeros((slots, slots, self.V, self.V))  # [s, r]: block r built at s
 
     def step(self) -> None:
         t = self.t
         V, m = self.V, self.m
-        tau = self.delays.tau_max
+        slots = len(self.sent)
         W = self.graph.weights_at(t)
-        self.aug_rows[t % (tau + 1)] = augment(W, self.delays.comm_matrix(t, V), tau)[:V]
-        self.chain_b[0], self.chain_v[0], sigma_t = self._noised(t)
+        top = augment(W, self.delays.comm_matrix(t, V), slots - 1)[:V]
+        k = t % slots
+        self.blocks[k] = top.reshape(V, slots, V).swapaxes(0, 1)
+        np.fill_diagonal(self.blocks[k, 0], 0.0)  # self term uses the raw value
+        b_tilde, v_tilde, sigma_t = self._noised(t)
+        self.sent[k] = np.concatenate((b_tilde, v_tilde), axis=1)
 
-        sum_b = np.zeros((V, m))
-        sum_v = np.zeros((V, m))
-        for r in range(min(t, tau) + 1):
-            block = self.aug_rows[(t - r) % (tau + 1), :, r * V:(r + 1) * V].copy()
-            if r == 0:
-                np.fill_diagonal(block, 0.0)  # self term uses the raw value
-            sum_b += block @ self.chain_b[r]
-            sum_v += block @ self.chain_v[r]
-
-        if tau > 0:
-            self.chain_b[1:] = self.chain_b[:-1].copy()
-            self.chain_v[1:] = self.chain_v[:-1].copy()
-        self._apply_updates(t, W, sum_b, sum_v, sigma_t)
+        r = np.arange(min(t, slots - 1) + 1)  # stages that have carried a snapshot
+        s = (t - r) % slots
+        arrived = (self.blocks[s, r] @ self.sent[s]).sum(axis=0)
+        self._apply_updates(t, W, arrived[:, :m], arrived[:, m:], sigma_t)
 
 
-def run_augmented_reference(config: RunConfig, game: Optional[GameSpec] = None) -> RunResult:
+def run_augmented_reference(config: RunConfig) -> RunResult:
     """Delay-free execution on V(1 + tau_max) nodes; real-agent trajectories.
 
     Draws the same per-round noise and delay blocks as ``run`` (one keyed
@@ -438,4 +417,4 @@ def run_augmented_reference(config: RunConfig, game: Optional[GameSpec] = None) 
     arrival ring.
     """
     start = time.perf_counter()
-    return _execute(_AugmentedWorld(config, game), start)
+    return _execute(_AugmentedWorld(config), start)

@@ -10,39 +10,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
 Vec = np.ndarray
+Times = Union[int, np.ndarray]  # one time, or one per row
 
 
 class ActionDomainError(ValueError):
     """Raised when an action lies outside its agent's box."""
 
 
-def _as_vec(x, m: int) -> Vec:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.shape != (m,):
-        raise ValueError(f"expected shape ({m},), got {v.shape}")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """An aggregative game: boxes, costs, analytic gradients, aggregate maps.
 
-    Callables receive 0-based agent index i, integer time t, and arrays of
-    shape (m,). ``grad_own`` is the partial in x_i holding the aggregate
-    fixed, ``grad_agg`` the partial in the aggregate value; ``grad_psi``
-    returns the (m, m) Jacobian with grad_psi[a, b] = d psi_a / d x_b.
-
-    ``vectorized`` declares that the callables also take an index array i of
-    shape (k,), x and psi_val of shape (k, m) and t a scalar or a (k,) array,
-    and return (k,) costs, (k, m) gradients and psi values and (k, m, m)
-    Jacobians. ``gradients``, ``psi_values`` and ``costs`` take (k, m) tables
-    whose row r belongs to agent r mod V: one call per callable on such a
-    game, one call per row otherwise.
+    Callables take an index array i of shape (k,), a time t that is a scalar
+    or a (k,) array aligned with i, and (k, m) tables of actions and
+    aggregate values; they return (k,) costs, (k, m) gradients and psi
+    values and (k, m, m) Jacobians. ``grad_own`` is the partial in x_i
+    holding the aggregate fixed, ``grad_agg`` the partial in the aggregate
+    value, and grad_psi[r, a, b] = d psi_a / d x_b. ``per_agent`` adapts
+    callables written for one agent at a time.
 
     L bounds ||grad_own|| on the joint box, mu is the strong-monotonicity
     modulus of the pseudogradient, and grad_lipschitz, when known
@@ -55,50 +45,55 @@ class GameSpec:
     dim: int
     box_lo: np.ndarray  # (V, m)
     box_hi: np.ndarray  # (V, m)
-    cost_fn: Callable[[int, int, Vec, Vec], float]
-    grad_own: Callable[[int, int, Vec, Vec], Vec]
-    grad_agg: Callable[[int, int, Vec, Vec], Vec]
-    psi_fn: Callable[[int, Vec], Vec]
-    grad_psi: Callable[[int, Vec], np.ndarray]
+    cost_fn: Callable[[np.ndarray, Times, Vec, Vec], np.ndarray]
+    grad_own: Callable[[np.ndarray, Times, Vec, Vec], Vec]
+    grad_agg: Callable[[np.ndarray, Times, Vec, Vec], Vec]
+    psi_fn: Callable[[np.ndarray, Vec], Vec]
+    grad_psi: Callable[[np.ndarray, Vec], np.ndarray]
     L: float = 1.0
     mu: float = 1.0
     grad_lipschitz: float | None = None
-    vectorized: bool = False
     _index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):  # arange(V), shared read-only by the batched calls
         object.__setattr__(self, "_index", np.arange(self.num_agents))
         self._index.flags.writeable = False
 
-    def check_in_box(self, i: int, x_i: Vec, tol: float = 1e-9) -> Vec:
-        x_i = _as_vec(x_i, self.dim)
-        if np.any(x_i < self.box_lo[i] - tol) or np.any(x_i > self.box_hi[i] + tol):
-            raise self._outside(i, x_i)
-        return x_i
+    @classmethod
+    def per_agent(cls, *, cost_fn, grad_own, grad_agg, psi_fn, grad_psi, **fields) -> "GameSpec":
+        """A game whose callables take one agent at a time: an integer i and
+        t and (m,) arrays. Each is wrapped in a loop over the rows.
+        """
+        def timed(fn, out=np.asarray):  # row r: fn(i[r], t or t[r], x[r], psi_val[r])
+            return lambda i, t, x, psi_val: np.stack([out(fn(*row)) for row in zip(
+                i.tolist(), np.broadcast_to(t, i.shape).tolist(), x, psi_val)])
 
-    def _outside(self, i: int, x_i: Vec, at: str = "") -> ActionDomainError:
-        return ActionDomainError(f"action {x_i} of agent {i}{at} outside box "
-                                 f"[{self.box_lo[i]}, {self.box_hi[i]}]")
+        def untimed(fn):
+            return lambda i, x: np.stack([np.asarray(fn(j, x_j)) for j, x_j in zip(i.tolist(), x)])
+
+        return cls(cost_fn=timed(cost_fn, float), grad_own=timed(grad_own),
+                   grad_agg=timed(grad_agg), psi_fn=untimed(psi_fn),
+                   grad_psi=untimed(grad_psi), **fields)
 
     def _agents(self, k: int) -> np.ndarray:
         """Agent of each row of a (k, m) table of stacked (V, m) blocks."""
         return self._index if k == self.num_agents else np.arange(k) % self.num_agents
 
+    def _row(self, a) -> np.ndarray:
+        """One (m,) vector as a (1, m) table."""
+        return np.asarray(a, dtype=float).reshape(1, self.dim)
+
     def cost(self, i: int, t: int, x_i, psi_val) -> float:
         """Cost of agent i at time t given an aggregate value."""
-        x_i = self.check_in_box(i, x_i)
-        return float(self.cost_fn(i, t, x_i, _as_vec(psi_val, self.dim)))
+        return float(self._costs(np.array([i]), t, self._row(x_i), self._row(psi_val))[0])
 
     def psi(self, i: int, x_i) -> Vec:
-        return np.asarray(self.psi_fn(i, _as_vec(x_i, self.dim)), dtype=float)
+        return np.asarray(self.psi_fn(np.array([i]), self._row(x_i)), dtype=float)[0]
 
     def psi_values(self, x: np.ndarray) -> np.ndarray:
         """psi_j(x_j) for every row of x, a (k, m) table of stacked (V, m) blocks."""
         x = np.asarray(x, dtype=float)
-        i = self._agents(len(x))
-        if self.vectorized:
-            return np.asarray(self.psi_fn(i, x), dtype=float)
-        return np.stack([self.psi(j, x_j) for j, x_j in zip(i.tolist(), x)])
+        return np.asarray(self.psi_fn(self._agents(len(x)), x), dtype=float)
 
     def aggregate(self, x: np.ndarray) -> Vec:
         """Exact aggregate Psi(x) = (1/V) sum_j psi_j(x_j); x has shape (V, m)."""
@@ -113,19 +108,15 @@ class GameSpec:
         domain is enforced on costs, not gradients, so probes at or beyond
         faces are allowed.
         """
-        x_i = _as_vec(x_i, self.dim)
-        v_i = _as_vec(v_i, self.dim)
-        g1 = np.asarray(self.grad_own(i, t, x_i, v_i), dtype=float)
-        g2 = np.asarray(self.grad_agg(i, t, x_i, v_i), dtype=float)
-        J = np.asarray(self.grad_psi(i, x_i), dtype=float)
+        i, x_i, v_i = np.array([i]), self._row(x_i), self._row(v_i)
+        g1 = np.asarray(self.grad_own(i, t, x_i, v_i), dtype=float)[0]
+        g2 = np.asarray(self.grad_agg(i, t, x_i, v_i), dtype=float)[0]
+        J = np.asarray(self.grad_psi(i, x_i), dtype=float)[0]
         return g1 + J.T @ g2 / self.num_agents
 
     def gradients(self, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
         """Row form of ``local_gradient``; t is a scalar or a (k,) array of row times."""
         i = self._agents(len(x))
-        if not self.vectorized:
-            ts = np.broadcast_to(t, i.shape).tolist()
-            return np.stack([self.local_gradient(*row) for row in zip(i.tolist(), ts, x, psi_val)])
         g1 = np.asarray(self.grad_own(i, t, x, psi_val), dtype=float)
         g2 = np.asarray(self.grad_agg(i, t, x, psi_val), dtype=float)
         J = np.asarray(self.grad_psi(i, x), dtype=float)
@@ -140,20 +131,20 @@ class GameSpec:
         """(k,) costs of the rows of the (k, m) tables x and psi_val, stacked
         (V, m) blocks, at time t: a scalar or a (k,) array of row times.
         """
-        V, m = self.num_agents, self.dim
-        x = np.asarray(x, dtype=float).reshape(-1, m)
-        psi_val = np.asarray(psi_val, dtype=float).reshape(-1, m)
+        x = np.asarray(x, dtype=float).reshape(-1, self.dim)
+        psi_val = np.asarray(psi_val, dtype=float).reshape(-1, self.dim)
+        return self._costs(self._agents(len(x)), t, x, psi_val)
+
+    def _costs(self, i: np.ndarray, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
+        """``cost_fn`` on rows whose actions lie in the boxes of agents i."""
         # written as "inside" so that NaN entries count as outside
-        blocks = x.reshape(-1, V, m)
-        inside = (blocks >= self.box_lo - 1e-9) & (blocks <= self.box_hi + 1e-9)
+        inside = ((x >= self.box_lo[i] - 1e-9) & (x <= self.box_hi[i] + 1e-9)).all(axis=1)
         if not inside.all():
-            r = int(np.argmin(inside.all(axis=2).ravel()))
-            raise self._outside(r % V, x[r], f" at round {np.broadcast_to(t, len(x))[r]}")
-        i = self._agents(len(x))
-        if self.vectorized:
-            return np.asarray(self.cost_fn(i, t, x, psi_val), dtype=float)
-        ts = np.broadcast_to(t, i.shape).tolist()
-        return np.array([float(self.cost_fn(*row)) for row in zip(i.tolist(), ts, x, psi_val)])
+            r = int(np.argmin(inside))
+            raise ActionDomainError(
+                f"action {x[r]} of agent {i[r]} at round {np.broadcast_to(t, len(x))[r]} "
+                f"outside box [{self.box_lo[i[r]]}, {self.box_hi[i[r]]}]")
+        return np.asarray(self.cost_fn(i, t, x, psi_val), dtype=float)
 
 
 def _sum_in_order(rows: np.ndarray) -> np.ndarray:
@@ -193,9 +184,9 @@ def nash_cournot() -> GameSpec:
         firm = i + 1
         return 4.0 * (firm + 1) * sin6(t) + 50.0 * firm
 
-    # i is an index or an index array, x_i and psi_val are (m,) or (k, m);
-    # a.T[0] is coordinate 0: a scalar for one agent (nearly as fast as a[0],
-    # unlike a[..., 0]), a (k,) row for k agents
+    # i is a (k,) index array, x_i and psi_val are (k, m) tables and a.T[0]
+    # is coordinate 0 of every row; with an integer i and (m,) vectors the
+    # same code gives one agent's value, so it also serves GameSpec.per_agent
     def cost_fn(i, t, x_i, psi_val):
         market = 850.0 - 10.0 * sin6(t) - V * psi_val.T[0]
         return (price(i, t) - market) * x_i.T[0]
@@ -218,7 +209,7 @@ def nash_cournot() -> GameSpec:
         name="nash-cournot", num_agents=V, dim=m, box_lo=lo, box_hi=hi,
         cost_fn=cost_fn, grad_own=grad_own, grad_agg=grad_agg,
         psi_fn=lambda i, x: x, grad_psi=lambda i, x: identities[i],
-        L=L, mu=1.0, grad_lipschitz=float(V + 1), vectorized=True)
+        L=L, mu=1.0, grad_lipschitz=float(V + 1))
 
 
 def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSpec:
@@ -235,7 +226,7 @@ def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSp
     if np.any(hi <= lo):
         raise ValueError("boxes must have positive extent")
 
-    # index or index array i, as in nash_cournot
+    # rows, or one agent, as in nash_cournot
     def cost_fn(i, t, x_i, psi_val):
         return (c[i] + V * psi_val.T[0]) * x_i.T[0]
 
@@ -249,7 +240,7 @@ def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSp
         grad_own=lambda i, t, x_i, psi_val: (c[i] + V * psi_val.T[0])[..., None],
         grad_agg=lambda i, t, x_i, psi_val: V * x_i,
         psi_fn=lambda i, x: x, grad_psi=lambda i, x: identities[i],
-        L=L, mu=1.0, grad_lipschitz=float(V + 1), vectorized=True)
+        L=L, mu=1.0, grad_lipschitz=float(V + 1))
 
 
 GAME_REGISTRY: dict[str, Callable[[], GameSpec]] = {

@@ -158,17 +158,19 @@ def dynamic_regret(game: GameSpec, x_traj: np.ndarray,
     the others' equilibrium profile (aggregate recomputed accordingly).
     """
     x_traj = np.asarray(x_traj, float)
-    N, V = x_traj.shape[0], game.num_agents
+    N, V, m = x_traj.shape[0], game.num_agents, game.dim
     if len(solutions) != N:
         raise ValueError(f"horizon mismatch: {N} trajectory rounds, {len(solutions)} oracle solutions")
-    increments = np.zeros((N, V))
     times = np.array([s.t for s in solutions])
-    for r, sol in enumerate(solutions):
-        psi_star = game.psi_values(sol.x_star)
-        psi_sum = _sum_in_order(psi_star)
-        mixed_agg = (psi_sum - psi_star + game.psi_values(x_traj[r])) / V
-        increments[r] = (game.costs(sol.t, x_traj[r], mixed_agg)
-                         - game.costs(sol.t, sol.x_star, np.full_like(psi_star, psi_sum / V)))
+    # every round at once: (N V, m) tables of stacked (V, m) blocks, row times t
+    t = np.repeat(times, V)
+    x_star = np.stack([s.x_star for s in solutions]).reshape(-1, m)
+    x_played = x_traj.reshape(-1, m)
+    psi_star = game.psi_values(x_star).reshape(N, V, m)
+    psi_sum = _sum_in_order(psi_star)[:, None]
+    mixed_agg = (psi_sum - psi_star + game.psi_values(x_played).reshape(N, V, m)) / V
+    increments = (game.costs(t, x_played, mixed_agg) - game.costs(
+        t, x_star, np.broadcast_to(psi_sum / V, psi_star.shape))).reshape(N, V)
     per_agent = np.cumsum(increments, axis=0)
     cum = per_agent.sum(axis=1)
     avg = average_loss(losses) if losses is not None else None

@@ -26,6 +26,14 @@ def small_linear_game(num_agents, box=5.0):
     return dp.linear_demand_game(c, [-box] * num_agents, [box] * num_agents)
 
 
+def per_agent_copy(game, **callables):
+    """``game`` rebuilt with ``GameSpec.per_agent`` from its own callables,
+    any of them replaced by ``callables``: every row evaluated on its own.
+    """
+    fields = {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.init}
+    return dp.GameSpec.per_agent(**{**fields, **callables})
+
+
 def diverging_cournot():
     """The benchmark game with an own-gradient that overflows at t = 1."""
     return dataclasses.replace(

@@ -23,7 +23,7 @@ import dpgames as dp
 from dpgames.cli import benchmark_graph, preset
 from dpgames.engine import World
 
-from conftest import avg_series, bench_init, complete_graph, small_linear_game
+from conftest import avg_series, bench_init, complete_graph, per_agent_copy, small_linear_game
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -204,8 +204,6 @@ def test_a7_sensitivity_bound(cournot):
 
 def _perturbed_price_game(game, agent, t_hat, g_prime):
     """Adjacent cost sequence: agent's private price term replaced at one round."""
-    import dataclasses
-
     original = game.grad_own
 
     def grad_own(i, t, x_i, psi_val):
@@ -213,8 +211,8 @@ def _perturbed_price_game(game, agent, t_hat, g_prime):
             return g_prime
         return original(i, t, x_i, psi_val)
 
-    # grad_own takes one agent at a time, so the game loses the batched form
-    return dataclasses.replace(game, grad_own=grad_own, vectorized=False)
+    # grad_own takes one agent at a time, so the game is built per agent
+    return per_agent_copy(game, grad_own=grad_own)
 
 
 def test_a8_structural_invariants():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -183,6 +184,21 @@ def test_sweep_epsilon_axis(tmp_path):
     eps_col = header.index("epsilon_hat")
     eps_hats = [float(l.split(",")[eps_col]) for l in lines[1:]]
     assert eps_hats == pytest.approx([12.0, 24.0])  # T * eps
+
+
+@pytest.mark.parametrize("mode", ["analytic", "manual"])
+def test_sweep_epsilon_member_keeps_the_sensitivity_mode(mode):
+    base = preset("fig7-random-delays-private")
+    noise = replace(base.noise, sensitivity_mode=mode, delta=2.5 if mode == "manual" else None)
+    cfg = replace(base, horizon=30, noise=noise)
+    member = cli._apply_axis(cfg, "epsilon", 0.5)
+    assert member.noise.sensitivity_mode == mode and member.noise.epsilon == 0.5
+    game = cfg.resolved_game()
+    floor = dp.eigenvector_floor(cfg.graph, cfg.horizon)
+    expected = dp.sensitivity_bound(game.L, 1.0 / floor, game.dim) if mode == "analytic" else 2.5
+    ledger = dp.run(member).ledger
+    assert len(ledger.records) == 30
+    assert {delta for _, delta, _, _ in ledger.records} == {expected}
 
 
 def test_sweep_seed_axis_gives_distinct_streams(tmp_path):

@@ -380,7 +380,7 @@ def test_two_dimensional_actions_full_loop():
     lo = np.full((V, m), -4.0)
     hi = np.full((V, m), 4.0)
     identity = np.eye(m)
-    game = dp.GameSpec(
+    game = dp.GameSpec.per_agent(
         name="toy-2d", num_agents=V, dim=m, box_lo=lo, box_hi=hi,
         cost_fn=lambda i, t, x, p: float((c[i] + V * p) @ x),
         grad_own=lambda i, t, x, p: c[i] + V * p,
@@ -401,24 +401,6 @@ def test_two_dimensional_actions_full_loop():
 
 
 # ---------------------------------------------------------------------------
-# world introspection
-
-
-def test_agent_state_snapshot():
-    cfg = bench_cfg(horizon=8, delays=dp.DelaySchedule.uniform(3), seed=21)
-    world = World(cfg)
-    for _ in range(8):
-        world.step()
-    st = world.agent_state(2)
-    assert st.x.shape == (1,)
-    assert len(st.history_times) <= cfg.delays.tau_max + 1
-    assert st.history_times[-1] == 8
-    game = cfg.resolved_game()
-    assert game.box_lo[2] <= st.x <= game.box_hi[2]
-    assert 0 < st.y[2] <= 1
-
-
-# ---------------------------------------------------------------------------
 # batched delayed gradients, post-loop losses, finite-state check
 
 
@@ -434,9 +416,28 @@ def test_one_batched_gradient_call_per_round(monkeypatch):
         raise AssertionError("the engine must not evaluate agents one at a time")
 
     monkeypatch.setattr(dp.GameSpec, "local_gradient", no_local_gradient)
-    cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=25)
-    dp.run(cfg, dataclasses.replace(game, grad_own=counting_grad_own))
+    cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=25,
+                              game=dataclasses.replace(game, grad_own=counting_grad_own))
+    dp.run(cfg)
     assert calls == [(5,)] * 25
+
+
+def test_one_aggregate_map_call_per_round():
+    # psi(x_hat) of the previous round is carried, not evaluated again
+    calls = []
+    game = dp.nash_cournot()
+
+    def counting_psi(i, x):
+        calls.append(np.shape(i))
+        return game.psi_fn(i, x)
+
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=25,
+                              game=dataclasses.replace(game, psi_fn=counting_psi))
+    world = World(cfg)
+    assert calls == [(5,)]  # v(0) = psi(x(0))
+    for _ in range(25):
+        world.step()
+    assert calls == [(5,)] * 26
 
 
 def test_zero_cold_start_with_uniform_feedback_delays_matches_hand_reference(cournot):
@@ -481,6 +482,6 @@ def test_losses_after_the_loop_equal_per_round_costs(cfg):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 @pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference])
 def test_non_finite_state_raises_naming_round_and_agent(execute):
-    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=6)
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=6, game=diverging_cournot())
     with pytest.raises(NonFiniteStateError, match="round 2, agent 0"):
-        execute(cfg, diverging_cournot())
+        execute(cfg)

@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 import dpgames as dp
 from dpgames.game import ActionDomainError
 
-from conftest import small_linear_game
+from conftest import per_agent_copy, small_linear_game
 
 BENCH_X0 = np.array([-1.0, 2.0, 2.0, 5.0, 1.0])
 
@@ -144,7 +142,7 @@ def test_resolve_game_registry(cournot):
 
 def per_agent(game, t, x, psi_val):
     """Pseudogradient and costs from one call per agent (the adapter path)."""
-    loop = dataclasses.replace(game, vectorized=False)
+    loop = per_agent_copy(game)
     costs = np.array([game.cost(i, t, x[i], psi_val[i]) for i in range(game.num_agents)])
     return loop.pseudogradient(t, x), costs
 
@@ -155,11 +153,12 @@ def random_profile(game, rng):
     return lo + rng.random(lo.shape) * (hi - lo), rng.normal(0.0, 5.0, lo.shape)
 
 
-def curved_game(vectorized):
+def curved_game(per_agent=False):
     """m = 2 game with a nonlinear aggregate map whose Jacobian is not
     symmetric, so a transposed Jacobian would show. The callables are
     written in broadcasting form, so the same ones serve both paths.
     """
+    build = dp.GameSpec.per_agent if per_agent else dp.GameSpec
     V, m = 4, 2
     c = np.array([[-3.0, 1.0], [2.0, -1.0], [0.5, 0.0], [-1.0, 4.0]])
     M = np.array([[1.0, 0.5], [-0.25, 2.0]])
@@ -170,18 +169,17 @@ def curved_game(vectorized):
     def grad_psi(i, x):
         return M + 0.2 * x[..., None, :] * np.eye(m)
 
-    return dp.GameSpec(
+    return build(
         name="curved-2d", num_agents=V, dim=m,
         box_lo=np.full((V, m), -2.0), box_hi=np.full((V, m), 3.0),
         cost_fn=lambda i, t, x, p: np.sum((c[i] + V * p + 0.5 * x) * x, axis=-1),
         grad_own=lambda i, t, x, p: c[i] + V * p + x,
         grad_agg=lambda i, t, x, p: V * x,
-        psi_fn=psi_fn, grad_psi=grad_psi, vectorized=vectorized)
+        psi_fn=psi_fn, grad_psi=grad_psi)
 
 
 @pytest.mark.parametrize("t", [0, 1, 7, 40, 123])
 def test_batched_cournot_matches_per_agent_loop(cournot, t):
-    assert cournot.vectorized
     x, psi_val = random_profile(cournot, np.random.default_rng(t))
     grad, costs = per_agent(cournot, t, x, psi_val)
     np.testing.assert_allclose(cournot.pseudogradient(t, x), grad, rtol=1e-12)
@@ -190,13 +188,12 @@ def test_batched_cournot_matches_per_agent_loop(cournot, t):
 
 def test_batched_linear_game_matches_per_agent_loop():
     game = small_linear_game(20)
-    assert game.vectorized
     rng = np.random.default_rng(31)
     for t in (0, 5):
         x, psi_val = random_profile(game, rng)
         grad, costs = per_agent(game, t, x, psi_val)
         # the aggregate adds agents in order, as the loop does, not pairwise
-        loop = dataclasses.replace(game, vectorized=False)
+        loop = per_agent_copy(game)
         assert np.array_equal(game.aggregate(x), loop.aggregate(x))
         assert game.aggregate(x)[0] == sum(x[:, 0]) / 20
         np.testing.assert_allclose(game.pseudogradient(t, x), grad, rtol=1e-12)
@@ -204,18 +201,20 @@ def test_batched_linear_game_matches_per_agent_loop():
 
 
 def test_per_agent_adapter_matches_batched_form_and_closed_form():
-    loop, batched = curved_game(False), curved_game(True)
+    loop, batched = curved_game(per_agent=True), curved_game()
     rng = np.random.default_rng(8)
     for _ in range(5):
         x, psi_val = random_profile(loop, rng)
         grad, costs = loop.pseudogradient(2, x), loop.costs(2, x, psi_val)
         np.testing.assert_allclose(batched.pseudogradient(2, x), grad, rtol=1e-12)
         np.testing.assert_allclose(batched.costs(2, x, psi_val), costs, rtol=1e-12)
-        # grad_own + J^T grad_agg / V at the exact aggregate, one agent at a time
+        # grad_own + J^T grad_agg / V at the exact aggregate, one agent at a
+        # time through the broadcasting callables both games are built from
         agg = np.mean([loop.psi(i, x[i]) for i in range(4)], axis=0)
         for i in range(4):
-            J = loop.grad_psi(i, x[i])
-            expected = loop.grad_own(i, 2, x[i], agg) + J.T @ loop.grad_agg(i, 2, x[i], agg) / 4
+            J = batched.grad_psi(i, x[i])
+            expected = (batched.grad_own(i, 2, x[i], agg)
+                        + J.T @ batched.grad_agg(i, 2, x[i], agg) / 4)
             np.testing.assert_allclose(grad[i], expected, rtol=1e-12)
             assert costs[i] == pytest.approx(loop.cost(i, 2, x[i], psi_val[i]), rel=1e-12)
 
@@ -251,12 +250,15 @@ def test_batched_cournot_gradients_at_mixed_times_equal_the_loop_exactly(cournot
     t = rng.integers(0, 500, size=len(x))
     assert np.array_equal(cournot.gradients(t, x, psi_val),
                           per_row_gradients(cournot, t, x, psi_val))
+    # and so does the same game built from its callables one row at a time
+    assert np.array_equal(per_agent_copy(cournot).gradients(t, x, psi_val),
+                          cournot.gradients(t, x, psi_val))
     # a scalar time equals the same time repeated, bit for bit
     assert np.array_equal(cournot.gradients(7, x, psi_val),
                           cournot.gradients(np.full(len(x), 7), x, psi_val))
 
 
-@pytest.mark.parametrize("game", [small_linear_game(20), curved_game(True), curved_game(False)],
+@pytest.mark.parametrize("game", [small_linear_game(20), curved_game(), curved_game(per_agent=True)],
                          ids=["linear-20", "curved-batched", "curved-per-agent"])
 def test_batched_gradients_at_mixed_times_match_the_loop(game):
     rng = np.random.default_rng(43)

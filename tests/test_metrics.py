@@ -52,7 +52,7 @@ def constant_gradient_game(g):
     """Four agents whose pseudogradient is the constant g; boxes [0, 1]
     except agent 3's, which is the single point 2.
     """
-    return dp.GameSpec(
+    return dp.GameSpec.per_agent(
         name="constant-gradient", num_agents=4, dim=1,
         box_lo=np.array([[0.0], [0.0], [0.0], [2.0]]),
         box_hi=np.array([[1.0], [1.0], [1.0], [2.0]]),
@@ -124,7 +124,7 @@ def nonsymmetric_game(box):
     mu = float(np.linalg.eigvalsh((M + M.T) / 2).min())
     # cost ((a_i - b_i)/2) x_i^2 + b_i V psi x_i + c_i x_i with psi the mean
     # action; the own partial holds psi fixed, so F_i adds b_i x_i back
-    game = dp.GameSpec(
+    game = dp.GameSpec.per_agent(
         name="nonsymmetric", num_agents=V, dim=1,
         box_lo=np.full((V, 1), -box), box_hi=np.full((V, 1), box),
         cost_fn=lambda i, t, x, p: (a[i] - b[i]) / 2 * x[0] ** 2 + (b[i] * V * p[0] + c[i]) * x[0],
@@ -137,7 +137,7 @@ def nonsymmetric_game(box):
 
 def test_oracle_on_nonsymmetric_per_agent_game():
     game, M, c = nonsymmetric_game(1e6)
-    assert game.mu > 0 and not game.vectorized
+    assert game.mu > 0
     x = np.linspace(-1.0, 1.0, 6).reshape(6, 1)
     assert np.allclose(game.pseudogradient(0, x).ravel(), M @ x.ravel() + c, atol=1e-12)
     sol = dp.ne_oracle(game, 0, tol=1e-12)
