@@ -440,10 +440,18 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
             float(value), delta=noise.delta if noise.enabled else 1.0,
             sensitivity_mode=noise.sensitivity_mode, shared_draw=noise.shared_draw))
     if axis == "tau_max":
-        d = cfg.delays
+        d, tau_max = cfg.delays, int(value)
         if "fixed" in (d.comm["type"], d.feedback["type"]):
             raise ConfigError(["cannot sweep tau_max over a fixed-entry delay schedule"])
-        return replace(cfg, delays=DelaySchedule.uniform(int(value), seed=d.seed))
+        # each rule keeps its type; a uniform rule keeps its low and takes
+        # the swept value as its high
+        rules = {name: rule if rule["type"] == "none" else {**rule, "high": tau_max}
+                 for name, rule in (("comm", d.comm), ("feedback", d.feedback))}
+        errors = [f"tau_max {tau_max} is below the {name} uniform low {low}"
+                  for name, rule in rules.items() if (low := rule.get("low", 0)) > tau_max]
+        if errors:
+            raise ConfigError(errors)
+        return replace(cfg, delays=DelaySchedule(tau_max, rules["comm"], rules["feedback"], d.seed))
     raise ConfigError([f"axis {axis!r} is not sweepable; choose from {SWEEP_AXES}"])
 
 

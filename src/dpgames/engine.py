@@ -411,10 +411,10 @@ class _AugmentedWorld(World):
 def run_augmented_reference(config: RunConfig) -> RunResult:
     """Delay-free execution on V(1 + tau_max) nodes; real-agent trajectories.
 
-    Draws the same per-round noise and delay blocks as ``run`` (one keyed
-    generator per purpose and round) and is algebraically identical to it up
-    to summation order. Message counters stay zero: this route has no
-    arrival ring.
+    Draws the same per-round noise and delay blocks as ``run`` (one Philox
+    stream per purpose, its counter set from the round) and is algebraically
+    identical to it up to summation order. Message counters stay zero: this
+    route has no arrival ring.
     """
     start = time.perf_counter()
     return _execute(_AugmentedWorld(config), start)

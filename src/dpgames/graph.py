@@ -216,8 +216,8 @@ class DelaySchedule:
         """(V, V) integer matrix of the delays tau_ij(t) of messages sent at
         time t, receiver i by row and sender j by column, zero diagonal.
 
-        A uniform rule makes one keyed generator per round and draws V^2
-        integers laid out shell by shell over max(i, j) (see
+        A uniform rule draws V^2 integers from the round's keyed stream,
+        laid out shell by shell over max(i, j) (see
         ``_shell_order``), so every smaller V's matrix is the top-left block
         of this one. Fixed entries naming an agent outside [0, V) are left
         out here and rejected by ``RunConfig.validate``.
@@ -238,7 +238,7 @@ class DelaySchedule:
 
     def feedback_delays(self, t: int, num_agents: int) -> np.ndarray:
         """(V,) integer vector of the feedback delays tau_i(t); a uniform
-        rule makes one keyed generator per round, and every smaller V's
+        rule draws from the round's keyed stream, and every smaller V's
         vector is a prefix of this one.
         """
         V = num_agents

@@ -1,16 +1,18 @@
 """Laplace mechanism, sensitivity bound, and cumulative privacy accounting.
 
-All randomness in a run flows from one master seed through substreams keyed
-by (purpose, round): each round makes one generator per purpose and draws
-that purpose's whole block from it (the (V, m) noise block, the (V, V)
-communication-delay matrix, the (V,) feedback delays), in the keyed
-counter-RNG style of Salmon et al., "Parallel Random Numbers: As Easy as
-1, 2, 3" (SC'11). Per-agent and per-edge values are views onto those
+All randomness in a run flows from one master seed through counter-based
+Philox streams, the construction of Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3" (SC'11): each (seed, purpose) has one Philox
+key, and round t's block is drawn from the counter range that starts at
+[0, t, 0, 0]. Each round draws each purpose's whole block at once (the
+(V, m) noise block, the (V, V) communication-delay matrix, the (V,)
+feedback delays). Per-agent and per-edge values are views onto those
 blocks, so draws are reproducible independent of iteration order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,9 +30,29 @@ class LedgerError(ValueError):
     """Raised on double-recording a step in the privacy ledger."""
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for the substream (seed, *key)."""
-    return np.random.default_rng([int(seed), *map(int, key)])
+@functools.lru_cache(maxsize=256)
+def _keyed_stream(seed: int, purpose: int) -> tuple[np.random.Generator, dict]:
+    """(seed, purpose)'s Philox generator and the state ``substream`` sets."""
+    key = np.random.SeedSequence([seed, purpose]).generate_state(2, np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(np.random.Philox(key=key)), state
+
+
+def substream(seed: int, purpose: int, t: int) -> np.random.Generator:
+    """Generator for round t of the stream (seed, purpose): Philox keyed by
+    (seed, purpose), its counter set to [0, t, 0, 0], so round t owns 2^64
+    blocks of its own.
+
+    The generator is shared by every call with the same (seed, purpose) and
+    is valid only until the next such call: draw the round's block at once.
+    """
+    rng, state = _keyed_stream(int(seed), int(purpose))
+    state["state"]["counter"][1] = t
+    rng.bit_generator.state = state
+    return rng
 
 
 def sensitivity_bound(L: float, theta: float, m: int) -> float:

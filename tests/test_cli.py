@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import dpgames as dp
@@ -226,6 +227,39 @@ def test_sweep_horizon_axis(tmp_path):
     header = lines[0].split(",")
     h_col = header.index("horizon")
     assert [l.split(",")[h_col] for l in lines[1:]] == ["50", "100"]
+
+
+def _no_comm_uniform_feedback_config(tmp_path):
+    # no communication delays, feedback delays uniform on [1, 3]
+    d = config_to_dict(preset("fig5-fixed-delay"))
+    d["delays"] = {"tau_max": 3, "comm": {"type": "none"},
+                   "feedback": {"type": "uniform", "low": 1, "high": 3}, "seed": None}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(d))
+    return p
+
+
+def test_sweep_tau_max_keeps_rule_types_and_lows(tmp_path):
+    cfg = config_from_dict(json.loads(_no_comm_uniform_feedback_config(tmp_path).read_text()))
+    member = cli._apply_axis(cfg, "tau_max", 5)
+    assert member.delays.tau_max == 5
+    assert member.delays.comm == {"type": "none"}
+    assert member.delays.feedback == {"type": "uniform", "low": 1, "high": 5}
+    assert member.delays.seed == cfg.delays.seed
+    delays = member.delays.with_seed(7)
+    D = delays.comm_matrix(7, 5)
+    tau = np.stack([delays.feedback_delays(t, 5) for t in range(50)])
+    assert not D.any() and tau.min() >= 1 and tau.max() <= 5
+
+
+def test_sweep_tau_max_below_a_uniform_low_is_a_config_error(tmp_path, capsys):
+    p = _no_comm_uniform_feedback_config(tmp_path)
+    rc = cli.main(["sweep", "--config", str(p), "--horizon", "20", "--axis", "tau_max",
+                   "--values", "0,4", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--values '0'" in err and "feedback uniform low 1" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_rejects_unknown_axis():

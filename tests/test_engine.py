@@ -284,6 +284,32 @@ def test_one_generator_per_purpose_and_round(preset_name, per_round, world_class
     assert all(len(key) == 2 and key[1] < 12 for key in calls)
 
 
+def _stepped_states(worlds, rounds):
+    """Step the worlds in turn, one round each; every world's (x, b, v)
+    after each round."""
+    states = [[] for _ in worlds]
+    for _ in range(rounds):
+        for world, rows in zip(worlds, states):
+            world.step()
+            rows.append(np.concatenate((world.x, world.b, world.v), axis=1))
+    return [np.stack(rows) for rows in states]
+
+
+@pytest.mark.parametrize("pair", ["two-seeds", "world-and-twin"])
+def test_worlds_stepped_alternately_match_each_run_alone(pair):
+    # each (seed, purpose) has one shared generator; a world must draw its
+    # blocks the same whoever else draws from the same streams in between
+    cfg = bench_cfg(delays=preset("fig7-random-delays-private").delays,
+                    noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0, shared_draw=False))
+    if pair == "two-seeds":
+        made = [(World, cfg), (World, dataclasses.replace(cfg, seed=43))]
+    else:
+        made = [(World, cfg), (_AugmentedWorld, cfg)]
+    together = _stepped_states([cls(c) for cls, c in made], 30)
+    for (cls, c), states in zip(made, together):
+        assert np.array_equal(states, _stepped_states([cls(c)], 30)[0])
+
+
 def test_noise_stream_determinism_across_runs():
     cfg = bench_cfg(horizon=60, noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))
     a, b = dp.run(cfg), dp.run(cfg)

@@ -4,8 +4,10 @@ A refactor of the engine, the transport or the writers must reproduce these
 bytes exactly. A deliberate change of trajectories or file format re-pins the
 values below, and the commit that does so adds a CHANGES.md line saying why.
 The rows of the five presets with noise or random delays were re-pinned when
-draws moved to one keyed block per (purpose, round); fig5-fixed-delay, which
-draws nothing, kept its row.
+draws moved to one keyed block per (purpose, round), and again when each
+block came from a Philox stream keyed by (seed, purpose) with the round as
+its counter instead of a generator seeded by (seed, purpose, round);
+fig5-fixed-delay, which draws nothing, kept its row both times.
 """
 
 import hashlib
@@ -19,29 +21,29 @@ from dpgames import cli, engine
 GOLDEN = {
     # preset: (tabular sha256, object-lines sha256, summary sha256)
     "fig2-baseline": (
-        "08ad11e7f79a6a2ec132c232fb1bb75f308879fcc7204584d5f6888e880b1200",
-        "918574460cdda88f9d599a6de7859f2ad042041f81b47af94f6fbc9866ece2ee",
-        "b2c646a780fc00465c942c367cf90ada16fdada737ec6829bd1a0890d71cd961"),
+        "5d302bdb75b480e8f6e7ce4af9d57ff26ef190adc9bf838858fa3eae2789d019",
+        "501741714d45d30e8a696417bc35352d9be952274f4ce0e765bd3b23ba96c63a",
+        "fa4aae0a3c8b4d273ee017c76536c0cab2f84d8efc0d940947a61b84f1d4d947"),
     "fig3-high-lr": (
-        "779c1ccbebec72ff054415216bd71a23e71f9d794db0823742e90fde6b6a23c8",
-        "39ef6430a63e89c7d3f6d0a720bdde5f53ee32ad83a7bb0355a1b89488c62652",
-        "be18c4bb4b12aa89ee4fd4999c98648a274fea085627cc57ffaa9d4ab7c3a29d"),
+        "08454626db7ada0173f638c0c4137f2320cd8446167ea33f5b32556826732493",
+        "3ac45edc7d8dc15f3c46d99959595f5a97a69311c9bb99d01d3809a3bf400072",
+        "e514ae2b632e5c49a50a7f74b4b38df498e8a528d6191835936dd2d250a02a12"),
     "fig4-tight-privacy": (
-        "319795e84c8e15648205326d6b59ca079c0079a791d6e4d39216588862d63ecc",
-        "f8cc07250865ae3a84f8cbd8c3d8a77387e4117d5829876fb51c27d28ad9f6db",
-        "be5be898f8d7b733a17dbc5e33a6f732001fe8c53c2bb7c5df46c8463dbec1c7"),
+        "7d7c22dc37ede8fa0854ee74be0b48d4295365982a1a0a11e6183094b9104102",
+        "38b43b55930356c046c190b147486c4607448ae430cf169ec155b88191946096",
+        "1988e63b01d145c1216471980ec5625dadde08469a874f3b0c52a7e36b40bc2b"),
     "fig5-fixed-delay": (
         "4fe4be12888ea4c63c2b78ef5171744ad5d0f05d8a9bf670d9c89c0d06e2a750",
         "02b711eff341c35a072d7e8b3eab4b7defed6f0aea54b926948efbfc64c56fb3",
         "512043c29051fe54f14ba35ff6d1c661e730eba09e9c333c1a7aa00def1c799b"),
     "fig6-random-delays": (
-        "63d1a71b4d7d913fe8793647f98865b5319bfd8531aba885ab998027d99ae69b",
-        "42616ef42da3abcd9d74ed33d114a5e87aa7caef6d5d79cb8968c2ec4f79b00e",
-        "4d1d191909350a651818dd0ec7f717f44241457b0dbb349cb63d1e3618628814"),
+        "b7780b8dddd4f16949c41b37b85e8a78dcea68fc270a0381c5dbddc70e3db53a",
+        "ae9e19948a9129288d6539035c0ac7f49457c6ac85f3722d146e96db6071f7f0",
+        "7676e23291c1bb9b4f107c1cea5ce75747593bcf00a77e5dbdc59bc6835e9191"),
     "fig7-random-delays-private": (
-        "5810be8fca0e2d4f77480dcfcbf67d55de635bdd8edecfce00d1b741fc94f176",
-        "2e232e44c1065e8eb4df9db9a9d467546978e036a7b48be906e11dc26475ae00",
-        "fc2e40ebffde1eec1a2c5275292fccc0d95166d9305246fc919670328a91a241"),
+        "a27ed3fcd6ebe3e17dfb2ed24fb4894ee2ef66f4e83d82ba3d51d106af6ed11c",
+        "a7220518be5ae55a8e2b1f3fbb5158422e958df672c41595bda2d674973a634c",
+        "6511ba12ab3278f709292acd6315509c57c97f45dd6bd3e2b80ab38181185262"),
 }
 
 

@@ -152,6 +152,43 @@ def test_oracle_on_nonsymmetric_per_agent_game():
     assert dp.kkt_max_violation(boxed, 0, sol.x_star) <= tol * L_F ** 2 / boxed.mu
 
 
+def _lipschitz_loop(game, t, samples=64, seed=0):
+    """Reference estimate: one pseudogradient call per sampled profile."""
+    rng = np.random.default_rng(seed)
+    shape = (game.num_agents, game.dim)
+    best = 0.0
+    for _ in range(samples):
+        u = game.box_lo + rng.random(shape) * (game.box_hi - game.box_lo)
+        w = game.box_lo + rng.random(shape) * (game.box_hi - game.box_lo)
+        du = np.linalg.norm(u - w)
+        if du < 1e-12:
+            continue
+        dg = np.linalg.norm(game.pseudogradient(t, u) - game.pseudogradient(t, w))
+        best = max(best, dg / du)
+    return 1.1 * best
+
+
+def test_lipschitz_estimate_is_one_row_form_call_equal_to_the_loop(monkeypatch):
+    boxed, _, _ = nonsymmetric_game(1.0)
+    for t in (0, 5):
+        assert metrics._lipschitz_estimate(boxed, t) == pytest.approx(
+            _lipschitz_loop(boxed, t), rel=1e-12)
+    calls = []
+    monkeypatch.setattr(dp.GameSpec, "pseudogradient", lambda *a: calls.append(a))
+    metrics._lipschitz_estimate(boxed, 0)
+    assert calls == []
+
+
+def test_solve_equilibria_unchanged_by_the_row_form_estimate(monkeypatch):
+    boxed, _, _ = nonsymmetric_game(1.0)
+    sols = dp.solve_equilibria(boxed, range(10))
+    monkeypatch.setattr(metrics, "_lipschitz_estimate", _lipschitz_loop)
+    ref = dp.solve_equilibria(boxed, range(10))
+    assert [s.iterations for s in sols] == [s.iterations for s in ref]
+    for s, r in zip(sols, ref):
+        assert np.allclose(s.x_star, r.x_star, rtol=0, atol=1e-12)
+
+
 def test_cournot_equilibria_take_two_then_one_iteration(cournot):
     # fig7 and fig5 solve these rounds warm-started; each later round's
     # equilibrium is the box corner the previous round ended on

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import dpgames as dp
-from dpgames.privacy import (LedgerError, STREAM_NOISE, STREAM_NOISE_AGGREGATE, NoiseConfig,
-                             PrivacyLedger, substream)
+from dpgames.privacy import (LedgerError, STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY, STREAM_NOISE,
+                             STREAM_NOISE_AGGREGATE, NoiseConfig, PrivacyLedger, substream)
+
+PURPOSES = (STREAM_NOISE, STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY, STREAM_NOISE_AGGREGATE)
 
 
 def test_sensitivity_bound_values():
@@ -48,6 +50,44 @@ def test_noise_streams_are_deterministic_and_disjoint():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     assert dp.sample_noise(5.0, 3, substream(42, STREAM_NOISE, 10)).shape == (3,)
+
+
+def _philox_reference(seed, purpose, t):
+    """Round t of (seed, purpose), built from scratch: Philox keyed by the
+    (seed, purpose) seed sequence, counter [0, t, 0, 0]."""
+    key = np.random.SeedSequence([seed, purpose]).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, t, 0, 0]))
+
+
+def _block(rng):
+    # 25 bounded integers are 25 32-bit draws, which leave half a 64-bit
+    # word buffered in the bit generator; then doubles, as the noise draws
+    return np.concatenate((rng.integers(0, 11, size=25), rng.laplace(0.0, 5.0, size=6)))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 40 + 3])
+def test_substream_is_philox_keyed_by_seed_and_purpose_with_the_round_as_counter(seed):
+    for purpose in PURPOSES:
+        for t in (0, 1, 7, 199, 2 ** 33):
+            assert np.array_equal(_block(substream(seed, purpose, t)),
+                                  _block(_philox_reference(seed, purpose, t)))
+
+
+def test_substream_blocks_do_not_depend_on_call_order():
+    keys = [(seed, purpose, t) for seed in (42, 43) for purpose in PURPOSES for t in range(12)]
+    expected = {key: _block(_philox_reference(*key)) for key in keys}
+    in_order = {key: _block(substream(*key)) for key in keys}
+    # shuffled rounds with purposes and seeds interleaved
+    order = np.random.default_rng(3).permutation(len(keys))
+    shuffled = {keys[k]: _block(substream(*keys[k])) for k in order}
+    for key in keys:
+        assert np.array_equal(in_order[key], expected[key])
+        assert np.array_equal(shuffled[key], expected[key])
+
+
+def test_seeds_beyond_64_bits_have_their_own_streams():
+    assert not np.array_equal(_block(substream(5, STREAM_NOISE, 0)),
+                              _block(substream(2 ** 64 + 5, STREAM_NOISE, 0)))
 
 
 def test_ledger_constant_epsilon_is_exact():
