@@ -14,6 +14,11 @@ holds the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
 
 Each round draws its randomness as one block per purpose: the (V, m) noise
 block, the (V, V) communication-delay matrix and the (V,) feedback delays.
+What a round needs that does not depend on the state is a per-phase value,
+built on first use and then shared read-only: the weights, message list and
+self-weights of each edge set of a static or periodic schedule
+(``GraphSchedule.phase_at``) and the delays of a ``none`` or ``fixed`` rule.
+Procedural schedules and ``uniform`` rules build theirs every round.
 
 A state ring of the same shape holds round s's (x, v) in slot s mod
 (tau_max + 1), so the delayed gradients of round t are one gather at
@@ -37,7 +42,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .game import GameSpec, _sum_in_order, resolve_game
-from .graph import DelaySchedule, GraphSchedule, augment, eigenvector_floor, validate_b_connectivity
+from .graph import (DelaySchedule, GraphSchedule, Phase, augment, eigenvector_floor,
+                    validate_b_connectivity)
 from .privacy import (NoiseConfig, PrivacyLedger, sample_noise, sensitivity_bound,
                       substream, STREAM_NOISE, STREAM_NOISE_AGGREGATE)
 
@@ -158,7 +164,6 @@ class World:
         self.states = np.zeros((slots, V, 2 * m))  # (x, v) of round s in slot s mod slots
         self.states[0] = np.concatenate((self.x, self.v), axis=1)
         self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
-        self._off_diagonal = ~np.eye(V, dtype=bool)
         self.ledger = PrivacyLedger()
         self.min_y_diag = 1.0
         self.messages_enqueued = 0
@@ -194,6 +199,8 @@ class World:
 
     def _noised(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Every agent's noised (b, v) snapshot at round t, and sigma_t."""
+        if not self.noise.enabled:
+            return self.b, self.v, 0.0
         n_b, n_v, sigma_t = self.noise_block(t)
         return self.b + n_b, self.v + n_v, sigma_t
 
@@ -209,7 +216,7 @@ class World:
 
     def step(self) -> None:
         t = self.t
-        W = self.graph.weights_at(t)
+        phase = self.graph.phase_at(t)
         D = self.delays.comm_matrix(t, self.V)
         b_tilde, v_tilde, sigma_t = self._noised(t)
 
@@ -218,11 +225,11 @@ class World:
         # by sender and np.add.at applies them one at a time in that order,
         # so each receiver's slot sums in send order.
         slots = len(self.ring)
-        sender, receiver = np.nonzero(np.where(self._off_diagonal, W, 0.0).T)
+        sender, receiver = phase.sender, phase.receiver
         slot = (t + D[receiver, sender]) % slots
         snapshot = np.concatenate((b_tilde, v_tilde), axis=1)
-        np.add.at(self.ring, (slot, receiver), W[receiver, sender, None] * snapshot[sender])
-        np.add.at(self.ring_count, slot, 1)
+        np.add.at(self.ring, (slot, receiver), phase.w_msg * snapshot[sender])
+        self.ring_count += np.bincount(slot, minlength=slots)
         self.messages_enqueued += len(slot)
 
         # phase 2: this round's slot holds everything arriving now
@@ -232,9 +239,9 @@ class World:
         self.messages_delivered += int(self.ring_count[k])
         self.ring_count[k] = 0
 
-        self._apply_updates(t, W, arrived[:, :self.m], arrived[:, self.m:], sigma_t)
+        self._apply_updates(t, phase, arrived[:, :self.m], arrived[:, self.m:], sigma_t)
 
-    def _apply_updates(self, t: int, W: np.ndarray, sum_b: np.ndarray,
+    def _apply_updates(self, t: int, phase: Phase, sum_b: np.ndarray,
                        sum_v: np.ndarray, sigma_t: float) -> None:
         """Local part of a round: dual update with compensated delayed
         gradient, eigenvector recursion, projection, running average,
@@ -245,17 +252,17 @@ class World:
         game = self.game
         self.last_arrivals = (sum_b, sum_v)
 
-        y_diag = np.diag(self.Y).copy()
+        y_diag = self.Y.diagonal()  # a view of this round's Y, which is replaced, not written
         if y_diag.min() < Y_FLOOR:
             raise DegeneracyError(
                 f"y_ii = {y_diag.min():.3e} at t={t}; self-loop structure violated")
         self.min_y_diag = min(self.min_y_diag, float(y_diag.min()))
 
         g = self._delayed_gradients(t)
-        w_self = np.diag(W)[:, None]
+        w_self = phase.w_self
         b_new = w_self * self.b + sum_b + g / y_diag[:, None]
 
-        self.Y = W @ self.Y
+        self.Y = phase.weights @ self.Y
         eta = step_size(self.cfg.gamma, t + 1)
         x_new = project(b_new, eta, game.box_lo, game.box_hi)
         x_hat_new = ((t + 1) * self.x_hat + x_new) / (t + 2)
@@ -268,7 +275,9 @@ class World:
         self.b, self.x, self.x_hat, self.v = b_new, x_new, x_hat_new, v_new
         self.psi_x_hat = psi_x_hat_new
         self.t = t + 1
-        self.states[self.t % len(self.states)] = np.concatenate((x_new, v_new), axis=1)
+        row = self.states[self.t % len(self.states)]
+        row[:, :self.m] = x_new
+        row[:, self.m:] = v_new
 
     def messages_pending(self) -> int:
         return int(self.ring_count.sum())
@@ -334,7 +343,7 @@ def _losses(game: GameSpec, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, n
 def _collect(world: World, rec: dict, t: int) -> None:
     for name in ("x", "x_hat", "v", "b"):
         rec[name][t] = getattr(world, name)
-    rec["y_diag"][t] = np.diag(world.Y)
+    rec["y_diag"][t] = world.Y.diagonal()
 
 
 def _check_finite(rec: dict) -> None:
@@ -382,6 +391,10 @@ class _AugmentedWorld(World):
     zeroed (self terms use raw values). Stage r of round t reads slot
     (t - r) mod (tau_max + 1); one contraction over r reproduces the arrival
     sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r} term by term.
+
+    When the schedule is static or periodic and the comm-delay rule draws
+    nothing, (W, D) is a function of the edge set, so each edge set's top
+    block row is built by ``augment`` once and reused.
     """
 
     def __init__(self, config: RunConfig):
@@ -389,23 +402,35 @@ class _AugmentedWorld(World):
         slots = self.delays.tau_max + 1
         self.sent = np.zeros((slots, self.V, 2 * self.m))  # (b~, v~) sent at s
         self.blocks = np.zeros((slots, slots, self.V, self.V))  # [s, r]: block r built at s
+        by_phase = self.graph.kind != "procedural" and self.delays.comm["type"] != "uniform"
+        self._tops: Optional[dict] = {} if by_phase else None  # edge set -> (slots, V, V)
+
+    def _top(self, t: int, phase: Phase) -> np.ndarray:
+        """Blocks W^0 .. W^tau_max of round t, block 0's diagonal zeroed."""
+        top = None if self._tops is None else self._tops.get(phase.edges)
+        if top is None:
+            V, slots = self.V, len(self.sent)
+            A = augment(phase.weights, self.delays.comm_matrix(t, V), slots - 1)
+            top = A[:V].reshape(V, slots, V).swapaxes(0, 1)
+            np.fill_diagonal(top[0], 0.0)  # self term uses the raw value
+            if self._tops is not None:
+                top = self._tops[phase.edges] = top.copy()  # not the whole of A
+        return top
 
     def step(self) -> None:
         t = self.t
-        V, m = self.V, self.m
+        m = self.m
         slots = len(self.sent)
-        W = self.graph.weights_at(t)
-        top = augment(W, self.delays.comm_matrix(t, V), slots - 1)[:V]
+        phase = self.graph.phase_at(t)
         k = t % slots
-        self.blocks[k] = top.reshape(V, slots, V).swapaxes(0, 1)
-        np.fill_diagonal(self.blocks[k, 0], 0.0)  # self term uses the raw value
+        self.blocks[k] = self._top(t, phase)
         b_tilde, v_tilde, sigma_t = self._noised(t)
         self.sent[k] = np.concatenate((b_tilde, v_tilde), axis=1)
 
         r = np.arange(min(t, slots - 1) + 1)  # stages that have carried a snapshot
         s = (t - r) % slots
         arrived = (self.blocks[s, r] @ self.sent[s]).sum(axis=0)
-        self._apply_updates(t, W, arrived[:, :m], arrived[:, m:], sigma_t)
+        self._apply_updates(t, phase, arrived[:, :m], arrived[:, m:], sigma_t)
 
 
 def run_augmented_reference(config: RunConfig) -> RunResult:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +35,20 @@ class DiagnosticsError(RuntimeError):
     """Raised when backward products fail to converge to a rank-one matrix."""
 
 
+def strict_int(value, what: str) -> int:
+    """``value`` as an int when it is an integer and not a bool; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def strict_bool(value, what: str) -> bool:
+    """``value`` when it is true or false; TypeError otherwise."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{what} must be true or false, got {value!r}")
+    return bool(value)
+
+
 def _normalize_edges(num_agents: int, edges: Iterable[Edge], self_loops: bool) -> frozenset[Edge]:
     out = set()
     for e in edges:
@@ -45,6 +59,22 @@ def _normalize_edges(num_agents: int, edges: Iterable[Edge], self_loops: bool) -
     if self_loops:
         out.update((i, i) for i in range(num_agents))
     return frozenset(out)
+
+
+class Phase(NamedTuple):
+    """What a round's edge set fixes before any state is read.
+
+    ``sender`` and ``receiver`` list the off-diagonal messages sender by
+    sender, receivers ascending; ``w_msg`` is their (n, 1) weight column
+    ``W[receiver, sender]`` and ``w_self`` the (V, 1) self-weight column.
+    """
+
+    edges: frozenset[Edge]
+    weights: np.ndarray
+    sender: np.ndarray
+    receiver: np.ndarray
+    w_msg: np.ndarray
+    w_self: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,8 +93,8 @@ class GraphSchedule:
     edge_sets: tuple[frozenset[Edge], ...] = ()
     rule: Optional[Callable[[int], Iterable[Edge]]] = field(default=None, compare=False)
     require_self_loops: bool = True
-    # read-only weight matrix per edge set of a static or periodic schedule
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # read-only Phase per edge set of a static or periodic schedule
+    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def static(num_agents: int, edges: Iterable[Edge], require_self_loops: bool = True) -> "GraphSchedule":
@@ -96,15 +126,24 @@ class GraphSchedule:
     def weights_at(self, t: int) -> np.ndarray:
         """Row-stochastic weight matrix at time t, each in-edge weighted 1/d_i.
 
-        Static and periodic schedules build each phase's matrix once and
-        return it read-only; procedural ones build a new matrix every call.
+        The weights of ``phase_at(t)``: read-only and built once per edge
+        set for static and periodic schedules, new every call for
+        procedural ones.
+        """
+        return self.phase_at(t).weights
+
+    def phase_at(self, t: int) -> Phase:
+        """Round t's ``Phase``. Static and periodic schedules build each
+        edge set's phase once, on first use, and return it read-only;
+        procedural ones build a new one every call.
+
         Raises ScheduleError if some agent has an empty in-neighborhood
         (with self-loops required this cannot happen by construction).
         """
         edges = self.edges_at(t)
-        W = self._weights.get(edges)
-        if W is not None:
-            return W
+        phase = self._phases.get(edges)
+        if phase is not None:
+            return phase
         V = self.num_agents
         W = np.zeros((V, V))
         for (src, dst) in edges:
@@ -116,10 +155,16 @@ class GraphSchedule:
                 f"agent(s) {empty.tolist()} have no in-neighbors at t={t}"
                 " (self-loop requirement violated)")
         W = W / deg[:, None]
+        off_diagonal = W.copy()
+        np.fill_diagonal(off_diagonal, 0.0)
+        sender, receiver = np.nonzero(off_diagonal.T)
+        phase = Phase(edges, W, sender, receiver, W[receiver, sender, None],
+                      W.diagonal()[:, None].copy())
         if self.kind != "procedural":
-            W.flags.writeable = False
-            self._weights[edges] = W
-        return W
+            for a in phase[1:]:
+                a.flags.writeable = False
+            self._phases[edges] = phase
+        return phase
 
     def to_descriptor(self) -> dict:
         if self.kind == "procedural":
@@ -136,12 +181,13 @@ class GraphSchedule:
     @staticmethod
     def from_descriptor(d: dict) -> "GraphSchedule":
         kind = d["type"]
-        n = int(d["num_agents"])
-        loops = bool(d.get("require_self_loops", True))
+        n = strict_int(d["num_agents"], "num_agents")
+        loops = strict_bool(d.get("require_self_loops", True), "require_self_loops")
+        edge = lambda e: tuple(strict_int(v, "edge endpoint") for v in e)
         if kind == "static":
-            return GraphSchedule.static(n, [tuple(e) for e in d["edges"]], loops)
+            return GraphSchedule.static(n, [edge(e) for e in d["edges"]], loops)
         if kind == "periodic":
-            return GraphSchedule.periodic(n, [[tuple(e) for e in es] for es in d["edge_sets"]], loops)
+            return GraphSchedule.periodic(n, [[edge(e) for e in es] for es in d["edge_sets"]], loops)
         raise ScheduleError(f"unknown schedule type {kind!r}")
 
 
@@ -161,13 +207,17 @@ class DelaySchedule:
 
     A ``seed`` of None is resolved to the run's master seed by the engine.
     Random delays are drawn as one block per (purpose, round), so the delay
-    of a given (i, j, t) is independent of query order and of V.
+    of a given (i, j, t) is independent of query order and of V. A ``none``
+    or ``fixed`` rule draws nothing: its matrix or vector is built once per
+    V and shared read-only by every round.
     """
 
     tau_max: int
     comm: dict = field(default_factory=lambda: {"type": "none"})
     feedback: dict = field(default_factory=lambda: {"type": "none"})
     seed: Optional[int] = None
+    # read-only delays of a rule that draws nothing, per (rule name, V)
+    _constant: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tau_max < 0:
@@ -178,7 +228,8 @@ class DelaySchedule:
                 for key, d in desc["entries"].items():
                     self._check(int(d), f"{name} entry {key}")
             elif kind == "uniform":
-                lo, hi = int(desc.get("low", 0)), int(desc["high"])
+                lo = strict_int(desc.get("low", 0), f"{name} uniform low")
+                hi = strict_int(desc["high"], f"{name} uniform high")
                 self._check(lo, f"{name} uniform low")
                 self._check(hi, f"{name} uniform high")
             elif kind != "none":
@@ -219,39 +270,45 @@ class DelaySchedule:
         A uniform rule draws V^2 integers from the round's keyed stream,
         laid out shell by shell over max(i, j) (see
         ``_shell_order``), so every smaller V's matrix is the top-left block
-        of this one. Fixed entries naming an agent outside [0, V) are left
-        out here and rejected by ``RunConfig.validate``.
+        of this one. A ``none`` or ``fixed`` rule returns one read-only
+        matrix per V, built on first use. Fixed entries naming an agent
+        outside [0, V) are left out here and rejected by
+        ``RunConfig.validate``.
         """
         V = num_agents
-        kind = self.comm["type"]
-        if kind == "uniform":
-            rng = substream(self._need_seed(), STREAM_COMM_DELAY, t)
-            D = rng.integers(self.comm["low"], self.comm["high"] + 1, size=V * V)[_shell_order(V)]
-        else:
-            D = np.zeros((V, V), dtype=int)
-            if kind == "fixed":
-                for (i, j), d in self.comm["entries"].items():
-                    if 0 <= i < V and 0 <= j < V:
-                        D[i, j] = d
+        if self.comm["type"] != "uniform":
+            return self._constant_delays("comm", V)
+        rng = substream(self._need_seed(), STREAM_COMM_DELAY, t)
+        D = rng.integers(self.comm["low"], self.comm["high"] + 1, size=V * V)[_shell_order(V)]
         np.fill_diagonal(D, 0)
         return D
 
     def feedback_delays(self, t: int, num_agents: int) -> np.ndarray:
         """(V,) integer vector of the feedback delays tau_i(t); a uniform
         rule draws from the round's keyed stream, and every smaller V's
-        vector is a prefix of this one.
+        vector is a prefix of this one. A ``none`` or ``fixed`` rule returns
+        one read-only vector per V, built on first use.
         """
-        V = num_agents
-        kind = self.feedback["type"]
-        if kind == "uniform":
-            rng = substream(self._need_seed(), STREAM_FEEDBACK_DELAY, t)
-            return rng.integers(self.feedback["low"], self.feedback["high"] + 1, size=V)
-        tau = np.zeros(V, dtype=int)
-        if kind == "fixed":
-            for i, d in self.feedback["entries"].items():
-                if 0 <= i < V:
-                    tau[i] = d
-        return tau
+        if self.feedback["type"] != "uniform":
+            return self._constant_delays("feedback", num_agents)
+        rng = substream(self._need_seed(), STREAM_FEEDBACK_DELAY, t)
+        return rng.integers(self.feedback["low"], self.feedback["high"] + 1, size=num_agents)
+
+    def _constant_delays(self, name: str, V: int) -> np.ndarray:
+        """The (V, V) matrix or (V,) vector of the rule ``name`` ("comm" or
+        "feedback") when it draws nothing: read-only, built on first use.
+        """
+        out = self._constant.get((name, V))
+        if out is None:
+            out = np.zeros((V, V) if name == "comm" else V, dtype=int)
+            for key, d in getattr(self, name).get("entries", {}).items():
+                if all(0 <= k < V for k in np.atleast_1d(key)):
+                    out[key] = d
+            if name == "comm":
+                np.fill_diagonal(out, 0)
+            out.flags.writeable = False
+            self._constant[(name, V)] = out
+        return out
 
     def comm_delay(self, i: int, j: int, t: int) -> int:
         """Delay of the message sent by j at time t to receiver i: entry
@@ -305,14 +362,18 @@ class DelaySchedule:
         def dec(desc, keyed_pairs):
             if desc.get("type") != "fixed":
                 return dict(desc)
+            ints = lambda row: [strict_int(v, "delay entry") for v in row]
             if keyed_pairs:
-                entries = {(int(i), int(j)): int(v) for i, j, v in desc["entries"]}
+                entries = {(i, j): v for i, j, v in map(ints, desc["entries"])}
             else:
-                entries = {int(i): int(v) for i, v in desc["entries"]}
+                entries = {i: v for i, v in map(ints, desc["entries"])}
             return {"type": "fixed", "entries": entries}
 
-        return DelaySchedule(int(d["tau_max"]), dec(d.get("comm", {"type": "none"}), True),
-                             dec(d.get("feedback", {"type": "none"}), False), d.get("seed"))
+        seed = d.get("seed")
+        return DelaySchedule(strict_int(d["tau_max"], "tau_max"),
+                             dec(d.get("comm", {"type": "none"}), True),
+                             dec(d.get("feedback", {"type": "none"}), False),
+                             None if seed is None else strict_int(seed, "delays seed"))
 
 
 @functools.lru_cache(maxsize=16)
@@ -348,20 +409,24 @@ def validate_b_connectivity(schedule: GraphSchedule, b_window: int, horizon: int
     the horizon is strongly connected.
 
     Returns a report rather than raising; the first violating window (if any)
-    is included for diagnostics.
+    is included for diagnostics. Each distinct union is decided once.
     """
     if b_window < 1:
         raise ScheduleError(f"connectivity window must be >= 1, got {b_window}")
     if horizon < b_window:
         raise ScheduleError(f"horizon {horizon} shorter than window {b_window}")
     V = schedule.num_agents
+    connected = set()  # window unions found strongly connected so far
     for start in range(0, horizon - b_window + 1, b_window):
+        union = frozenset().union(*map(schedule.edges_at, range(start, start + b_window)))
+        if union in connected:
+            continue
         adj = np.eye(V, dtype=bool)
-        for t in range(start, start + b_window):
-            for (src, dst) in schedule.edges_at(t):
-                adj[src, dst] = True
+        for (src, dst) in union:
+            adj[src, dst] = True
         if not _strongly_connected(adj):
             return ConnectivityReport(False, b_window, (start, start + b_window - 1))
+        connected.add(union)
     return ConnectivityReport(True, b_window)
 
 
@@ -387,6 +452,9 @@ def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray
     exactly when ``delays[i, j] == r`` (each original weight lands in exactly
     one block, so the result stays row stochastic). Sub-diagonal identity
     blocks shift the virtual relay chain one stage per step.
+
+    Each call validates and builds a new matrix. The twin and verify call it
+    once per (W, D) phase when neither is rebuilt per round, else per round.
     """
     W = np.asarray(weights, dtype=float)
     V = W.shape[0]

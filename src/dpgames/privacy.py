@@ -140,6 +140,8 @@ class NoiseConfig:
             raise ValueError(f"sigma mode needs a finite sigma > 0, got {self.sigma!r}")
         if self.sensitivity_mode not in ("manual", "analytic"):
             raise ValueError(f"unknown sensitivity mode {self.sensitivity_mode!r}")
+        if not isinstance(self.shared_draw, bool):
+            raise TypeError(f"shared_draw must be true or false, got {self.shared_draw!r}")
         if self.mode != "off" and self.sensitivity_mode == "manual":
             if not _positive_finite(self.delta):
                 raise ValueError(f"manual sensitivity needs a finite delta > 0, got {self.delta!r}")
@@ -197,7 +199,7 @@ class NoiseConfig:
             sigma=d.get("sigma"),
             sensitivity_mode=d.get("sensitivity", "manual"),
             delta=d.get("delta"),
-            shared_draw=bool(d.get("shared_draw", True)))
+            shared_draw=d.get("shared_draw", True))
 
 
 @dataclass

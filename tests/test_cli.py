@@ -174,6 +174,48 @@ def test_cmd_verify_reports_first_violating_window(tmp_path, capsys):
     assert dp.validate_b_connectivity(sched, 2, 40).ok
 
 
+def _recurring_violation(kind):
+    """Seven agents on a two-phase schedule under fixed delays. The odd
+    phase either drops agent 2's self-loop or cuts the ring edge 6 -> 0;
+    its agent 6 has in-degree 7, whose weights sum to 1 - 2.2e-16, so the
+    row-sum details show whether the odd phase was checked.
+    """
+    V = 7
+    ring = [(i, (i + 1) % V) for i in range(V)]
+    loops = [(i, i) for i in range(V)]
+    into = lambda dst, srcs: [(j, dst) for j in srcs]
+    even = loops + ring + into(5, range(5))
+    odd = ([e for e in even if e != (2, 2)] if kind == "self-loop"
+           else loops + ring[:-1]) + into(6, range(6))
+    return dp.RunConfig(
+        game=dp.linear_demand_game([-20.0 - 5.0 * i for i in range(V)], [-5.0] * V, [5.0] * V),
+        graph=dp.GraphSchedule.periodic(V, [even, odd], require_self_loops=False),
+        delays=dp.DelaySchedule.fixed(2, comm={(2, 1): 2, (5, 4): 1}, feedback={2: 1}),
+        horizon=40, seed=42, b_window=1)
+
+
+_ROUND_CHECKS = [("delay-bounds", True, "delays within [0, 2], tau_ii = 0"),
+                 ("row-stochastic", True, "max row-sum error 2.22e-16"),
+                 ("augmented-row-stochastic", True, "max row-sum error 1.11e-16")]
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("self-loop", [("self-loops", False, "missing self-loop, first at (agent, t) = (2, 1)"),
+                   ("connectivity(B=1)", True, "strongly connected on every window"),
+                   *_ROUND_CHECKS,
+                   ("oracle-equivalence", False,
+                    "run failed: y_ii = 0.000e+00 at t=2; self-loop structure violated")]),
+    ("disconnected", [("self-loops", True, "all agents have self-loops"),
+                      ("connectivity(B=1)", False, "first violating window (1, 1)"),
+                      *_ROUND_CHECKS,
+                      ("oracle-equivalence", True, "max |run - augmented reference| = 2.73e-12"
+                       " (state scale 3.8e+03) over T=40")]),
+])
+def test_verify_entries_when_a_violating_phase_recurs(kind, expected):
+    # the entries a round-by-round check of every window and round gives
+    assert cli.verify_checks(_recurring_violation(kind)) == expected
+
+
 def test_sweep_epsilon_axis(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", "--preset", "fig2-baseline", "--horizon", "120",
@@ -307,6 +349,7 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 _PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta": 1.0}
+_GRAPH = {**cli.benchmark_graph().to_descriptor(), "b_window": 1}
 
 
 @pytest.mark.parametrize("key, value", [
@@ -335,6 +378,20 @@ _PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta":
     ("delays", {"tau_max": 2, "comm": {"type": "fixed", "entries": [[7, 1, 2]]}}),
     ("delays", {"tau_max": 2, "feedback": {"type": "fixed", "entries": [[9, 1]]}}),
     ("delays", {"tau_max": 2, "comm": {"type": "fixed", "entries": [[2, 2, 1]]}}),
+    # integer fields take JSON integers only, and boolean fields true or false
+    ("horizon", 3.7),
+    ("horizon", "3"),
+    ("seed", 1.9),
+    ("seed", True),
+    ("delays", {"tau_max": 10.9}),
+    ("delays", {"tau_max": 2, "comm": {"type": "uniform", "low": 0, "high": 1.5}}),
+    ("delays", {"tau_max": 2, "comm": {"type": "fixed", "entries": [[3, 1, 1.5]]}}),
+    ("delays", {"tau_max": 2, "seed": 1.5}),
+    ("graph", {**_GRAPH, "b_window": 1.5}),
+    ("graph", {**_GRAPH, "num_agents": 5.0}),
+    ("graph", {**_GRAPH, "validate_connectivity": "false"}),
+    ("graph", {**_GRAPH, "require_self_loops": "false"}),
+    ("privacy", {**_PRIVATE, "shared_draw": "false"}),
     # sweep members are validated like the config they come from
     ("sweep", ["--axis", "seed", "--values", "-1"]),
     ("sweep", ["--axis", "gamma", "--values", "nan"]),

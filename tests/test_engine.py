@@ -511,3 +511,67 @@ def test_non_finite_state_raises_naming_round_and_agent(execute):
     cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=6, game=diverging_cournot())
     with pytest.raises(NonFiniteStateError, match="round 2, agent 0"):
         execute(cfg)
+
+
+# ---------------------------------------------------------------------------
+# per-phase values
+
+
+@pytest.mark.parametrize("name, calls", [("fig5-fixed-delay", 2), ("fig7-random-delays-private", 50)])
+def test_twin_calls_augment_once_per_phase_unless_delays_are_drawn(name, calls, monkeypatch):
+    # fig5 alternates two edge sets under fixed delays; fig7 draws D every round
+    built = []
+    augment = dp.augment
+
+    def counting(*args):
+        built.append(args[0])
+        return augment(*args)
+
+    cfg = dataclasses.replace(preset(name), horizon=50)
+    uncached = _AugmentedWorld(cfg)
+    uncached._tops = None  # every round's blocks straight from augment
+    expected = dp.engine._execute(uncached, 0.0)
+    monkeypatch.setattr(dp.engine, "augment", counting)
+    twin = dp.run_augmented_reference(cfg)
+    assert len(built) == calls
+    for field in ("b", "x", "x_hat", "v", "y_diag"):
+        assert np.array_equal(getattr(twin, field), getattr(expected, field)), field
+
+
+def test_procedural_schedule_alternating_edge_sets_matches_hand_reference(cournot):
+    # a procedural schedule builds each round's message list afresh: one kept
+    # from the other edge set would send to the wrong receivers
+    ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    sets = [ring + [(0, 2), (1, 3)], ring + [(2, 0), (4, 1), (3, 1)]]
+    graph = dp.GraphSchedule.procedural(5, lambda t: sets[t % 2])
+    delays = dp.DelaySchedule.fixed(2, comm={(3, 1): 2, (0, 2): 1, (1, 4): 1})
+    T, V = 40, 5
+    res = dp.run(bench_cfg(graph=graph, delays=delays, horizon=T))
+
+    b, x = np.zeros((V, 1)), bench_init()
+    xh, v, Y = x.copy(), x.copy(), np.eye(V)  # identity psi
+    inbox = {}  # arrival round -> stacked (sum_b, sum_v)
+    for t in range(T):
+        A = np.eye(V)
+        for src, dst in sets[t % 2]:
+            A[dst, src] = 1.0
+        W = A / A.sum(axis=1, keepdims=True)
+        for i in range(V):
+            for j in range(V):
+                if i != j and W[i, j] > 0:
+                    sums = inbox.setdefault(t + delays.comm_delay(i, j, t), np.zeros((2, V, 1)))
+                    sums[0, i] += W[i, j] * b[j]
+                    sums[1, i] += W[i, j] * v[j]
+        sum_b, sum_v = inbox.pop(t, np.zeros((2, V, 1)))
+        g = np.stack([cournot.local_gradient(i, t, x[i], v[i]) for i in range(V)])
+        w_self = np.diag(W)[:, None]
+        b_new = w_self * b + sum_b + g / np.diag(Y)[:, None]
+        Y = W @ Y
+        x_new = dp.project(b_new, step_size(1.0, t + 1), cournot.box_lo, cournot.box_hi)
+        xh_new = ((t + 1) * xh + x_new) / (t + 2)
+        v = w_self * v + sum_v + xh_new - xh
+        b, x, xh = b_new, x_new, xh_new
+        np.testing.assert_allclose(res.b[t + 1], b, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(res.x[t + 1], x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.v[t + 1], v, rtol=1e-12, atol=1e-9)
+    assert res.messages_enqueued == sum(len(sets[t % 2]) for t in range(T))

@@ -50,6 +50,19 @@ def test_weights_are_built_once_per_phase_and_read_only():
     assert not static.weights_at(0).flags.writeable
 
 
+def test_phase_lists_messages_sender_by_sender_once_per_edge_set(bench_graph):
+    for t in range(2):
+        phase = bench_graph.phase_at(t)
+        assert bench_graph.phase_at(t + 2) is phase and bench_graph.weights_at(t) is phase.weights
+        assert all(not a.flags.writeable for a in phase[1:])
+        W = phase.weights
+        messages = [(j, i) for j in range(5) for i in range(5) if i != j and W[i, j] > 0]
+        assert list(zip(phase.sender.tolist(), phase.receiver.tolist())) == messages
+        assert phase.w_msg.tolist() == [[W[i, j]] for j, i in messages]
+        assert phase.w_self.tolist() == [[w] for w in np.diag(W)]
+    assert len(bench_graph.phase_at(0).sender) == len(bench_graph.phase_at(1).sender) + 1
+
+
 def test_procedural_weights_are_rebuilt_every_call():
     sched = dp.GraphSchedule.procedural(3, lambda t: [(t % 3, (t + 1) % 3)])
     assert sched.weights_at(0) is not sched.weights_at(3)
@@ -285,6 +298,39 @@ def test_fixed_delay_blocks_and_entries_a_run_would_ignore():
     assert "[7, 1, 1]" in errors[1] and "[9, 3]" in errors[2]
     assert dp.DelaySchedule.fixed(3, comm={(3, 1): 2}, feedback={4: 1}).entry_errors(5) == []
     assert dp.DelaySchedule.uniform(3).entry_errors(5) == []
+
+
+@pytest.mark.parametrize("delays", [
+    dp.DelaySchedule.none(),
+    dp.DelaySchedule(3),
+    dp.DelaySchedule.fixed(3, comm={(3, 1): 2, (0, 4): 3, (6, 1): 1}, feedback={1: 2, 4: 3, 8: 1}),
+    dp.DelaySchedule(3, {"type": "fixed", "entries": {(2, 0): 1}}, {"type": "none"}),
+], ids=["none", "tau_max-3", "fixed", "fixed-comm-only"])
+def test_constant_delay_rule_returns_one_read_only_array_per_agent_count(delays):
+    # the matrix and vector a rule that draws nothing would build afresh,
+    # entry by entry, for each agent count
+    def built(V):
+        D, tau = np.zeros((V, V), dtype=int), np.zeros(V, dtype=int)
+        for (i, j), d in delays.comm.get("entries", {}).items():
+            if i < V and j < V and i != j:
+                D[i, j] = d
+        for i, d in delays.feedback.get("entries", {}).items():
+            if i < V:
+                tau[i] = d
+        return D, tau
+
+    for V in (5, 9):
+        D, tau = delays.comm_matrix(0, V), delays.feedback_delays(0, V)
+        expect_D, expect_tau = built(V)
+        assert D.dtype == expect_D.dtype and np.array_equal(D, expect_D)
+        assert tau.dtype == expect_tau.dtype and np.array_equal(tau, expect_tau)
+        assert not D.flags.writeable and not tau.flags.writeable
+        for t in (1, 2, 7, 10 ** 6):
+            assert delays.comm_matrix(t, V) is D and delays.feedback_delays(t, V) is tau
+    assert delays.comm_matrix(3, 5) is not delays.comm_matrix(3, 9)
+    # a schedule that draws rebuilds every round
+    drawn = dp.DelaySchedule.uniform(3, seed=1)
+    assert drawn.comm_matrix(2, 5) is not drawn.comm_matrix(2, 5)
 
 
 def test_procedural_schedule_rule():

@@ -5,6 +5,7 @@ and change nothing in it.
 """
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from dpgames import metrics
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
+import pipeline  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -57,3 +59,23 @@ def test_scale_oracle_meets_the_benchmark_kkt_gate():
     sol = metrics.ne_oracle(game, 0, tol=tol)
     bound = tol * game.grad_lipschitz ** 2 / game.mu
     assert metrics.kkt_max_violation(game, 0, sol.x_star) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_repetition_records_the_gated_spans(name, tmp_path):
+    # the gates a traced benchmark run applies to every repetition: the
+    # required spans are recorded, the span tree partitions the wall time,
+    # and every patched binding holds its original afterwards
+    workload = workloads.WORKLOADS[name]
+    cfg = workload.config(7, horizon=4)
+    tracer = tracing.Tracer(cfg.graph.edges_at)
+    with tracer.installed():
+        start = time.perf_counter_ns()
+        pipeline.repetition(workload, cfg, cfg.resolved_game(), tmp_path, tracer)
+        end = time.perf_counter_ns()
+    required = set(layers.REQUIRED_SPANS)
+    if cfg.noise.enabled or cfg.delays.comm["type"] == "uniform":
+        required.update(layers.RANDOM_SPANS)
+    assert required <= {span for _, span in tracer.aggregate()}
+    assert tracer.accounting_error(start, end) is None
+    assert tracer.restored()
