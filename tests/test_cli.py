@@ -378,6 +378,10 @@ _GRAPH = {**cli.benchmark_graph().to_descriptor(), "b_window": 1}
     ("delays", {"tau_max": 2, "comm": {"type": "fixed", "entries": [[7, 1, 2]]}}),
     ("delays", {"tau_max": 2, "feedback": {"type": "fixed", "entries": [[9, 1]]}}),
     ("delays", {"tau_max": 2, "comm": {"type": "fixed", "entries": [[2, 2, 1]]}}),
+    # sweep members are validated like the config they come from
+    ("sweep", ["--axis", "seed", "--values", "-1"]),
+    ("sweep", ["--axis", "gamma", "--values", "nan"]),
+    ("sweep", ["--axis", "T", "--values", "2.7"]),
     # integer fields take JSON integers only, and boolean fields true or false
     ("horizon", 3.7),
     ("horizon", "3"),
@@ -392,10 +396,6 @@ _GRAPH = {**cli.benchmark_graph().to_descriptor(), "b_window": 1}
     ("graph", {**_GRAPH, "validate_connectivity": "false"}),
     ("graph", {**_GRAPH, "require_self_loops": "false"}),
     ("privacy", {**_PRIVATE, "shared_draw": "false"}),
-    # sweep members are validated like the config they come from
-    ("sweep", ["--axis", "seed", "--values", "-1"]),
-    ("sweep", ["--axis", "gamma", "--values", "nan"]),
-    ("sweep", ["--axis", "T", "--values", "2.7"]),
 ])
 def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
     """A bad config value, a bad ``--option`` override of a good config, or
