@@ -46,6 +46,22 @@ class ConfigError(ValueError):
 # Config <-> dict <-> file
 
 
+def _parsed(errors: list, prefix: str, parse, *args, default=None):
+    """``parse(*args)``, or ``default`` once what it raised is itemized in ``errors``."""
+    try:
+        return parse(*args)
+    except _MALFORMED as e:
+        errors.append(prefix + str(e))
+        return default
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float when it is a number and not a bool; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     errors = []
     unknown = set(raw) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
@@ -66,62 +82,40 @@ def config_from_dict(raw: dict) -> RunConfig:
     else:
         errors.append(f"unknown game {game!r}; registered: {sorted(GAME_REGISTRY)}")
 
-    scalars = {}
-    for key, default in (("horizon", None), ("seed", 0)):
-        try:
-            scalars[key] = strict_int(raw.get(key, default), key)
-        except TypeError as e:
-            errors.append(str(e))
-    try:
-        scalars["gamma"] = float(raw.get("gamma", 1.0))
-    except _MALFORMED:
-        errors.append(f"gamma must be a number, got {raw.get('gamma')!r}")
+    scalars = {key: _parsed(errors, "", strict_int, raw.get(key, default), key)
+               for key, default in (("horizon", None), ("seed", 0))}
+    scalars["gamma"] = _parsed(errors, "", _number, raw.get("gamma", 1.0), "gamma")
 
+    # each graph key is read on its own, so one bad value hides no other
     graph, b_window, validate_conn = None, 1, False
-    try:
-        graph_block = dict(raw["graph"])
-        b_window = strict_int(graph_block.pop("b_window", 1), "b_window")
-        validate_conn = strict_bool(graph_block.pop("validate_connectivity", False),
-                                    "validate_connectivity")
+    graph_block = _parsed(errors, "graph: ", dict, raw["graph"])
+    if graph_block is not None:
+        b_window = _parsed(errors, "graph: ", strict_int, graph_block.pop("b_window", 1), "b_window")
+        validate_conn = _parsed(errors, "graph: ", strict_bool,
+                                graph_block.pop("validate_connectivity", False),
+                                "validate_connectivity")
         # the agent count is compared before the graph is built, which takes
         # time and memory per agent; an unknown game (reported above) skips both
-        n = strict_int(graph_block["num_agents"], "num_agents")
-        if num_agents is not None and n != num_agents:
-            errors.append(f"graph has {n} agents, game has {num_agents}")
-        elif num_agents is not None:
-            graph = GraphSchedule.from_descriptor(graph_block)
-    except _MALFORMED as e:
-        errors.append(f"graph: {e}")
+        n = _parsed(errors, "graph: ", lambda: strict_int(graph_block["num_agents"], "num_agents"))
+        if n is not None and num_agents is not None:
+            if n != num_agents:
+                errors.append(f"graph has {n} agents, game has {num_agents}")
+            else:
+                graph = _parsed(errors, "graph: ", GraphSchedule.from_descriptor, graph_block)
 
     delays = DelaySchedule.none()
     if "delays" in raw:
-        try:
-            delays = DelaySchedule.from_descriptor(raw["delays"])
-        except _MALFORMED as e:
-            errors.append(f"delays: {e}")
+        delays = _parsed(errors, "delays: ", DelaySchedule.from_descriptor, raw["delays"])
 
-    noise = NoiseConfig.off()
-    if raw.get("privacy") is not None:
-        try:
-            noise = NoiseConfig.from_descriptor(raw["privacy"])
-        except _MALFORMED as e:
-            errors.append(f"privacy: {e}")
+    noise = _parsed(errors, "privacy: ", NoiseConfig.from_descriptor, raw.get("privacy"))
 
     x0 = None
     if raw.get("init") is not None:
-        try:
-            x0 = np.asarray(raw["init"], dtype=float)
-        except _MALFORMED as e:
-            errors.append(f"init: {e}")
-        else:
-            if x0.ndim == 1:
-                x0 = x0[:, None]
+        x0 = _parsed(errors, "init: ", np.asarray, raw["init"], float)
+        if x0 is not None and x0.ndim == 1:
+            x0 = x0[:, None]
 
-    output = {}
-    try:
-        output = dict(raw.get("output") or {})
-    except _MALFORMED as e:
-        errors.append(f"output: {e}")
+    output = _parsed(errors, "output: ", dict, raw.get("output") or {}, default={})
     fmt = output.get("format", "tabular")
     if fmt not in ("tabular", "object-lines"):
         errors.append(f"output format must be 'tabular' or 'object-lines', got {fmt!r}")

@@ -27,8 +27,10 @@ Records fill preallocated arrays; losses are computed after the loop.
 
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
-snapshots, kept in a third ring of that shape by send round; it serves as
-an independent oracle for the arrival ring.
+snapshots: each round's snapshot is contracted once, when it is sent, with
+the round's ``delay_blocks`` built from its (W, D), and every relay stage of
+the result is kept by send round. It reads neither the arrival ring nor the
+message list, and serves as an independent oracle for the arrival ring.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .game import GameSpec, _sum_in_order, resolve_game
-from .graph import (DelaySchedule, GraphSchedule, Phase, augment, eigenvector_floor,
+from .graph import (DelaySchedule, GraphSchedule, Phase, delay_blocks, eigenvector_floor,
                     validate_b_connectivity)
 from .privacy import (NoiseConfig, PrivacyLedger, sample_noise, sensitivity_bound,
                       substream, STREAM_NOISE, STREAM_NOISE_AGGREGATE)
@@ -386,50 +388,46 @@ def run(config: RunConfig) -> RunResult:
 class _AugmentedWorld(World):
     """Oracle twin: virtual relay chains instead of the arrival ring.
 
-    Slot s mod (tau_max + 1) holds the noised (b, v) snapshot sent at s and
-    the top block row of the augmented matrix built at s, block 0's diagonal
-    zeroed (self terms use raw values). Stage r of round t reads slot
-    (t - r) mod (tau_max + 1); one contraction over r reproduces the arrival
-    sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r} term by term.
+    Round s's ``delay_blocks`` W^0(s) .. W^tau_max(s), built from its (W, D)
+    with block 0's diagonal zeroed (self terms use raw values), contract the
+    noised (b, v) snapshot sent at s once, at send time: slot s mod
+    (tau_max + 1) of ``carried`` holds W^r(s) @ (b~, v~)(s) for every stage
+    r. Round t sums entry r of slot (t - r) mod (tau_max + 1) over r, which
+    reproduces the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}
+    term by term without reading the arrival ring or the message list.
 
     When the schedule is static or periodic and the comm-delay rule draws
-    nothing, (W, D) is a function of the edge set, so each edge set's top
-    block row is built by ``augment`` once and reused.
+    nothing, (W, D) is a function of the edge set, so each edge set's blocks
+    are built once and reused.
     """
 
     def __init__(self, config: RunConfig):
         super().__init__(config)
-        slots = self.delays.tau_max + 1
-        self.sent = np.zeros((slots, self.V, 2 * self.m))  # (b~, v~) sent at s
-        self.blocks = np.zeros((slots, slots, self.V, self.V))  # [s, r]: block r built at s
+        slots = len(self.states)
+        self.carried = np.zeros((slots, slots, self.V, 2 * self.m))  # [s, r]: W^r(s) @ (b~, v~)(s)
         by_phase = self.graph.kind != "procedural" and self.delays.comm["type"] != "uniform"
-        self._tops: Optional[dict] = {} if by_phase else None  # edge set -> (slots, V, V)
+        self._blocks: Optional[dict] = {} if by_phase else None  # edge set -> (slots, V, V)
 
-    def _top(self, t: int, phase: Phase) -> np.ndarray:
+    def _blocks_at(self, t: int, phase: Phase) -> np.ndarray:
         """Blocks W^0 .. W^tau_max of round t, block 0's diagonal zeroed."""
-        top = None if self._tops is None else self._tops.get(phase.edges)
-        if top is None:
-            V, slots = self.V, len(self.sent)
-            A = augment(phase.weights, self.delays.comm_matrix(t, V), slots - 1)
-            top = A[:V].reshape(V, slots, V).swapaxes(0, 1)
-            np.fill_diagonal(top[0], 0.0)  # self term uses the raw value
-            if self._tops is not None:
-                top = self._tops[phase.edges] = top.copy()  # not the whole of A
-        return top
+        blocks = None if self._blocks is None else self._blocks.get(phase.edges)
+        if blocks is None:
+            blocks = delay_blocks(phase.weights, self.delays.comm_matrix(t, self.V),
+                                  self.delays.tau_max)
+            np.fill_diagonal(blocks[0], 0.0)  # self term uses the raw value
+            if self._blocks is not None:
+                self._blocks[phase.edges] = blocks
+        return blocks
 
     def step(self) -> None:
-        t = self.t
-        m = self.m
-        slots = len(self.sent)
+        t, m, slots = self.t, self.m, len(self.carried)
         phase = self.graph.phase_at(t)
-        k = t % slots
-        self.blocks[k] = self._top(t, phase)
         b_tilde, v_tilde, sigma_t = self._noised(t)
-        self.sent[k] = np.concatenate((b_tilde, v_tilde), axis=1)
+        np.matmul(self._blocks_at(t, phase), np.concatenate((b_tilde, v_tilde), axis=1),
+                  out=self.carried[t % slots])
 
         r = np.arange(min(t, slots - 1) + 1)  # stages that have carried a snapshot
-        s = (t - r) % slots
-        arrived = (self.blocks[s, r] @ self.sent[s]).sum(axis=0)
+        arrived = self.carried[(t - r) % slots, r].sum(axis=0)
         self._apply_updates(t, phase, arrived[:, :m], arrived[:, m:], sigma_t)
 
 

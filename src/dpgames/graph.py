@@ -20,8 +20,6 @@ from .privacy import substream, STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY
 
 Edge = tuple[int, int]
 
-ROW_SUM_TOL = 1e-12
-
 
 class ScheduleError(ValueError):
     """Raised for malformed graph schedules (empty in-neighborhood, bad edges)."""
@@ -400,9 +398,6 @@ class ConnectivityReport:
     window_length: int
     first_violation: Optional[tuple[int, int]] = None  # [start, end] inclusive
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate_b_connectivity(schedule: GraphSchedule, b_window: int, horizon: int) -> ConnectivityReport:
     """Check that the union edge set over every window [kB, (k+1)B - 1] inside
@@ -445,16 +440,13 @@ def _strongly_connected(adj: np.ndarray) -> bool:
 # Augmented delay matrix
 
 
-def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
-    """Augmented matrix on V' = V(1 + tau_max) nodes for one time step.
+def delay_blocks(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
+    """The (tau_max + 1, V, V) stack of one round's delay blocks W^0 ..
+    W^tau_max, with ``W^r[i, j] = W[i, j]`` exactly when ``delays[i, j] == r``:
+    each weight lands in exactly one block, so the blocks sum to W.
 
-    The top block row holds W^0 .. W^tau_max with ``W^r[i, j] = W[i, j]``
-    exactly when ``delays[i, j] == r`` (each original weight lands in exactly
-    one block, so the result stays row stochastic). Sub-diagonal identity
-    blocks shift the virtual relay chain one stage per step.
-
-    Each call validates and builds a new matrix. The twin and verify call it
-    once per (W, D) phase when neither is rebuilt per round, else per round.
+    Raises ValueError unless W is square and row stochastic and D has its
+    shape, and DelayRangeError for a delay outside [0, tau_max] or tau_ii != 0.
     """
     W = np.asarray(weights, dtype=float)
     V = W.shape[0]
@@ -468,13 +460,23 @@ def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray
     if D.min() < 0 or D.max() > tau_max:
         raise DelayRangeError(
             f"delay entries span [{D.min()}, {D.max()}], outside [0, {tau_max}]")
-    if np.any(np.diag(D) != 0):
+    if D.diagonal().any():
         raise DelayRangeError("self delays tau_ii must be zero")
+    return np.where(D == np.arange(tau_max + 1)[:, None, None], W, 0.0)
 
-    S = tau_max + 1
+
+def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
+    """Augmented matrix on V' = V(1 + tau_max) nodes for one time step.
+
+    The top block row holds the ``delay_blocks`` W^0 .. W^tau_max side by
+    side (each original weight lands in exactly one block, so the result
+    stays row stochastic). Sub-diagonal identity blocks shift the virtual
+    relay chain one stage per step. Validates as ``delay_blocks`` does.
+    """
+    blocks = delay_blocks(weights, delays, tau_max)
+    S, V = blocks.shape[:2]
     A = np.zeros((V * S, V * S))
-    # W^r[i, j] = W[i, j] if D[i, j] == r, laid out side by side as A[i, r V + j]
-    A[:V] = np.where(D == np.arange(S)[:, None, None], W, 0.0).transpose(1, 0, 2).reshape(V, -1)
+    A[:V] = blocks.transpose(1, 0, 2).reshape(V, -1)  # W^r[i, j] at A[i, r V + j]
     relay = np.arange(V, V * S)
     A[relay, relay - V] = 1.0  # stage r - 1 of agent i feeds stage r
     return A
@@ -509,13 +511,22 @@ def mixing_diagnostics(schedule: GraphSchedule, delays: DelaySchedule,
 
     C and lambda come from least squares on log deviations of the product
     anchored at t=0 against its limiting row.
+
+    When the schedule is static or periodic and the comm-delay rule draws
+    nothing, (W, D) is a function of the edge set, so each edge set's
+    augmented matrix is built once and shared by its rounds.
     """
     if horizon < 5:
         raise DiagnosticsError(f"horizon {horizon} too short for mixing diagnostics")
     V = schedule.num_agents
-    tau = delays.tau_max
-    mats = [augment(schedule.weights_at(t), delays.comm_matrix(t, V), tau)
-            for t in range(horizon)]
+    by_phase = schedule.kind != "procedural" and delays.comm["type"] != "uniform"
+    built = {}  # edge set (or round, when the matrix may differ every round) -> matrix
+    mats = []
+    for t in range(horizon):
+        key = schedule.edges_at(t) if by_phase else t
+        if key not in built:
+            built[key] = augment(schedule.weights_at(t), delays.comm_matrix(t, V), delays.tau_max)
+        mats.append(built[key])
     Vp = mats[0].shape[0]
 
     prods = []

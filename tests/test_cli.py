@@ -396,6 +396,9 @@ _GRAPH = {**cli.benchmark_graph().to_descriptor(), "b_window": 1}
     ("graph", {**_GRAPH, "validate_connectivity": "false"}),
     ("graph", {**_GRAPH, "require_self_loops": "false"}),
     ("privacy", {**_PRIVATE, "shared_draw": "false"}),
+    # gamma takes a JSON number, not a string or a boolean
+    ("gamma", "0.5"),
+    ("gamma", True),
 ])
 def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
     """A bad config value, a bad ``--option`` override of a good config, or
@@ -416,6 +419,22 @@ def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, ca
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("bad, expected", [
+    ({"b_window": 1.5, "validate_connectivity": "false", "edge_sets": [[[0, 9]]]},
+     ["b_window", "validate_connectivity", "edge (0, 9)"]),
+    ({"b_window": 1.5, "num_agents": 5.0}, ["b_window", "num_agents"]),
+])
+def test_each_bad_graph_key_is_itemized(bad, expected):
+    # one bad graph key hides none of the others
+    d = config_to_dict(preset("fig2-baseline"))
+    d["graph"] = {**_GRAPH, **bad}
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(d)
+    assert len(exc.value.errors) == len(expected)
+    for error, key in zip(exc.value.errors, expected):
+        assert error.startswith("graph: ") and key in error
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

@@ -517,23 +517,38 @@ def test_non_finite_state_raises_naming_round_and_agent(execute):
 # per-phase values
 
 
+class _AugmentCutTwin(_AugmentedWorld):
+    """The twin with every round's blocks cut from the top block row of
+    ``augment(W, D)``, block 0's diagonal zeroed, and nothing cached.
+    """
+
+    def _blocks_at(self, t, phase):
+        V, slots = self.V, len(self.carried)
+        A = dp.augment(phase.weights, self.delays.comm_matrix(t, V), slots - 1)
+        blocks = np.ascontiguousarray(A[:V].reshape(V, slots, V).swapaxes(0, 1))
+        np.fill_diagonal(blocks[0], 0.0)
+        return blocks
+
+
 @pytest.mark.parametrize("name, calls", [("fig5-fixed-delay", 2), ("fig7-random-delays-private", 50)])
-def test_twin_calls_augment_once_per_phase_unless_delays_are_drawn(name, calls, monkeypatch):
+def test_twin_builds_delay_blocks_once_per_phase_unless_delays_are_drawn(name, calls, monkeypatch):
     # fig5 alternates two edge sets under fixed delays; fig7 draws D every round
-    built = []
-    augment = dp.augment
-
-    def counting(*args):
-        built.append(args[0])
-        return augment(*args)
-
-    cfg = dataclasses.replace(preset(name), horizon=50)
-    uncached = _AugmentedWorld(cfg)
-    uncached._tops = None  # every round's blocks straight from augment
-    expected = dp.engine._execute(uncached, 0.0)
-    monkeypatch.setattr(dp.engine, "augment", counting)
-    twin = dp.run_augmented_reference(cfg)
+    built, augmented = [], []
+    blocks, augment = dp.engine.delay_blocks, dp.graph.augment
+    monkeypatch.setattr(dp.engine, "delay_blocks", lambda *args: built.append(args) or blocks(*args))
+    for module in (dp.graph, dp.engine):  # every binding the twin could resolve
+        monkeypatch.setattr(module, "augment", lambda *args: augmented.append(args) or augment(*args),
+                            raising=False)
+    dp.run_augmented_reference(dataclasses.replace(preset(name), horizon=50))
     assert len(built) == calls
+    assert augmented == []
+
+
+@pytest.mark.parametrize("name", ["fig5-fixed-delay", "fig7-random-delays-private"])
+def test_twin_equals_a_twin_whose_blocks_are_cut_from_augment(name):
+    cfg = dataclasses.replace(preset(name), horizon=50)
+    twin = dp.run_augmented_reference(cfg)
+    expected = dp.engine._execute(_AugmentCutTwin(cfg), 0.0)
     for field in ("b", "x", "x_hat", "v", "y_diag"):
         assert np.array_equal(getattr(twin, field), getattr(expected, field)), field
 

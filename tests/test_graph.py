@@ -160,6 +160,67 @@ def test_augment_rejects_out_of_range_delay():
         dp.augment(W, D, 3)
 
 
+def _raised(fn, *args):
+    with pytest.raises(Exception) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+def test_delay_blocks_reject_what_augment_rejects_with_the_same_error():
+    W = complete_graph(3).weights_at(0)
+    D = np.zeros((3, 3), dtype=int)
+    out_of_range, self_delay = D.copy(), D.copy()
+    out_of_range[0, 1] = 4
+    self_delay[1, 1] = 1
+    bad = [(W[:2], D, 3),                        # not square
+           (W * 1.5, D, 3),                      # not row stochastic
+           (W, out_of_range, 3),                 # a delay above tau_max
+           (W, -out_of_range, 3),                # a negative delay
+           (W, self_delay, 3),                   # tau_ii != 0
+           (W, D[:2], 3)]                        # D not W's shape
+    for args in bad:
+        raised = _raised(dp.delay_blocks, *args)
+        assert raised == _raised(dp.augment, *args)
+        assert raised[0] in (ValueError, DelayRangeError)
+
+
+def test_delay_blocks_partition_the_weights():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        V, tau = int(rng.integers(1, 8)), int(rng.integers(0, 6))
+        W = rng.random((V, V)) * (rng.random((V, V)) < 0.6) + np.eye(V)
+        W /= W.sum(axis=1, keepdims=True)
+        D = rng.integers(0, tau + 1, size=(V, V))
+        np.fill_diagonal(D, 0)
+        blocks = dp.delay_blocks(W, D, tau)
+        assert blocks.shape == (tau + 1, V, V)
+        assert np.array_equal(blocks.sum(axis=0), W)
+        # each positive weight sits in block D[i, j] and nowhere else
+        assert np.array_equal((blocks != 0).sum(axis=0), (W != 0).astype(int))
+        i, j = np.indices((V, V))
+        assert np.array_equal(blocks[D, i, j], W)
+
+
+def test_augment_equals_one_broadcast_where_plus_relays():
+    # the formula augment used before it was built on delay_blocks
+    def reference(W, D, tau_max):
+        V, S = len(W), tau_max + 1
+        A = np.zeros((V * S, V * S))
+        A[:V] = np.where(D == np.arange(S)[:, None, None], W, 0.0).transpose(1, 0, 2).reshape(V, -1)
+        relay = np.arange(V, V * S)
+        A[relay, relay - V] = 1.0
+        return A
+
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        V, tau = int(rng.integers(1, 9)), int(rng.integers(0, 8))
+        W = rng.random((V, V)) * (rng.random((V, V)) < 0.5) + np.eye(V) * rng.random()
+        W /= W.sum(axis=1, keepdims=True)
+        D = rng.integers(0, tau + 1, size=(V, V))
+        np.fill_diagonal(D, 0)
+        assert np.array_equal(dp.augment(W, D, tau), reference(W, D, tau))
+
+
 def test_backward_products_contract_to_rank_one():
     # row range of the backward product is nonincreasing and -> 0
     rng = np.random.default_rng(11)
@@ -226,6 +287,22 @@ def test_mixing_benchmark_real_agent_floor(bench_graph):
     assert np.abs(trace_sums - 1.0).max() < 1e-12
     # virtual stages with no mass at some t sit at exactly zero
     assert md.min_pi_all == 0.0
+
+
+def test_mixing_builds_each_phase_once_and_equals_a_per_round_build(monkeypatch):
+    # fig5 alternates two edge sets under fixed delays; the same rule as a
+    # procedural schedule builds every round's matrix
+    from dpgames.cli import preset
+    cfg = preset("fig5-fixed-delay")
+    per_round = dp.mixing_diagnostics(
+        dp.GraphSchedule.procedural(5, cfg.graph.edges_at), cfg.delays, 400)
+    built = []
+    augment = dp.graph.augment
+    monkeypatch.setattr(dp.graph, "augment", lambda *args: built.append(args) or augment(*args))
+    md = dp.mixing_diagnostics(cfg.graph, cfg.delays, 400)
+    assert len(built) == 2
+    for name in dp.MixingDiagnostics.__dataclass_fields__:
+        assert np.array_equal(getattr(md, name), getattr(per_round, name)), name
 
 
 def test_mixing_rejects_disconnected_schedule():
