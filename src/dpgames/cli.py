@@ -1,10 +1,9 @@
 """Config loading, scenario presets, and the command-line front end.
 
 Subcommands: run, verify, sweep, presets, ne-oracle. Configuration files are
-JSON with keys game, graph, delays, privacy, horizon, gamma, init, seed,
-output (plus cold_start and run_id); see README for the schema. Records are
-written either as comma-separated tables with a header row or as one JSON
-object per line, UTF-8 with LF line endings.
+JSON laid out by the table ``SCHEMA``, which both reads and writes them; see
+README for the schema. Records are written either as comma-separated tables
+with a header row or as one JSON object per line, UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -12,6 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import reprlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,13 +23,10 @@ import numpy as np
 from . import engine, metrics
 from .engine import RunConfig, RunResult
 from .game import GAME_REGISTRY
-from .graph import (DelaySchedule, GraphSchedule, augment, strict_bool, strict_int,
+from .graph import (DelaySchedule, GraphSchedule, ScheduleError, augment,
                     validate_b_connectivity)
 from .privacy import NoiseConfig
 
-REQUIRED_KEYS = ("game", "graph", "horizon")
-OPTIONAL_KEYS = ("delays", "privacy", "gamma", "init", "seed", "output",
-                 "cold_start", "run_id")
 SWEEP_AXES = ("gamma", "epsilon", "tau_max", "seed", "T", "horizon")
 # what reading a malformed value or block of a config can raise
 _MALFORMED = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
@@ -43,130 +41,198 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config <-> dict <-> file
+# Config schema: one table, read by config_from_dict and written by
+# config_to_dict
 
 
-def _parsed(errors: list, prefix: str, parse, *args, default=None):
-    """``parse(*args)``, or ``default`` once what it raised is itemized in ``errors``."""
+REQUIRED = object()
+
+
+def _parser(what: str, ok, convert=lambda value: value):
+    def parse(value):
+        if not ok(value):
+            raise TypeError(f"must be {what}, got {reprlib.repr(value)}")
+        return convert(value)
+    return parse
+
+
+def _enum(choices):
+    """Parser passing a string in ``choices``, read when it is called."""
+    return _parser(f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices)
+
+
+def _rows(width: int, value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == width and all(type(v) is int for v in row)
+        for row in value)
+
+
+# exact types, so that a bool is never taken for an integer
+_integer = _parser("an integer", lambda v: type(v) is int)
+_boolean = _parser("true or false", lambda v: type(v) is bool)
+_string = _parser("a string", lambda v: type(v) is str)
+_number = _parser("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v), float)
+_object = _parser("an object", lambda v: isinstance(v, dict))
+_edges = _parser("a list of [src, dst] integer pairs", lambda v: _rows(2, v))
+_edge_sets = _parser("a list of edge lists", lambda v: isinstance(v, list) and all(
+    _rows(2, edges) for edges in v))
+
+
+def _rule(width: int) -> tuple:
+    """A delay rule's block: fixed entries are ``width``-integer rows, keyed by all but the last."""
+    entries = _parser(f"a list of rows of {width} integers", lambda v: _rows(width, v),
+                      lambda v: {(r[0] if width == 2 else tuple(r[:2])): r[-1] for r in v})
+    return (("type", {"none": (), "fixed": (("entries", entries, REQUIRED),),
+                      "uniform": (("low", _integer, 0), ("high", _integer, REQUIRED))},
+             REQUIRED),)
+
+
+_SCHEDULE = (("num_agents", _integer, REQUIRED), ("require_self_loops", _boolean, True))
+
+# Each block is a tuple of rows (key, parser, default). A parser is a
+# function, a nested block, or a selector: a dict from each value the key
+# may take to the rows that value adds to the block. A default of REQUIRED
+# makes a key required, a default of None lets it be absent or null (both
+# read as None), and any other default is read in place of an absent key.
+SCHEMA = (
+    ("game", _enum(GAME_REGISTRY), REQUIRED),
+    ("graph", (("type", {"static": _SCHEDULE + (("edges", _edges, REQUIRED),),
+                         "periodic": _SCHEDULE + (("edge_sets", _edge_sets, REQUIRED),)},
+                REQUIRED),
+               ("b_window", _integer, 1),
+               ("validate_connectivity", _boolean, False)), REQUIRED),
+    ("delays", (("tau_max", _integer, REQUIRED),
+                ("comm", _rule(3), {"type": "none"}),
+                ("feedback", _rule(2), {"type": "none"}),
+                ("seed", _integer, None)), {"tau_max": 0}),
+    ("privacy", (("sensitivity", _enum(("manual", "analytic")), "manual"),
+                 ("shared_draw", _boolean, True),
+                 ("mode", {"epsilon": (("epsilon", _number, REQUIRED),),
+                           "sigma": (("sigma", _number, REQUIRED),)}, REQUIRED),
+                 ("delta", _number, None)), None),
+    ("horizon", _integer, REQUIRED),
+    ("gamma", _number, 1.0),
+    ("init", lambda value: np.asarray(value, float), None),
+    ("seed", _integer, 0),
+    ("cold_start", _enum(("clamp", "zero")), "clamp"),
+    ("run_id", _string, "run"),
+    ("output", (("format", _enum(("tabular", "object-lines")), None),
+                ("path", _string, None)), {}),
+)
+
+
+def _read(rows, raw: dict, errors: list, prefix: str = "") -> dict:
+    """``raw`` parsed by ``rows``, each key on its own and every error itemized
+    under ``prefix``. A key that fails is left out, so building from it raises
+    KeyError; a selector that fails raises, as the rows it picks are unknown."""
+    out, rows = {}, list(rows)
+    for key, parse, default in rows:  # a selector extends ``rows`` as the loop runs
+        value = raw.get(key, default)
+        try:
+            if value is REQUIRED:
+                raise ValueError("missing")
+            if value is None and default is None:
+                out[key] = None
+            elif isinstance(parse, dict):
+                rows += parse[_enum(parse)(value)]
+                out[key] = value
+            elif isinstance(parse, tuple):
+                out[key] = _read(parse, _object(value), errors, f"{prefix}{key}: ")
+            else:
+                out[key] = parse(value)
+        except _MALFORMED as e:
+            if isinstance(parse, dict):
+                raise type(e)(f"{key}: {e}")
+            errors.append(f"{prefix}{key}: {e}")
+    unknown = raw.keys() - {key for key, _, _ in rows}
+    if unknown:
+        errors.append(f"{prefix}unknown keys {sorted(unknown)}")
+    return out
+
+
+def _write(rows, values: dict) -> dict:
+    """The entries of ``values`` that ``rows`` list, in their order; a selector's
+    key leads its block, and the rows its value picks stand in its place."""
+    out = {}
+    for key, parse, _ in (row for row in rows if row[0] in values):
+        v = values[key]
+        if isinstance(parse, dict):
+            out = {key: v, **out, **_write(parse[v], values)}
+        else:
+            out[key] = v if v is None or not isinstance(parse, tuple) else _write(parse, v)
+    return out
+
+
+def _built(errors: list, prefix: str, make):
+    """``make()``, or None once what it raised is itemized under ``prefix``."""
     try:
-        return parse(*args)
+        return make()
+    except KeyError:  # a key that failed to parse, itemized already
+        return None
     except _MALFORMED as e:
         errors.append(prefix + str(e))
-        return default
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float when it is a number and not a bool; TypeError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _schedule(g: dict, n: int) -> GraphSchedule:
+    """The parsed graph block's schedule, for a game of ``n`` agents."""
+    # the agent count is compared first: building takes time and memory per agent
+    if g["num_agents"] != n:
+        raise ValueError(f"{g['num_agents']} agents, but the game has {n}")
+    edges = g["edges" if g["type"] == "static" else "edge_sets"]
+    return getattr(GraphSchedule, g["type"])(n, edges, g["require_self_loops"])
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    """The config ``raw`` describes; ConfigError itemizes every bad key."""
     errors = []
-    unknown = set(raw) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
-    if unknown:
-        errors.append(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in REQUIRED_KEYS if k not in raw]
-    if missing:
-        errors.append(f"missing required keys: {missing}")
+    c = _read(SCHEMA, raw, errors)
+    g, d, p = c.get("graph", {}), c.get("delays", {}), c.get("privacy", {})
+    graph = _built(errors, "graph: ", lambda: _schedule(g, GAME_REGISTRY[c["game"]]().num_agents))
+    delays = _built(errors, "delays: ", lambda: DelaySchedule(
+        d["tau_max"], d["comm"], d["feedback"], d["seed"]))
+    noise = _built(errors, "privacy: ", lambda: NoiseConfig.off() if p is None else NoiseConfig(
+        p["mode"], sensitivity_mode=p["sensitivity"], delta=p["delta"],
+        shared_draw=p["shared_draw"], **{p["mode"]: p[p["mode"]]}))
     if errors:
         raise ConfigError(errors)
-
-    game = raw["game"]
-    if isinstance(game, dict):
-        game = game.get("name")
-    num_agents = None
-    if isinstance(game, str) and game in GAME_REGISTRY:
-        num_agents = GAME_REGISTRY[game]().num_agents
-    else:
-        errors.append(f"unknown game {game!r}; registered: {sorted(GAME_REGISTRY)}")
-
-    scalars = {key: _parsed(errors, "", strict_int, raw.get(key, default), key)
-               for key, default in (("horizon", None), ("seed", 0))}
-    scalars["gamma"] = _parsed(errors, "", _number, raw.get("gamma", 1.0), "gamma")
-
-    # each graph key is read on its own, so one bad value hides no other
-    graph, b_window, validate_conn = None, 1, False
-    graph_block = _parsed(errors, "graph: ", dict, raw["graph"])
-    if graph_block is not None:
-        b_window = _parsed(errors, "graph: ", strict_int, graph_block.pop("b_window", 1), "b_window")
-        validate_conn = _parsed(errors, "graph: ", strict_bool,
-                                graph_block.pop("validate_connectivity", False),
-                                "validate_connectivity")
-        # the agent count is compared before the graph is built, which takes
-        # time and memory per agent; an unknown game (reported above) skips both
-        n = _parsed(errors, "graph: ", lambda: strict_int(graph_block["num_agents"], "num_agents"))
-        if n is not None and num_agents is not None:
-            if n != num_agents:
-                errors.append(f"graph has {n} agents, game has {num_agents}")
-            else:
-                graph = _parsed(errors, "graph: ", GraphSchedule.from_descriptor, graph_block)
-
-    delays = DelaySchedule.none()
-    if "delays" in raw:
-        delays = _parsed(errors, "delays: ", DelaySchedule.from_descriptor, raw["delays"])
-
-    noise = _parsed(errors, "privacy: ", NoiseConfig.from_descriptor, raw.get("privacy"))
-
-    x0 = None
-    if raw.get("init") is not None:
-        x0 = _parsed(errors, "init: ", np.asarray, raw["init"], float)
-        if x0 is not None and x0.ndim == 1:
-            x0 = x0[:, None]
-
-    output = _parsed(errors, "output: ", dict, raw.get("output") or {}, default={})
-    fmt = output.get("format", "tabular")
-    if fmt not in ("tabular", "object-lines"):
-        errors.append(f"output format must be 'tabular' or 'object-lines', got {fmt!r}")
-
-    if errors:
-        raise ConfigError(errors)
-
     cfg = RunConfig(
-        game=game, graph=graph, delays=delays, noise=noise,
-        horizon=scalars["horizon"], gamma=scalars["gamma"],
-        x0=x0, seed=scalars["seed"], b_window=b_window,
-        validate_connectivity=validate_conn,
-        cold_start=raw.get("cold_start", "clamp"),
-        run_id=str(raw.get("run_id", "run")), output=output)
-    more = cfg.validate()
-    if more:
+        game=c["game"], graph=graph, delays=delays, noise=noise, horizon=c["horizon"],
+        gamma=c["gamma"], x0=c["init"], seed=c["seed"], b_window=g["b_window"],
+        validate_connectivity=g["validate_connectivity"], cold_start=c["cold_start"],
+        run_id=c["run_id"], output={k: v for k, v in c["output"].items() if v is not None})
+    if more := cfg.validate():
         raise ConfigError(more)
     return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical dict form; config_from_dict(config_to_dict(c)) reproduces c."""
-    game_name = cfg.game if isinstance(cfg.game, str) else cfg.game.name
-    graph_block = cfg.graph.to_descriptor()
-    graph_block["b_window"] = cfg.b_window
-    graph_block["validate_connectivity"] = cfg.validate_connectivity
-    return {
-        "game": game_name,
-        "graph": graph_block,
-        "delays": cfg.delays.to_descriptor(),
-        "privacy": cfg.noise.to_descriptor(),
-        "horizon": cfg.horizon,
-        "gamma": cfg.gamma,
-        "init": None if cfg.x0 is None else np.asarray(cfg.x0, float).tolist(),
-        "seed": cfg.seed,
-        "cold_start": cfg.cold_start,
-        "run_id": cfg.run_id,
-        "output": dict(cfg.output),
-    }
+    """``cfg`` as a config file's dict, which ``config_from_dict`` reads back
+    to an equal config; ScheduleError for a procedural schedule."""
+    graph, delays, noise = cfg.graph, cfg.delays, cfg.noise
+    if graph.kind == "procedural":
+        raise ScheduleError("a procedural schedule cannot be written to a config file")
+    sets = [sorted(map(list, es)) for es in graph.edge_sets]
+    rule = lambda r: r if r["type"] != "fixed" else {**r, "entries": [
+        [*np.atleast_1d(k).tolist(), v] for k, v in sorted(r["entries"].items())]}
+    # fields named like their key are taken as they are; SCHEMA picks the
+    # keys each block writes
+    return _write(SCHEMA, {
+        **vars(cfg), "game": cfg.game if isinstance(cfg.game, str) else cfg.game.name,
+        "graph": {**vars(graph), "type": graph.kind, "edges": sets[0], "edge_sets": sets,
+                  "b_window": cfg.b_window, "validate_connectivity": cfg.validate_connectivity},
+        "delays": {**vars(delays), "comm": rule(delays.comm), "feedback": rule(delays.feedback)},
+        "privacy": {**vars(noise), "sensitivity": noise.sensitivity_mode} if noise.enabled else None,
+        "init": None if cfg.x0 is None else np.asarray(cfg.x0, float).tolist()})
 
 
 def load_config(path) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.strip():
-        raise ConfigError([f"empty config file {path}; required keys: {list(REQUIRED_KEYS)}"])
+    """The config in the file ``path``; an empty file reads as ``{}``."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError([f"config {path} is not valid JSON: {e}"])
+        raw = json.loads(Path(path).read_text(encoding="utf-8").strip() or "{}")
+    except ValueError as e:  # what decoding UTF-8 or JSON raises
+        raise ConfigError([f"config {path} is not UTF-8 JSON: {e}"])
     if not isinstance(raw, dict):
-        raise ConfigError([f"config root must be an object with keys {list(REQUIRED_KEYS)}"])
+        raise ConfigError([f"config root must be an object, got {reprlib.repr(raw)}"])
     return config_from_dict(raw)
 
 
@@ -186,55 +252,29 @@ def benchmark_graph() -> GraphSchedule:
     return GraphSchedule.periodic(5, [base + [(1, 3)], base])
 
 
-_BENCH_INIT = np.array([[-1.0], [2.0], [2.0], [5.0], [1.0]])
-
-
-def _benchmark_config(run_id: str, **kw) -> RunConfig:
-    base = dict(game="nash-cournot", graph=benchmark_graph(),
-                delays=DelaySchedule.none(), noise=NoiseConfig.off(),
-                horizon=2000, gamma=1.0, x0=_BENCH_INIT.copy(), seed=42,
-                b_window=1, run_id=run_id)
-    base.update(kw)
-    return RunConfig(**base)
-
-
 def preset(name: str) -> RunConfig:
-    try:
-        factory = PRESETS[name]
-    except KeyError:
+    """The preset ``name``: its settings over the benchmark base, run id ``name``."""
+    if name not in PRESETS:
         raise ConfigError([f"unknown preset {name!r}; available: {sorted(PRESETS)}"])
-    return factory()
+    return RunConfig(game="nash-cournot", graph=benchmark_graph(), horizon=2000,
+                     x0=np.array([[-1.0], [2.0], [2.0], [5.0], [1.0]]), seed=42,
+                     run_id=name, **PRESETS[name][1]())
 
 
+_private = lambda epsilon: NoiseConfig.fixed_epsilon(epsilon, delta=1.0)
+
+# name -> (what ``dpgames presets`` says of it, its settings)
 PRESETS = {
-    # baseline: eps = 0.2, sensitivity 1, no delays
-    "fig2-baseline": lambda: _benchmark_config(
-        "fig2-baseline", noise=NoiseConfig.fixed_epsilon(0.2, delta=1.0)),
-    # ten-fold learning rate
-    "fig3-high-lr": lambda: _benchmark_config(
-        "fig3-high-lr", gamma=10.0, noise=NoiseConfig.fixed_epsilon(0.2, delta=1.0)),
-    # tighter privacy
-    "fig4-tight-privacy": lambda: _benchmark_config(
-        "fig4-tight-privacy", noise=NoiseConfig.fixed_epsilon(0.1, delta=1.0)),
-    # fixed two-step delay on the unreliable link, no privacy
-    "fig5-fixed-delay": lambda: _benchmark_config(
-        "fig5-fixed-delay", delays=DelaySchedule.fixed(2, comm={(3, 1): 2})),
-    # random communication and feedback delays in [0, 10], no privacy
-    "fig6-random-delays": lambda: _benchmark_config(
-        "fig6-random-delays", delays=DelaySchedule.uniform(10)),
-    # random delays plus privacy
-    "fig7-random-delays-private": lambda: _benchmark_config(
-        "fig7-random-delays-private", delays=DelaySchedule.uniform(10),
-        noise=NoiseConfig.fixed_epsilon(0.2, delta=1.0)),
-}
-
-PRESET_NOTES = {
-    "fig2-baseline": "eps=0.2, sensitivity 1, gamma=1, no delays",
-    "fig3-high-lr": "baseline with gamma=10",
-    "fig4-tight-privacy": "baseline with eps=0.1",
-    "fig5-fixed-delay": "tau(4<-2)=2 fixed, no privacy",
-    "fig6-random-delays": "comm and feedback delays uniform on [0,10], no privacy",
-    "fig7-random-delays-private": "random delays plus eps=0.2",
+    "fig2-baseline": ("eps=0.2, sensitivity 1, gamma=1, no delays",
+                      lambda: dict(noise=_private(0.2))),
+    "fig3-high-lr": ("baseline with gamma=10", lambda: dict(gamma=10.0, noise=_private(0.2))),
+    "fig4-tight-privacy": ("baseline with eps=0.1", lambda: dict(noise=_private(0.1))),
+    "fig5-fixed-delay": ("tau(4<-2)=2 fixed, no privacy",
+                         lambda: dict(delays=DelaySchedule.fixed(2, comm={(3, 1): 2}))),
+    "fig6-random-delays": ("comm and feedback delays uniform on [0,10], no privacy",
+                           lambda: dict(delays=DelaySchedule.uniform(10))),
+    "fig7-random-delays-private": ("random delays plus eps=0.2", lambda: dict(
+        delays=DelaySchedule.uniform(10), noise=_private(0.2))),
 }
 
 
@@ -457,13 +497,9 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
             raise ConfigError(["cannot sweep tau_max over a fixed-entry delay schedule"])
         # each rule keeps its type; a uniform rule keeps its low and takes
         # the swept value as its high
-        rules = {name: rule if rule["type"] == "none" else {**rule, "high": tau_max}
-                 for name, rule in (("comm", d.comm), ("feedback", d.feedback))}
-        errors = [f"tau_max {tau_max} is below the {name} uniform low {low}"
-                  for name, rule in rules.items() if (low := rule.get("low", 0)) > tau_max]
-        if errors:
-            raise ConfigError(errors)
-        return replace(cfg, delays=DelaySchedule(tau_max, rules["comm"], rules["feedback"], d.seed))
+        rules = [rule if rule["type"] == "none" else {**rule, "high": tau_max}
+                 for rule in (d.comm, d.feedback)]
+        return replace(cfg, delays=DelaySchedule(tau_max, *rules, d.seed))
     raise ConfigError([f"axis {axis!r} is not sweepable; choose from {SWEEP_AXES}"])
 
 
@@ -517,8 +553,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    for name in PRESETS:
-        print(f"{name}: {PRESET_NOTES[name]}")
+    for name, (note, _) in PRESETS.items():
+        print(f"{name}: {note}")
     return 0
 
 

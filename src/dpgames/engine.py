@@ -35,7 +35,6 @@ message list, and serves as an independent oracle for the arrival ring.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -283,9 +282,6 @@ class World:
 
     def messages_pending(self) -> int:
         return int(self.ring_count.sum())
-
-    def clone(self) -> "World":
-        return copy.deepcopy(self)
 
 
 @dataclass

@@ -33,20 +33,6 @@ class DiagnosticsError(RuntimeError):
     """Raised when backward products fail to converge to a rank-one matrix."""
 
 
-def strict_int(value, what: str) -> int:
-    """``value`` as an int when it is an integer and not a bool; TypeError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def strict_bool(value, what: str) -> bool:
-    """``value`` when it is true or false; TypeError otherwise."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{what} must be true or false, got {value!r}")
-    return bool(value)
-
-
 def _normalize_edges(num_agents: int, edges: Iterable[Edge], self_loops: bool) -> frozenset[Edge]:
     out = set()
     for e in edges:
@@ -81,9 +67,9 @@ class GraphSchedule:
 
     Three rule kinds are supported: a static edge set, a periodic list of
     edge sets (the set at time t is ``edge_sets[t % period]``), and a
-    procedural callable ``t -> iterable of edges``. Static and periodic
-    schedules round-trip through the config file format; procedural ones
-    are Python-API only.
+    procedural callable ``t -> iterable of edges``. Only static and
+    periodic schedules have a config-file form (``cli.SCHEMA``); procedural
+    ones exist in the Python API only.
     """
 
     num_agents: int
@@ -164,30 +150,6 @@ class GraphSchedule:
             self._phases[edges] = phase
         return phase
 
-    def to_descriptor(self) -> dict:
-        if self.kind == "procedural":
-            raise ScheduleError("procedural schedules cannot be serialized to config")
-        sets = [sorted(map(list, es)) for es in self.edge_sets]
-        d = {"type": self.kind, "num_agents": self.num_agents,
-             "require_self_loops": self.require_self_loops}
-        if self.kind == "static":
-            d["edges"] = sets[0]
-        else:
-            d["edge_sets"] = sets
-        return d
-
-    @staticmethod
-    def from_descriptor(d: dict) -> "GraphSchedule":
-        kind = d["type"]
-        n = strict_int(d["num_agents"], "num_agents")
-        loops = strict_bool(d.get("require_self_loops", True), "require_self_loops")
-        edge = lambda e: tuple(strict_int(v, "edge endpoint") for v in e)
-        if kind == "static":
-            return GraphSchedule.static(n, [edge(e) for e in d["edges"]], loops)
-        if kind == "periodic":
-            return GraphSchedule.periodic(n, [[edge(e) for e in es] for es in d["edge_sets"]], loops)
-        raise ScheduleError(f"unknown schedule type {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # Delay schedules
@@ -198,10 +160,11 @@ class DelaySchedule:
     """Per-edge communication delays tau_ij(t) and per-agent feedback delays
     tau_i(t), all integers in [0, tau_max], with tau_ii(t) = 0 always.
 
-    ``comm`` / ``feedback`` descriptors:
+    ``comm`` / ``feedback`` rules:
       {"type": "none"}                              all zero
       {"type": "fixed", "entries": {(i, j): d}}     constant per (receiver i, sender j)
-      {"type": "uniform", "low": a, "high": b}      iid uniform integers, seeded
+      {"type": "uniform", "low": a, "high": b}      iid uniform integers, seeded;
+                                                    ``low`` defaults to 0
 
     A ``seed`` of None is resolved to the run's master seed by the engine.
     Random delays are drawn as one block per (purpose, round), so the delay
@@ -220,23 +183,25 @@ class DelaySchedule:
     def __post_init__(self):
         if self.tau_max < 0:
             raise DelayRangeError(f"tau_max must be >= 0, got {self.tau_max}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"delay seed must be a non-negative integer, got {self.seed}")
         for name, desc in (("comm", self.comm), ("feedback", self.feedback)):
             kind = desc.get("type")
             if kind == "fixed":
                 for key, d in desc["entries"].items():
-                    self._check(int(d), f"{name} entry {key}")
+                    self._check(d, f"{name} entry {key}")
             elif kind == "uniform":
-                lo = strict_int(desc.get("low", 0), f"{name} uniform low")
-                hi = strict_int(desc["high"], f"{name} uniform high")
-                self._check(lo, f"{name} uniform low")
-                self._check(hi, f"{name} uniform high")
+                if "low" not in desc:  # a uniform rule without low starts at 0
+                    desc = {**desc, "low": 0}
+                    object.__setattr__(self, name, desc)
+                self._check(desc["low"], f"{name} uniform low")
+                self._check(desc["high"], f"{name} uniform high")
             elif kind != "none":
                 raise DelayRangeError(f"unknown delay rule type {kind!r}")
 
-    def _check(self, d: int, what: str) -> int:
-        if not (0 <= d <= self.tau_max):
-            raise DelayRangeError(f"{what}: delay {d} outside [0, {self.tau_max}]")
-        return d
+    def _check(self, d: int, what: str) -> None:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 0 <= d <= self.tau_max:
+            raise DelayRangeError(f"{what} {d!r} is not an integer in [0, {self.tau_max}]")
 
     @staticmethod
     def none() -> "DelaySchedule":
@@ -342,37 +307,6 @@ class DelaySchedule:
             raise DelayRangeError("randomized delay schedule used before its seed was resolved")
         return self.seed
 
-    def to_descriptor(self) -> dict:
-        def enc(desc, keyed_pairs):
-            if desc["type"] != "fixed":
-                return dict(desc)
-            if keyed_pairs:
-                entries = [[i, j, d] for (i, j), d in sorted(desc["entries"].items())]
-            else:
-                entries = [[i, d] for i, d in sorted(desc["entries"].items())]
-            return {"type": "fixed", "entries": entries}
-
-        return {"tau_max": self.tau_max, "comm": enc(self.comm, True),
-                "feedback": enc(self.feedback, False), "seed": self.seed}
-
-    @staticmethod
-    def from_descriptor(d: dict) -> "DelaySchedule":
-        def dec(desc, keyed_pairs):
-            if desc.get("type") != "fixed":
-                return dict(desc)
-            ints = lambda row: [strict_int(v, "delay entry") for v in row]
-            if keyed_pairs:
-                entries = {(i, j): v for i, j, v in map(ints, desc["entries"])}
-            else:
-                entries = {i: v for i, v in map(ints, desc["entries"])}
-            return {"type": "fixed", "entries": entries}
-
-        seed = d.get("seed")
-        return DelaySchedule(strict_int(d["tau_max"], "tau_max"),
-                             dec(d.get("comm", {"type": "none"}), True),
-                             dec(d.get("feedback", {"type": "none"}), False),
-                             None if seed is None else strict_int(seed, "delays seed"))
-
 
 @functools.lru_cache(maxsize=16)
 def _shell_order(num_agents: int) -> np.ndarray:
@@ -395,7 +329,6 @@ def _shell_order(num_agents: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ConnectivityReport:
     ok: bool
-    window_length: int
     first_violation: Optional[tuple[int, int]] = None  # [start, end] inclusive
 
 
@@ -420,9 +353,9 @@ def validate_b_connectivity(schedule: GraphSchedule, b_window: int, horizon: int
         for (src, dst) in union:
             adj[src, dst] = True
         if not _strongly_connected(adj):
-            return ConnectivityReport(False, b_window, (start, start + b_window - 1))
+            return ConnectivityReport(False, (start, start + b_window - 1))
         connected.add(union)
-    return ConnectivityReport(True, b_window)
+    return ConnectivityReport(True)
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:

@@ -106,8 +106,8 @@ def density_ratio_check(b: np.ndarray, b_prime: np.ndarray, sigma: float,
 
 
 def _positive_finite(value) -> bool:
-    """False for None, NaN, infinities and values <= 0; TypeError for non-numbers."""
-    return value is not None and value > 0 and math.isfinite(value)
+    """False for None, bools, NaN, infinities and values <= 0."""
+    return value is not None and not isinstance(value, bool) and value > 0 and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -168,38 +168,6 @@ class NoiseConfig:
                       shared_draw: bool = True) -> "NoiseConfig":
         return NoiseConfig("epsilon", epsilon=epsilon, delta=delta,
                            sensitivity_mode=sensitivity_mode, shared_draw=shared_draw)
-
-    @staticmethod
-    def fixed_sigma(sigma: float, delta: float = 1.0, *,
-                    sensitivity_mode: str = "manual",
-                    shared_draw: bool = True) -> "NoiseConfig":
-        return NoiseConfig("sigma", sigma=sigma, delta=delta,
-                           sensitivity_mode=sensitivity_mode, shared_draw=shared_draw)
-
-    def to_descriptor(self) -> Optional[dict]:
-        if not self.enabled:
-            return None
-        d = {"mode": self.mode, "sensitivity": self.sensitivity_mode,
-             "shared_draw": self.shared_draw}
-        if self.mode == "epsilon":
-            d["epsilon"] = self.epsilon
-        else:
-            d["sigma"] = self.sigma
-        if self.sensitivity_mode == "manual":
-            d["delta"] = self.delta
-        return d
-
-    @staticmethod
-    def from_descriptor(d: Optional[dict]) -> "NoiseConfig":
-        if d is None:
-            return NoiseConfig.off()
-        return NoiseConfig(
-            mode=d["mode"],
-            epsilon=d.get("epsilon"),
-            sigma=d.get("sigma"),
-            sensitivity_mode=d.get("sensitivity", "manual"),
-            delta=d.get("delta"),
-            shared_draw=d.get("shared_draw", True))
 
 
 @dataclass

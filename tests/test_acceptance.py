@@ -14,6 +14,7 @@ checks" section carries the analysis:
   are bit-identical and no strict ordering exists.
 """
 
+import copy
 import math
 import time
 
@@ -185,12 +186,12 @@ def test_a7_sensitivity_bound(cournot):
     for t_hat in sorted(rng.choice(np.arange(1, 61), size=20, replace=False)):
         while world.t < t_hat:
             world.step()
-        pre = world.clone()
+        pre = copy.deepcopy(world)
         world.step()
         for _ in range(5):  # 5 perturbations x 20 times = 100
             i0 = int(rng.integers(5))
             g_prime = rng.uniform(-cournot.L, cournot.L, size=1)
-            twin = pre.clone()
+            twin = copy.deepcopy(pre)
             twin.game = _perturbed_price_game(cournot, i0, int(t_hat), g_prime)
             twin.step()
             dev = float(np.abs(world.b[i0] - twin.b[i0]).sum())

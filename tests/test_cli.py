@@ -1,8 +1,11 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpgames as dp
 from dpgames import cli
@@ -19,6 +22,77 @@ def test_config_round_trip(tmp_path):
         write_config(cfg, path)
         loaded = load_config(path)
         assert config_to_dict(loaded) == config_to_dict(cfg)
+
+
+@st.composite
+def _delay_rules(draw, keys, tau_max):
+    kind = draw(st.sampled_from(["none", "fixed", "uniform"]))
+    if kind == "fixed":
+        entries = draw(st.dictionaries(keys, st.integers(0, tau_max), max_size=4))
+        return {"type": "fixed", "entries": entries}
+    if kind == "uniform":
+        high = draw(st.integers(0, tau_max))
+        low = draw(st.one_of(st.none(), st.integers(0, high)))
+        return {"type": "uniform", "high": high, **({} if low is None else {"low": low})}
+    return {"type": "none"}
+
+
+@st.composite
+def _run_configs(draw):
+    V = 5  # the registered game's agent count
+    edge = st.tuples(st.integers(0, V - 1), st.integers(0, V - 1))
+    sets = draw(st.lists(st.lists(edge, max_size=8), min_size=1, max_size=3))
+    graph = (dp.GraphSchedule.static(V, sets[0], draw(st.booleans())) if draw(st.booleans())
+             else dp.GraphSchedule.periodic(V, sets, draw(st.booleans())))
+    tau_max = draw(st.integers(0, 4))
+    pairs = st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)).filter(lambda p: p[0] != p[1])
+    delays = dp.DelaySchedule(tau_max, draw(_delay_rules(pairs, tau_max)),
+                              draw(_delay_rules(st.integers(0, V - 1), tau_max)),
+                              draw(st.one_of(st.none(), st.integers(0, 2 ** 32))))
+    scale = st.floats(0.01, 100.0)
+    mode, sensitivity = draw(st.sampled_from(["off", "epsilon", "sigma"])), draw(
+        st.sampled_from(["manual", "analytic"]))
+    noise = dp.NoiseConfig() if mode == "off" else dp.NoiseConfig(
+        mode, **{mode: draw(scale)}, sensitivity_mode=sensitivity,
+        delta=draw(scale if sensitivity == "manual" else st.one_of(st.none(), scale)),
+        shared_draw=draw(st.booleans()))
+    output = draw(st.fixed_dictionaries({}, optional={
+        "format": st.sampled_from(["tabular", "object-lines"]), "path": st.text(max_size=8)}))
+    return dp.RunConfig(
+        game="nash-cournot", graph=graph, delays=delays, noise=noise,
+        horizon=draw(st.integers(0, 50)), gamma=draw(scale),
+        x0=draw(st.sampled_from([None, np.array([[-1.0], [2.0], [2.0], [5.0], [1.0]])])),
+        seed=draw(st.integers(0, 2 ** 32)), b_window=draw(st.integers(1, 4)),
+        validate_connectivity=draw(st.booleans()), cold_start=draw(st.sampled_from(["clamp", "zero"])),
+        run_id=draw(st.text(max_size=8)), output=output)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_run_configs())
+def test_every_config_round_trips_through_its_dict_form(cfg):
+    back = config_from_dict(config_to_dict(cfg))
+    assert replace(back, x0=None) == replace(cfg, x0=None)  # x0 arrays compare below
+    assert (back.x0 is None) == (cfg.x0 is None)
+    assert cfg.x0 is None or np.array_equal(back.x0, cfg.x0)
+
+
+def test_readme_schema_example_has_the_schema_keys_in_every_block():
+    """The README's example config has, in every block, exactly the keys
+    that the schema lists for it, its selectors' choices included."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration schema", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+    def check(rows, block, where):
+        rows = list(rows)
+        for key, parse, _ in rows:  # a selector's choice adds its rows
+            if isinstance(parse, dict):
+                rows += parse[block[key]]
+            elif isinstance(parse, tuple):
+                check(parse, block[key], f"{where}{key}.")
+        assert set(block) == {key for key, _, _ in rows}, where or "top level"
+
+    check(cli.SCHEMA, example, "")
 
 
 def test_fig2_preset_matches_published_constants():
@@ -169,8 +243,7 @@ def test_cmd_verify_reports_first_violating_window(tmp_path, capsys):
     assert rc == 1
     assert "FAIL connectivity(B=1)" in out and "(0, 0)" in out
     # the union over B=2 windows is fine
-    sched = dp.GraphSchedule.from_descriptor(
-        {k: v for k, v in d["graph"].items() if k != "b_window"})
+    sched = config_from_dict(d).graph
     assert dp.validate_b_connectivity(sched, 2, 40).ok
 
 
@@ -349,7 +422,7 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 _PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta": 1.0}
-_GRAPH = {**cli.benchmark_graph().to_descriptor(), "b_window": 1}
+_GRAPH = config_to_dict(preset("fig2-baseline"))["graph"]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -373,7 +446,7 @@ _GRAPH = {**cli.benchmark_graph().to_descriptor(), "b_window": 1}
     ("--horizon", -5),
     # the agent count is checked before the graph is built: building this
     # one would add 10**30 self-loops
-    ("graph", {**cli.benchmark_graph().to_descriptor(), "num_agents": 10 ** 30}),
+    ("graph", {**_GRAPH, "num_agents": 10 ** 30}),
     # fixed delay entries a 5-agent run would never read
     ("delays", {"tau_max": 2, "comm": {"type": "fixed", "entries": [[7, 1, 2]]}}),
     ("delays", {"tau_max": 2, "feedback": {"type": "fixed", "entries": [[9, 1]]}}),
@@ -399,6 +472,22 @@ _GRAPH = {**cli.benchmark_graph().to_descriptor(), "b_window": 1}
     # gamma takes a JSON number, not a string or a boolean
     ("gamma", "0.5"),
     ("gamma", True),
+    # so do epsilon and delta
+    ("privacy", {**_PRIVATE, "epsilon": True}),
+    ("privacy", {**_PRIVATE, "delta": True}),
+    # every block rejects a key its schema does not list
+    ("privacy", {**_PRIVATE, "shared_drw": False}),
+    ("privacy", {**_PRIVATE, "sensitivty": "analytic"}),
+    ("graph", {**_GRAPH, "edge_set": []}),
+    ("delays", {"tau_max": 3, "tau": 3}),
+    ("delays", {"tau_max": 3, "comm": {"type": "uniform", "high": 3, "hgih": 3}}),
+    ("output", {"fromat": "x"}),
+    # strings stay strings, seeds are non-negative, and an edge is a pair
+    ("run_id", None),
+    ("run_id", [1]),
+    ("output", {"path": 5}),
+    ("delays", {"tau_max": 2, "seed": -1}),
+    ("graph", {**_GRAPH, "edge_sets": [[[0, 1, 2]]]}),
 ])
 def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
     """A bad config value, a bad ``--option`` override of a good config, or
@@ -419,6 +508,31 @@ def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, ca
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(json.dumps(config_to_dict(preset("fig2-baseline"))).encode()[:-1] + b' \xff}')
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(p)
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule", ["comm", "feedback"])
+def test_uniform_rule_without_low_starts_at_zero(rule, tmp_path, capsys):
+    d = {**config_to_dict(preset("fig6-random-delays")), "horizon": 30}
+    records = []
+    for uniform in ({"type": "uniform", "high": 2}, {"type": "uniform", "low": 0, "high": 2}):
+        p, out = tmp_path / f"{len(records)}.json", tmp_path / f"{len(records)}.csv"
+        p.write_text(json.dumps({**d, "delays": {"tau_max": 2, rule: uniform}}))
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 0
+        assert cli.main(["verify", "--config", str(p)]) == 0
+        records.append(out.read_text())
+    assert records[0] == records[1]
+    # a rule built through the Python API carries its low too
+    delays = dp.DelaySchedule(2, **{rule: {"type": "uniform", "high": 2}})
+    assert getattr(delays, rule) == {"type": "uniform", "high": 2, "low": 0}
 
 
 @pytest.mark.parametrize("bad, expected", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dpgames as dp
+from dpgames.cli import config_from_dict, config_to_dict
 from dpgames.graph import DelayRangeError, DiagnosticsError, ScheduleError
 
 from conftest import complete_graph, ring_graph
@@ -415,13 +416,13 @@ def test_procedural_schedule_rule():
         3, lambda t: [(0, 1), (1, 2), (2, 0)] if t % 2 == 0 else [(0, 2), (2, 1), (1, 0)])
     assert sched.weights_at(0)[1, 0] > 0 and sched.weights_at(0)[1, 2] == 0
     assert sched.weights_at(1)[1, 0] == 0 and sched.weights_at(1)[1, 2] > 0
-    with pytest.raises(ScheduleError):
-        sched.to_descriptor()  # not expressible in config
+    with pytest.raises(ScheduleError):  # not expressible in config
+        config_to_dict(dp.RunConfig(game="nash-cournot", graph=sched))
 
 
-def test_schedule_and_delay_descriptors_round_trip(bench_graph):
-    assert dp.GraphSchedule.from_descriptor(bench_graph.to_descriptor()) == bench_graph
-    d = dp.DelaySchedule.fixed(3, comm={(3, 1): 2}, feedback={0: 1})
-    assert dp.DelaySchedule.from_descriptor(d.to_descriptor()) == d
-    u = dp.DelaySchedule.uniform(10, seed=5)
-    assert dp.DelaySchedule.from_descriptor(u.to_descriptor()) == u
+def test_schedules_round_trip_through_the_config_file(bench_graph):
+    for delays in (dp.DelaySchedule.fixed(3, comm={(3, 1): 2}, feedback={0: 1}),
+                   dp.DelaySchedule.uniform(10, seed=5)):
+        cfg = dp.RunConfig(game="nash-cournot", graph=bench_graph, delays=delays, horizon=10)
+        back = config_from_dict(config_to_dict(cfg))
+        assert back.graph == bench_graph and back.delays == delays

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dpgames as dp
+from dpgames.cli import config_from_dict, config_to_dict, preset
 from dpgames.privacy import (LedgerError, STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY, STREAM_NOISE,
                              STREAM_NOISE_AGGREGATE, NoiseConfig, PrivacyLedger, substream)
 
@@ -150,13 +152,17 @@ def test_noise_config_validation():
         NoiseConfig("epsilon", epsilon=0.2)  # manual sensitivity needs delta
     with pytest.raises(ValueError):
         NoiseConfig("sigma", sigma=-1.0, delta=1.0)
+    for bad in (dict(epsilon=True, delta=1.0), dict(epsilon=0.2, delta=True)):
+        with pytest.raises(ValueError):
+            NoiseConfig("epsilon", **bad)  # a bool is not a number
     cfg = NoiseConfig.fixed_epsilon(0.2, delta=1.0)
     assert cfg.resolve(1.0) == (1.0, 5.0)
     assert not NoiseConfig.off().enabled
 
 
-def test_noise_config_descriptor_round_trip():
-    for cfg in (NoiseConfig.off(),
-                NoiseConfig.fixed_epsilon(0.2, delta=1.0),
-                NoiseConfig.fixed_sigma(3.0, delta=2.0, shared_draw=False)):
-        assert NoiseConfig.from_descriptor(cfg.to_descriptor()) == cfg
+def test_noise_config_round_trips_through_the_config_file():
+    for noise in (NoiseConfig.off(),
+                  NoiseConfig.fixed_epsilon(0.2, delta=1.0),
+                  NoiseConfig("sigma", sigma=3.0, delta=2.0, shared_draw=False)):
+        cfg = replace(preset("fig2-baseline"), noise=noise)
+        assert config_from_dict(config_to_dict(cfg)).noise == noise
