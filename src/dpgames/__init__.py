@@ -10,7 +10,7 @@ from .engine import (RunConfig, RunResult, World, project, run,
                      run_augmented_reference, step_size)
 from .game import GameSpec, linear_demand_game, nash_cournot, resolve_game
 from .graph import (ConnectivityReport, DelaySchedule, GraphSchedule,
-                    MixingDiagnostics, augment, delay_blocks, eigenvector_floor,
+                    MixingDiagnostics, augment, eigenvector_floor,
                     mixing_diagnostics, validate_b_connectivity)
 from .metrics import (EquilibriumSolution, RegretReport, StabilizationStat,
                       average_loss, dynamic_regret, kkt_max_violation, ne_oracle,
@@ -24,7 +24,7 @@ __all__ = [
     "ConnectivityReport", "DelaySchedule", "EquilibriumSolution",
     "GameSpec", "GraphSchedule", "MixingDiagnostics",
     "NoiseConfig", "PrivacyLedger", "RegretReport", "RunConfig", "RunResult",
-    "StabilizationStat", "World", "augment", "average_loss", "delay_blocks",
+    "StabilizationStat", "World", "augment", "average_loss",
     "density_ratio_check", "dynamic_regret", "eigenvector_floor",
     "kkt_max_violation", "linear_demand_game", "mixing_diagnostics",
     "nash_cournot", "ne_oracle", "project", "resolve_game", "run",

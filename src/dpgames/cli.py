@@ -23,8 +23,7 @@ import numpy as np
 from . import engine, metrics
 from .engine import RunConfig, RunResult
 from .game import GAME_REGISTRY
-from .graph import (DelaySchedule, GraphSchedule, ScheduleError, augment,
-                    validate_b_connectivity)
+from .graph import DelaySchedule, GraphSchedule, augment, validate_b_connectivity
 from .privacy import NoiseConfig
 
 SWEEP_AXES = ("gamma", "epsilon", "tau_max", "seed", "T", "horizon")
@@ -71,11 +70,14 @@ def _rows(width: int, value) -> bool:
 _integer = _parser("an integer", lambda v: type(v) is int)
 _boolean = _parser("true or false", lambda v: type(v) is bool)
 _string = _parser("a string", lambda v: type(v) is str)
-_number = _parser("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v), float)
+_finite = lambda v: type(v) in (int, float) and math.isfinite(v)
+_number = _parser("a finite number", _finite, float)
 _object = _parser("an object", lambda v: isinstance(v, dict))
 _edges = _parser("a list of [src, dst] integer pairs", lambda v: _rows(2, v))
 _edge_sets = _parser("a list of edge lists", lambda v: isinstance(v, list) and all(
     _rows(2, edges) for edges in v))
+_matrix = _parser("a list of rows of finite numbers", lambda v: isinstance(v, list) and all(
+    isinstance(row, list) and all(map(_finite, row)) for row in v), lambda v: np.array(v, float))
 
 
 def _rule(width: int) -> tuple:
@@ -112,7 +114,7 @@ SCHEMA = (
                  ("delta", _number, None)), None),
     ("horizon", _integer, REQUIRED),
     ("gamma", _number, 1.0),
-    ("init", lambda value: np.asarray(value, float), None),
+    ("init", _matrix, None),
     ("seed", _integer, 0),
     ("cold_start", _enum(("clamp", "zero")), "clamp"),
     ("run_id", _string, "run"),
@@ -207,10 +209,8 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """``cfg`` as a config file's dict, which ``config_from_dict`` reads back
-    to an equal config; ScheduleError for a procedural schedule."""
+    to an equal config."""
     graph, delays, noise = cfg.graph, cfg.delays, cfg.noise
-    if graph.kind == "procedural":
-        raise ScheduleError("a procedural schedule cannot be written to a config file")
     sets = [sorted(map(list, es)) for es in graph.edge_sets]
     rule = lambda r: r if r["type"] != "fixed" else {**r, "entries": [
         [*np.atleast_1d(k).tolist(), v] for k, v in sorted(r["entries"].items())]}
@@ -222,7 +222,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
                   "b_window": cfg.b_window, "validate_connectivity": cfg.validate_connectivity},
         "delays": {**vars(delays), "comm": rule(delays.comm), "feedback": rule(delays.feedback)},
         "privacy": {**vars(noise), "sensitivity": noise.sensitivity_mode} if noise.enabled else None,
-        "init": None if cfg.x0 is None else np.asarray(cfg.x0, float).tolist()})
+        "init": None if cfg.x0 is None else cfg.resolved_x0(cfg.resolved_game()).tolist()})
 
 
 def load_config(path) -> RunConfig:
@@ -337,25 +337,9 @@ def write_records(result: RunResult, path, fmt: str) -> None:
                     "loss_true": loss_true, "avg_loss_true": avg_loss_true}) + "\n")
 
 
-def run_summary(result: RunResult) -> dict:
-    s = result.summary()
-    s["empirical_theta"] = (float("inf") if result.min_y_diag == 0
-                            else 1.0 / result.min_y_diag)
-    stats = {}
-    if result.horizon >= 100:
-        for i in range(result.x.shape[1]):
-            series = metrics.average_loss(result.loss_local[1:, i])
-            st = metrics.stabilization_stat(series)
-            stats[str(i)] = {"tail_rel_std": st.rel_std, "tail_slope": st.slope,
-                             "degenerate": st.degenerate}
-    s["stabilization"] = stats
-    s["ledger"] = result.ledger.to_rows()
-    return s
-
-
 def write_summary(result: RunResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(run_summary(result), fh, indent=2)
+        json.dump(result.summary(), fh, indent=2)
         fh.write("\n")
 
 
@@ -530,8 +514,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for raw_value, member in members:
         result = engine.run(member)
-        s = run_summary(result)
-        tail = s["stabilization"].values()
+        tail = result.summary()["stabilization"].values()
         rows.append({
             "run_id": member.run_id, "axis": axis, "value": raw_value,
             "seed": member.seed, "horizon": member.horizon,

@@ -15,10 +15,9 @@ holds the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
 Each round draws its randomness as one block per purpose: the (V, m) noise
 block, the (V, V) communication-delay matrix and the (V,) feedback delays.
 What a round needs that does not depend on the state is a per-phase value,
-built on first use and then shared read-only: the weights, message list and
-self-weights of each edge set of a static or periodic schedule
-(``GraphSchedule.phase_at``) and the delays of a ``none`` or ``fixed`` rule.
-Procedural schedules and ``uniform`` rules build theirs every round.
+built once and then shared read-only: the weights, message list and
+self-weights of each edge set (``GraphSchedule.phase_at``) and the delays of
+a ``none`` or ``fixed`` rule. ``uniform`` rules draw theirs every round.
 
 A state ring of the same shape holds round s's (x, v) in slot s mod
 (tau_max + 1), so the delayed gradients of round t are one gather at
@@ -28,7 +27,7 @@ Records fill preallocated arrays; losses are computed after the loop.
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
 snapshots: each round's snapshot is contracted once, when it is sent, with
-the round's ``delay_blocks`` built from its (W, D), and every relay stage of
+the round's delay blocks built from its (W, D), and every relay stage of
 the result is kept by send round. It reads neither the arrival ring nor the
 message list, and serves as an independent oracle for the arrival ring.
 """
@@ -43,8 +42,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .game import GameSpec, _sum_in_order, resolve_game
-from .graph import (DelaySchedule, GraphSchedule, Phase, delay_blocks, eigenvector_floor,
+from .graph import (DelaySchedule, GraphSchedule, Phase, _delay_blocks, eigenvector_floor,
                     validate_b_connectivity)
+from .metrics import average_loss, stabilization_stat
 from .privacy import (NoiseConfig, PrivacyLedger, sample_noise, sensitivity_bound,
                       substream, STREAM_NOISE, STREAM_NOISE_AGGREGATE)
 
@@ -313,6 +313,14 @@ class RunResult:
         return self.x.shape[0] - 1
 
     def summary(self) -> dict:
+        """What ``summary.json`` holds. Runs of 100 rounds or more add each
+        agent's tail statistics of its running-average local loss."""
+        stabilization = {}
+        if self.horizon >= 100:
+            for i in range(self.x.shape[1]):
+                st = stabilization_stat(average_loss(self.loss_local[1:, i]))
+                stabilization[str(i)] = {"tail_rel_std": st.rel_std, "tail_slope": st.slope,
+                                         "degenerate": st.degenerate}
         return {
             "run_id": self.config.run_id,
             "seed": self.config.seed,
@@ -324,6 +332,9 @@ class RunResult:
             "messages_delivered": self.messages_delivered,
             "messages_pending": self.messages_pending,
             "wall_time_s": self.wall_time,
+            "empirical_theta": float("inf") if self.min_y_diag == 0 else 1.0 / self.min_y_diag,
+            "stabilization": stabilization,
+            "ledger": self.ledger.to_rows(),
         }
 
 
@@ -384,7 +395,7 @@ def run(config: RunConfig) -> RunResult:
 class _AugmentedWorld(World):
     """Oracle twin: virtual relay chains instead of the arrival ring.
 
-    Round s's ``delay_blocks`` W^0(s) .. W^tau_max(s), built from its (W, D)
+    Round s's delay blocks W^0(s) .. W^tau_max(s), built from its (W, D)
     with block 0's diagonal zeroed (self terms use raw values), contract the
     noised (b, v) snapshot sent at s once, at send time: slot s mod
     (tau_max + 1) of ``carried`` holds W^r(s) @ (b~, v~)(s) for every stage
@@ -392,24 +403,23 @@ class _AugmentedWorld(World):
     reproduces the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}
     term by term without reading the arrival ring or the message list.
 
-    When the schedule is static or periodic and the comm-delay rule draws
-    nothing, (W, D) is a function of the edge set, so each edge set's blocks
-    are built once and reused.
+    When the comm-delay rule draws nothing, (W, D) is a function of the edge
+    set, so each edge set's blocks are built once and reused.
     """
 
     def __init__(self, config: RunConfig):
         super().__init__(config)
         slots = len(self.states)
         self.carried = np.zeros((slots, slots, self.V, 2 * self.m))  # [s, r]: W^r(s) @ (b~, v~)(s)
-        by_phase = self.graph.kind != "procedural" and self.delays.comm["type"] != "uniform"
-        self._blocks: Optional[dict] = {} if by_phase else None  # edge set -> (slots, V, V)
+        drawn = self.delays.comm["type"] == "uniform"
+        self._blocks: Optional[dict] = None if drawn else {}  # edge set -> (slots, V, V)
 
     def _blocks_at(self, t: int, phase: Phase) -> np.ndarray:
         """Blocks W^0 .. W^tau_max of round t, block 0's diagonal zeroed."""
         blocks = None if self._blocks is None else self._blocks.get(phase.edges)
         if blocks is None:
-            blocks = delay_blocks(phase.weights, self.delays.comm_matrix(t, self.V),
-                                  self.delays.tau_max)
+            blocks = _delay_blocks(phase.weights, self.delays.comm_matrix(t, self.V),
+                                   self.delays.tau_max)
             np.fill_diagonal(blocks[0], 0.0)  # self term uses the raw value
             if self._blocks is not None:
                 self._blocks[phase.edges] = blocks

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,94 +61,79 @@ class Phase(NamedTuple):
     w_self: np.ndarray
 
 
+def _phase(num_agents: int, edges: frozenset[Edge], k: int) -> Phase:
+    """The read-only ``Phase`` of edge set ``k``; ScheduleError if it leaves an
+    agent with no in-neighbors."""
+    W = np.zeros((num_agents, num_agents))
+    for (src, dst) in edges:
+        W[dst, src] = 1.0
+    deg = W.sum(axis=1)
+    empty = np.nonzero(deg == 0)[0]
+    if empty.size:
+        raise ScheduleError(f"edge set {k} leaves agent(s) {empty.tolist()} with no in-neighbors"
+                            " (self-loop requirement violated)")
+    W = W / deg[:, None]
+    off_diagonal = W.copy()
+    np.fill_diagonal(off_diagonal, 0.0)
+    sender, receiver = np.nonzero(off_diagonal.T)
+    phase = Phase(edges, W, sender, receiver, W[receiver, sender, None],
+                  W.diagonal()[:, None].copy())
+    for a in phase[1:]:
+        a.flags.writeable = False
+    return phase
+
+
 @dataclass(frozen=True)
 class GraphSchedule:
-    """A rule assigning a directed edge set to every time step.
+    """A cycle of directed edge sets: the set at time t is
+    ``edge_sets[t % period]``. A static schedule is a cycle of one.
 
-    Three rule kinds are supported: a static edge set, a periodic list of
-    edge sets (the set at time t is ``edge_sets[t % period]``), and a
-    procedural callable ``t -> iterable of edges``. Only static and
-    periodic schedules have a config-file form (``cli.SCHEMA``); procedural
-    ones exist in the Python API only.
+    Construction builds and checks one read-only ``Phase`` per distinct edge
+    set, so an edge set that leaves an agent with no in-neighbors raises
+    ScheduleError here, not when a round reaches it. ``kind`` only picks the
+    config file's form (``cli.SCHEMA``). A rule ``t -> edges`` over a T-round
+    run is ``GraphSchedule.periodic(V, [rule(t) for t in range(T)])``.
     """
 
     num_agents: int
-    kind: str  # "static" | "periodic" | "procedural"
-    edge_sets: tuple[frozenset[Edge], ...] = ()
-    rule: Optional[Callable[[int], Iterable[Edge]]] = field(default=None, compare=False)
+    kind: str  # "static" | "periodic"
+    edge_sets: tuple[frozenset[Edge], ...]
     require_self_loops: bool = True
-    # read-only Phase per edge set of a static or periodic schedule
-    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _phases: tuple[Phase, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.edge_sets:
+            raise ScheduleError("a schedule needs at least one edge set")
+        built = {}
+        for k, edges in enumerate(self.edge_sets):
+            if edges not in built:
+                built[edges] = _phase(self.num_agents, edges, k)
+        object.__setattr__(self, "_phases", tuple(map(built.get, self.edge_sets)))
 
     @staticmethod
     def static(num_agents: int, edges: Iterable[Edge], require_self_loops: bool = True) -> "GraphSchedule":
         es = _normalize_edges(num_agents, edges, require_self_loops)
-        return GraphSchedule(num_agents, "static", (es,), None, require_self_loops)
+        return GraphSchedule(num_agents, "static", (es,), require_self_loops)
 
     @staticmethod
     def periodic(num_agents: int, edge_sets: Iterable[Iterable[Edge]],
                  require_self_loops: bool = True) -> "GraphSchedule":
         sets = tuple(_normalize_edges(num_agents, es, require_self_loops) for es in edge_sets)
-        if not sets:
-            raise ScheduleError("periodic schedule needs at least one edge set")
-        return GraphSchedule(num_agents, "periodic", sets, None, require_self_loops)
-
-    @staticmethod
-    def procedural(num_agents: int, rule: Callable[[int], Iterable[Edge]],
-                   require_self_loops: bool = True) -> "GraphSchedule":
-        return GraphSchedule(num_agents, "procedural", (), rule, require_self_loops)
-
-    def edges_at(self, t: int) -> frozenset[Edge]:
-        if t < 0:
-            raise ScheduleError(f"time index {t} < 0")
-        if self.kind == "static":
-            return self.edge_sets[0]
-        if self.kind == "periodic":
-            return self.edge_sets[t % len(self.edge_sets)]
-        return _normalize_edges(self.num_agents, self.rule(t), self.require_self_loops)
-
-    def weights_at(self, t: int) -> np.ndarray:
-        """Row-stochastic weight matrix at time t, each in-edge weighted 1/d_i.
-
-        The weights of ``phase_at(t)``: read-only and built once per edge
-        set for static and periodic schedules, new every call for
-        procedural ones.
-        """
-        return self.phase_at(t).weights
+        return GraphSchedule(num_agents, "periodic", sets, require_self_loops)
 
     def phase_at(self, t: int) -> Phase:
-        """Round t's ``Phase``. Static and periodic schedules build each
-        edge set's phase once, on first use, and return it read-only;
-        procedural ones build a new one every call.
+        """Round t's ``Phase``, built once per edge set and read-only."""
+        if t < 0:
+            raise ScheduleError(f"time index {t} < 0")
+        return self._phases[t % len(self._phases)]
 
-        Raises ScheduleError if some agent has an empty in-neighborhood
-        (with self-loops required this cannot happen by construction).
-        """
-        edges = self.edges_at(t)
-        phase = self._phases.get(edges)
-        if phase is not None:
-            return phase
-        V = self.num_agents
-        W = np.zeros((V, V))
-        for (src, dst) in edges:
-            W[dst, src] = 1.0
-        deg = W.sum(axis=1)
-        empty = np.nonzero(deg == 0)[0]
-        if empty.size:
-            raise ScheduleError(
-                f"agent(s) {empty.tolist()} have no in-neighbors at t={t}"
-                " (self-loop requirement violated)")
-        W = W / deg[:, None]
-        off_diagonal = W.copy()
-        np.fill_diagonal(off_diagonal, 0.0)
-        sender, receiver = np.nonzero(off_diagonal.T)
-        phase = Phase(edges, W, sender, receiver, W[receiver, sender, None],
-                      W.diagonal()[:, None].copy())
-        if self.kind != "procedural":
-            for a in phase[1:]:
-                a.flags.writeable = False
-            self._phases[edges] = phase
-        return phase
+    def edges_at(self, t: int) -> frozenset[Edge]:
+        return self.phase_at(t).edges
+
+    def weights_at(self, t: int) -> np.ndarray:
+        """Row-stochastic weight matrix at time t, each in-edge weighted 1/d_i:
+        the read-only weights of ``phase_at(t)``."""
+        return self.phase_at(t).weights
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +358,25 @@ def _strongly_connected(adj: np.ndarray) -> bool:
 # Augmented delay matrix
 
 
-def delay_blocks(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
+def _delay_blocks(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
     """The (tau_max + 1, V, V) stack of one round's delay blocks W^0 ..
     W^tau_max, with ``W^r[i, j] = W[i, j]`` exactly when ``delays[i, j] == r``:
     each weight lands in exactly one block, so the blocks sum to W.
+
+    Checks nothing: ``augment`` checks what callers pass from outside, and
+    the twin passes weights from ``GraphSchedule.phase_at`` and delays from
+    ``DelaySchedule``, which built them valid.
+    """
+    return np.where(delays == np.arange(tau_max + 1)[:, None, None], weights, 0.0)
+
+
+def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
+    """Augmented matrix on V' = V(1 + tau_max) nodes for one time step.
+
+    The top block row holds the delay blocks W^0 .. W^tau_max side by side,
+    block r keeping the weights of delay r (each original weight lands in
+    exactly one block, so the result stays row stochastic). Sub-diagonal
+    identity blocks shift the virtual relay chain one stage per step.
 
     Raises ValueError unless W is square and row stochastic and D has its
     shape, and DelayRangeError for a delay outside [0, tau_max] or tau_ii != 0.
@@ -395,19 +395,7 @@ def delay_blocks(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.nd
             f"delay entries span [{D.min()}, {D.max()}], outside [0, {tau_max}]")
     if D.diagonal().any():
         raise DelayRangeError("self delays tau_ii must be zero")
-    return np.where(D == np.arange(tau_max + 1)[:, None, None], W, 0.0)
-
-
-def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
-    """Augmented matrix on V' = V(1 + tau_max) nodes for one time step.
-
-    The top block row holds the ``delay_blocks`` W^0 .. W^tau_max side by
-    side (each original weight lands in exactly one block, so the result
-    stays row stochastic). Sub-diagonal identity blocks shift the virtual
-    relay chain one stage per step. Validates as ``delay_blocks`` does.
-    """
-    blocks = delay_blocks(weights, delays, tau_max)
-    S, V = blocks.shape[:2]
+    blocks, S = _delay_blocks(W, D, tau_max), tau_max + 1
     A = np.zeros((V * S, V * S))
     A[:V] = blocks.transpose(1, 0, 2).reshape(V, -1)  # W^r[i, j] at A[i, r V + j]
     relay = np.arange(V, V * S)
@@ -444,22 +432,12 @@ def mixing_diagnostics(schedule: GraphSchedule, delays: DelaySchedule,
 
     C and lambda come from least squares on log deviations of the product
     anchored at t=0 against its limiting row.
-
-    When the schedule is static or periodic and the comm-delay rule draws
-    nothing, (W, D) is a function of the edge set, so each edge set's
-    augmented matrix is built once and shared by its rounds.
     """
     if horizon < 5:
         raise DiagnosticsError(f"horizon {horizon} too short for mixing diagnostics")
     V = schedule.num_agents
-    by_phase = schedule.kind != "procedural" and delays.comm["type"] != "uniform"
-    built = {}  # edge set (or round, when the matrix may differ every round) -> matrix
-    mats = []
-    for t in range(horizon):
-        key = schedule.edges_at(t) if by_phase else t
-        if key not in built:
-            built[key] = augment(schedule.weights_at(t), delays.comm_matrix(t, V), delays.tau_max)
-        mats.append(built[key])
+    mats = [augment(schedule.weights_at(t), delays.comm_matrix(t, V), delays.tau_max)
+            for t in range(horizon)]
     Vp = mats[0].shape[0]
 
     prods = []

@@ -41,7 +41,12 @@ def _delay_rules(draw, keys, tau_max):
 def _run_configs(draw):
     V = 5  # the registered game's agent count
     edge = st.tuples(st.integers(0, V - 1), st.integers(0, V - 1))
-    sets = draw(st.lists(st.lists(edge, max_size=8), min_size=1, max_size=3))
+    # every agent gets an in-edge from a drawn source, so that no edge set
+    # leaves an agent without in-neighbors
+    in_edges = st.lists(st.integers(0, V - 1), min_size=V, max_size=V).map(
+        lambda sources: [(src, dst) for dst, src in enumerate(sources)])
+    sets = draw(st.lists(st.builds(list.__add__, st.lists(edge, max_size=8), in_edges),
+                         min_size=1, max_size=3))
     graph = (dp.GraphSchedule.static(V, sets[0], draw(st.booleans())) if draw(st.booleans())
              else dp.GraphSchedule.periodic(V, sets, draw(st.booleans())))
     tau_max = draw(st.integers(0, 4))
@@ -74,6 +79,22 @@ def test_every_config_round_trips_through_its_dict_form(cfg):
     assert replace(back, x0=None) == replace(cfg, x0=None)  # x0 arrays compare below
     assert (back.x0 is None) == (cfg.x0 is None)
     assert cfg.x0 is None or np.array_equal(back.x0, cfg.x0)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_edge_set_without_in_neighbors_is_a_config_error(command, tmp_path, capsys):
+    d = config_to_dict(preset("fig2-baseline"))
+    edge_sets = d["graph"]["edge_sets"]
+    d["graph"] = {**d["graph"], "require_self_loops": False,
+                  "edge_sets": [edge_sets[0], [e for e in edge_sets[1] if e[1] != 0]]}
+    p, out = tmp_path / "c.json", tmp_path / "r.csv"
+    p.write_text(json.dumps(d))
+    extra = ["--out", str(out)] if command == "run" else []
+    assert cli.main([command, "--config", str(p), *extra]) == 2
+    assert capsys.readouterr().err == (
+        "config error: graph: edge set 1 leaves agent(s) [0] with no in-neighbors"
+        " (self-loop requirement violated)\n")
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_readme_schema_example_has_the_schema_keys_in_every_block():
@@ -488,6 +509,12 @@ _GRAPH = config_to_dict(preset("fig2-baseline"))["graph"]
     ("output", {"path": 5}),
     ("delays", {"tau_max": 2, "seed": -1}),
     ("graph", {**_GRAPH, "edge_sets": [[[0, 1, 2]]]}),
+    # init is a list of rows of finite JSON numbers: no strings or booleans
+    ("init", [["-1"], [True], ["2"], ["5"], ["1"]]),
+    ("init", [[-1.0], [True], [2.0], [5.0], [1.0]]),
+    ("init", [[-1.0], ["2"], [2.0], [5.0], [1.0]]),
+    ("init", [-1.0, 2.0, 2.0, 5.0, 1.0]),
+    ("init", [[-1.0], [2.0, 3.0], [2.0], [5.0], [1.0]]),
 ])
 def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
     """A bad config value, a bad ``--option`` override of a good config, or

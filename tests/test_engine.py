@@ -188,6 +188,29 @@ def test_aggregate_conservation_doubly_stochastic():
         assert abs(res.v[t].sum() - res.x_hat[t].sum()) <= 1e-9
 
 
+@pytest.mark.parametrize("cfg", [
+    dataclasses.replace(preset("fig2-baseline"), noise=dp.NoiseConfig.off()),
+    # the benchmark digraph's ring and chord, fixed: unbalanced and static
+    bench_cfg(graph=dp.GraphSchedule.static(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+              horizon=500),
+], ids=["fig2-no-privacy", "static-unbalanced"])
+def test_tracker_conserves_the_pi_weighted_aggregate(cfg):
+    # with pi(t) = W(t)^T pi(t+1) from a probability vector at T:
+    # pi(T)^T v(T) = pi(T)^T psi(x_hat(T)) + sum_{t<T} (pi(t) - pi(t+1))^T psi(x_hat(t))
+    res = dp.run(cfg)
+    psi = np.array([cfg.resolved_game().psi_values(x) for x in res.x_hat])
+    T, V = cfg.horizon, cfg.graph.num_agents
+    pi = np.full(V, 1.0 / V)
+    lhs, rhs = pi @ res.v[T], pi @ psi[T]
+    for t in range(T - 1, -1, -1):
+        pi_next, pi = pi, cfg.graph.weights_at(t).T @ pi
+        rhs = rhs + (pi - pi_next) @ psi[t]
+    scale = max(np.abs(res.v).max(), np.abs(psi).max())
+    assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+    # the uniform average is not what is conserved
+    assert np.abs(res.v[T].mean(axis=0) - psi[T].mean(axis=0)).max() > 1e-3 * scale
+
+
 def test_actions_always_feasible():
     cfg = bench_cfg(horizon=200, delays=dp.DelaySchedule.uniform(6), seed=5,
                     noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))
@@ -216,6 +239,17 @@ def test_degeneracy_error_without_self_loops():
     game = small_linear_game(2)
     cfg = dp.RunConfig(game=game, graph=sched, horizon=5, x0=np.zeros((2, 1)), seed=0)
     with pytest.raises(DegeneracyError):
+        dp.run(cfg)
+
+
+def test_y_ii_decays_exponentially_in_the_diameter_until_degeneracy():
+    # 80 agents, each hearing itself and its two predecessors: before round
+    # 40 an agent's only walk back to itself is to stay put, so y_ii(t) = 3^-t
+    V = 80
+    sched = dp.GraphSchedule.static(V, [((i - k) % V, i) for i in range(V) for k in (1, 2)])
+    assert dp.eigenvector_floor(sched, 31) == pytest.approx(3.0 ** -31, rel=1e-9)
+    cfg = dp.RunConfig(game=small_linear_game(V), graph=sched, horizon=40, seed=0)
+    with pytest.raises(DegeneracyError, match=r"y_ii = 5\.397e-16 at t=32;"):
         dp.run(cfg)
 
 
@@ -534,8 +568,8 @@ class _AugmentCutTwin(_AugmentedWorld):
 def test_twin_builds_delay_blocks_once_per_phase_unless_delays_are_drawn(name, calls, monkeypatch):
     # fig5 alternates two edge sets under fixed delays; fig7 draws D every round
     built, augmented = [], []
-    blocks, augment = dp.engine.delay_blocks, dp.graph.augment
-    monkeypatch.setattr(dp.engine, "delay_blocks", lambda *args: built.append(args) or blocks(*args))
+    blocks, augment = dp.engine._delay_blocks, dp.graph.augment
+    monkeypatch.setattr(dp.engine, "_delay_blocks", lambda *args: built.append(args) or blocks(*args))
     for module in (dp.graph, dp.engine):  # every binding the twin could resolve
         monkeypatch.setattr(module, "augment", lambda *args: augmented.append(args) or augment(*args),
                             raising=False)
@@ -554,13 +588,14 @@ def test_twin_equals_a_twin_whose_blocks_are_cut_from_augment(name):
 
 
 def test_procedural_schedule_alternating_edge_sets_matches_hand_reference(cournot):
-    # a procedural schedule builds each round's message list afresh: one kept
-    # from the other edge set would send to the wrong receivers
+    # a rule t -> edges listed round by round: each round must use its own
+    # edge set's message list, as one kept from the other edge set would
+    # send to the wrong receivers
     ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     sets = [ring + [(0, 2), (1, 3)], ring + [(2, 0), (4, 1), (3, 1)]]
-    graph = dp.GraphSchedule.procedural(5, lambda t: sets[t % 2])
-    delays = dp.DelaySchedule.fixed(2, comm={(3, 1): 2, (0, 2): 1, (1, 4): 1})
     T, V = 40, 5
+    graph = dp.GraphSchedule.periodic(5, [sets[t % 2] for t in range(T)])
+    delays = dp.DelaySchedule.fixed(2, comm={(3, 1): 2, (0, 2): 1, (1, 4): 1})
     res = dp.run(bench_cfg(graph=graph, delays=delays, horizon=T))
 
     b, x = np.zeros((V, 1)), bench_init()

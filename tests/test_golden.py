@@ -57,7 +57,7 @@ def test_preset_records_and_summary_are_pinned(name, tmp_path):
     csv, jsonl = tmp_path / "r.csv", tmp_path / "r.jsonl"
     cli.write_records(result, csv, "tabular")
     cli.write_records(result, jsonl, "object-lines")
-    summary = cli.run_summary(result)
+    summary = result.summary()
     del summary["wall_time_s"]
     summary_sha = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
     assert (_sha(csv), _sha(jsonl), summary_sha) == GOLDEN[name]

@@ -32,9 +32,8 @@ def test_benchmark_unreliable_edge_absent_at_odd_t():
 
 
 def test_empty_in_neighborhood_is_an_error():
-    sched = dp.GraphSchedule.static(2, [(0, 1)], require_self_loops=False)
-    with pytest.raises(ScheduleError):
-        sched.weights_at(0)  # agent 0 has no in-edges at all
+    with pytest.raises(ScheduleError, match=r"edge set 0 leaves agent\(s\) \[0\]"):
+        dp.GraphSchedule.static(2, [(0, 1)], require_self_loops=False)  # no in-edge of 0
 
 
 def test_weights_are_built_once_per_phase_and_read_only():
@@ -64,20 +63,14 @@ def test_phase_lists_messages_sender_by_sender_once_per_edge_set(bench_graph):
     assert len(bench_graph.phase_at(0).sender) == len(bench_graph.phase_at(1).sender) + 1
 
 
-def test_procedural_weights_are_rebuilt_every_call():
-    sched = dp.GraphSchedule.procedural(3, lambda t: [(t % 3, (t + 1) % 3)])
-    assert sched.weights_at(0) is not sched.weights_at(3)
-    assert np.array_equal(sched.weights_at(0), sched.weights_at(3))
-
-
 def test_empty_in_neighborhood_raises_at_its_phase_every_time():
-    sched = dp.GraphSchedule.periodic(2, [[(0, 0), (1, 1)], [(0, 1), (1, 1)]],
-                                      require_self_loops=False)
-    sched.weights_at(0)
-    for t in (1, 3):
-        with pytest.raises(ScheduleError, match=f"t={t}"):
-            sched.weights_at(t)
-    assert sched.weights_at(2) is sched.weights_at(0)
+    # raised at construction, naming the first edge set that leaves an agent
+    # without in-neighbors, before any round reaches it
+    good, bad = [(0, 0), (1, 1)], [(0, 1), (1, 1)]
+    with pytest.raises(ScheduleError, match=r"edge set 1 leaves agent\(s\) \[0\]"):
+        dp.GraphSchedule.periodic(2, [good, bad, good, bad], require_self_loops=False)
+    sched = dp.GraphSchedule.periodic(2, [good, good], require_self_loops=False)
+    assert sched.phase_at(1) is sched.phase_at(0)  # one phase per distinct edge set
 
 
 def test_row_stochastic_and_self_loop_floor():
@@ -173,16 +166,14 @@ def test_delay_blocks_reject_what_augment_rejects_with_the_same_error():
     out_of_range, self_delay = D.copy(), D.copy()
     out_of_range[0, 1] = 4
     self_delay[1, 1] = 1
-    bad = [(W[:2], D, 3),                        # not square
-           (W * 1.5, D, 3),                      # not row stochastic
-           (W, out_of_range, 3),                 # a delay above tau_max
-           (W, -out_of_range, 3),                # a negative delay
-           (W, self_delay, 3),                   # tau_ii != 0
-           (W, D[:2], 3)]                        # D not W's shape
-    for args in bad:
-        raised = _raised(dp.delay_blocks, *args)
-        assert raised == _raised(dp.augment, *args)
-        assert raised[0] in (ValueError, DelayRangeError)
+    bad = [((W[:2], D, 3), ValueError, "weights must be square, got (2, 3)"),
+           ((W * 1.5, D, 3), ValueError, "weights matrix is not row stochastic"),
+           ((W, out_of_range, 3), DelayRangeError, "delay entries span [0, 4], outside [0, 3]"),
+           ((W, -out_of_range, 3), DelayRangeError, "delay entries span [-4, 0], outside [0, 3]"),
+           ((W, self_delay, 3), DelayRangeError, "self delays tau_ii must be zero"),
+           ((W, D[:2], 3), ValueError, "delays must match weights shape, got (2, 3)")]
+    for args, error, message in bad:
+        assert _raised(dp.augment, *args) == (error, message)
 
 
 def test_delay_blocks_partition_the_weights():
@@ -193,7 +184,8 @@ def test_delay_blocks_partition_the_weights():
         W /= W.sum(axis=1, keepdims=True)
         D = rng.integers(0, tau + 1, size=(V, V))
         np.fill_diagonal(D, 0)
-        blocks = dp.delay_blocks(W, D, tau)
+        # augment's top block row, cut into its tau + 1 blocks
+        blocks = dp.augment(W, D, tau)[:V].reshape(V, tau + 1, V).swapaxes(0, 1)
         assert blocks.shape == (tau + 1, V, V)
         assert np.array_equal(blocks.sum(axis=0), W)
         # each positive weight sits in block D[i, j] and nowhere else
@@ -203,7 +195,7 @@ def test_delay_blocks_partition_the_weights():
 
 
 def test_augment_equals_one_broadcast_where_plus_relays():
-    # the formula augment used before it was built on delay_blocks
+    # the formula augment used before it was built from delay blocks
     def reference(W, D, tau_max):
         V, S = len(W), tau_max + 1
         A = np.zeros((V * S, V * S))
@@ -288,22 +280,6 @@ def test_mixing_benchmark_real_agent_floor(bench_graph):
     assert np.abs(trace_sums - 1.0).max() < 1e-12
     # virtual stages with no mass at some t sit at exactly zero
     assert md.min_pi_all == 0.0
-
-
-def test_mixing_builds_each_phase_once_and_equals_a_per_round_build(monkeypatch):
-    # fig5 alternates two edge sets under fixed delays; the same rule as a
-    # procedural schedule builds every round's matrix
-    from dpgames.cli import preset
-    cfg = preset("fig5-fixed-delay")
-    per_round = dp.mixing_diagnostics(
-        dp.GraphSchedule.procedural(5, cfg.graph.edges_at), cfg.delays, 400)
-    built = []
-    augment = dp.graph.augment
-    monkeypatch.setattr(dp.graph, "augment", lambda *args: built.append(args) or augment(*args))
-    md = dp.mixing_diagnostics(cfg.graph, cfg.delays, 400)
-    assert len(built) == 2
-    for name in dp.MixingDiagnostics.__dataclass_fields__:
-        assert np.array_equal(getattr(md, name), getattr(per_round, name)), name
 
 
 def test_mixing_rejects_disconnected_schedule():
@@ -412,12 +388,15 @@ def test_constant_delay_rule_returns_one_read_only_array_per_agent_count(delays)
 
 
 def test_procedural_schedule_rule():
-    sched = dp.GraphSchedule.procedural(
-        3, lambda t: [(0, 1), (1, 2), (2, 0)] if t % 2 == 0 else [(0, 2), (2, 1), (1, 0)])
+    # a rule t -> edges over a run of T rounds is the periodic schedule of
+    # its T edge sets, with one phase per distinct edge set
+    rule = lambda t: [(0, 1), (1, 2), (2, 0)] if t % 2 == 0 else [(0, 2), (2, 1), (1, 0)]
+    sched = dp.GraphSchedule.periodic(3, [rule(t) for t in range(6)])
     assert sched.weights_at(0)[1, 0] > 0 and sched.weights_at(0)[1, 2] == 0
     assert sched.weights_at(1)[1, 0] == 0 and sched.weights_at(1)[1, 2] > 0
-    with pytest.raises(ScheduleError):  # not expressible in config
-        config_to_dict(dp.RunConfig(game="nash-cournot", graph=sched))
+    assert sched.phase_at(4) is sched.phase_at(2) is sched.phase_at(0)
+    g = config_to_dict(dp.RunConfig(game="nash-cournot", graph=sched))["graph"]
+    assert g["type"] == "periodic" and dp.GraphSchedule.periodic(3, g["edge_sets"]) == sched
 
 
 def test_schedules_round_trip_through_the_config_file(bench_graph):

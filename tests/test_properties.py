@@ -24,13 +24,14 @@ def edge_sets(V, max_sets):
 
 @st.composite
 def schedules(draw, V):
-    kind = draw(st.sampled_from(["static", "periodic", "procedural"]))
+    kind = draw(st.sampled_from(["static", "periodic", "rule"]))
     sets = draw(edge_sets(V, 1 if kind == "static" else 4))
     if kind == "static":
         return dp.GraphSchedule.static(V, sets[0])
     if kind == "periodic":
         return dp.GraphSchedule.periodic(V, sets)
-    return dp.GraphSchedule.procedural(V, lambda t: sets[(t * t + 1) % len(sets)])
+    # a rule t -> edges: (t * t + 1) mod n repeats with period n
+    return dp.GraphSchedule.periodic(V, [sets[(t * t + 1) % len(sets)] for t in range(len(sets))])
 
 
 @st.composite
