@@ -117,6 +117,10 @@ class RunConfig:
             errors.append(f"gamma must be positive and finite, got {self.gamma}")
         if self.b_window < 1:
             errors.append(f"b_window must be >= 1, got {self.b_window}")
+        elif self.validate_connectivity and self.horizon >= self.b_window:
+            report = validate_b_connectivity(self.graph, self.b_window, self.horizon)
+            if not report.ok:
+                errors.append(f"schedule not strongly connected over window {report.first_violation}")
         errors += self.delays.entry_errors(game.num_agents)
         if self.cold_start not in ("clamp", "zero"):
             errors.append(f"cold_start must be 'clamp' or 'zero', got {self.cold_start!r}")
@@ -146,12 +150,6 @@ class World:
         self.noise = config.noise
         V, m = self.game.num_agents, self.game.dim
         self.V, self.m = V, m
-
-        if config.validate_connectivity and config.horizon >= config.b_window:
-            report = validate_b_connectivity(self.graph, config.b_window, config.horizon)
-            if not report.ok:
-                raise ValueError(
-                    f"schedule not strongly connected over window {report.first_violation}")
 
         self.t = 0
         self.b = np.zeros((V, m))

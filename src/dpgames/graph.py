@@ -26,7 +26,8 @@ class ScheduleError(ValueError):
 
 
 class DelayRangeError(ValueError):
-    """Raised when a delay falls outside [0, tau_max] or tau_ii != 0."""
+    """Raised when a delay falls outside [0, tau_max], tau_ii != 0, or a uniform
+    rule's low exceeds its high."""
 
 
 class DiagnosticsError(RuntimeError):
@@ -148,8 +149,9 @@ class DelaySchedule:
     ``comm`` / ``feedback`` rules:
       {"type": "none"}                              all zero
       {"type": "fixed", "entries": {(i, j): d}}     constant per (receiver i, sender j)
-      {"type": "uniform", "low": a, "high": b}      iid uniform integers, seeded;
-                                                    ``low`` defaults to 0
+      {"type": "uniform", "low": a, "high": b}      iid uniform integers in [a, b],
+                                                    seeded; ``low`` defaults to 0
+                                                    and may not exceed ``high``
 
     A ``seed`` of None is resolved to the run's master seed by the engine.
     Random delays are drawn as one block per (purpose, round), so the delay
@@ -181,6 +183,9 @@ class DelaySchedule:
                     object.__setattr__(self, name, desc)
                 self._check(desc["low"], f"{name} uniform low")
                 self._check(desc["high"], f"{name} uniform high")
+                if desc["low"] > desc["high"]:
+                    raise DelayRangeError(
+                        f"{name} uniform low {desc['low']} exceeds high {desc['high']}")
             elif kind != "none":
                 raise DelayRangeError(f"unknown delay rule type {kind!r}")
 
@@ -322,15 +327,17 @@ def validate_b_connectivity(schedule: GraphSchedule, b_window: int, horizon: int
     the horizon is strongly connected.
 
     Returns a report rather than raising; the first violating window (if any)
-    is included for diagnostics. Each distinct union is decided once.
+    is included for diagnostics. A window's union depends only on its start
+    modulo the period, so only the starts below lcm(period, B) are visited,
+    and each distinct union among them is decided once.
     """
     if b_window < 1:
         raise ScheduleError(f"connectivity window must be >= 1, got {b_window}")
     if horizon < b_window:
         raise ScheduleError(f"horizon {horizon} shorter than window {b_window}")
-    V = schedule.num_agents
+    V, period = schedule.num_agents, len(schedule.edge_sets)
     connected = set()  # window unions found strongly connected so far
-    for start in range(0, horizon - b_window + 1, b_window):
+    for start in range(0, min(horizon - b_window + 1, math.lcm(period, b_window)), b_window):
         union = frozenset().union(*map(schedule.edges_at, range(start, start + b_window)))
         if union in connected:
             continue
@@ -436,25 +443,28 @@ def mixing_diagnostics(schedule: GraphSchedule, delays: DelaySchedule,
     if horizon < 5:
         raise DiagnosticsError(f"horizon {horizon} too short for mixing diagnostics")
     V = schedule.num_agents
-    mats = [augment(schedule.weights_at(t), delays.comm_matrix(t, V), delays.tau_max)
-            for t in range(horizon)]
-    Vp = mats[0].shape[0]
+    # every pass builds each round's matrix again, so none keeps more than
+    # one matrix and one product
+    mat = lambda t: augment(schedule.weights_at(t), delays.comm_matrix(t, V), delays.tau_max)
 
-    prods = []
-    P = np.eye(Vp)
-    for t in range(horizon):
-        P = mats[t] @ P
-        prods.append(P.copy())
+    def products():  # W'(t:0) = W'(t) ... W'(0) for t = 0 .. horizon - 1
+        P = np.eye(V * (delays.tau_max + 1))
+        for t in range(horizon):
+            P = mat(t) @ P
+            yield P
 
     row_range = lambda M: (M.max(axis=0) - M.min(axis=0)).max()
-    r0, rT = row_range(prods[0]), row_range(prods[-1])
+    for t, P in enumerate(products()):
+        if t == 0:
+            r0 = row_range(P)
+    rT = row_range(P)
     if not (rT < min(0.5 * r0 + 1e-15, 1e-3)):
         raise DiagnosticsError(
             f"backward products not converging to rank one (row range {rT:.3e}"
             f" after {horizon} steps); check connectivity")
 
-    pi0 = prods[-1].mean(axis=0)
-    devs = np.array([np.abs(P - pi0[None, :]).max() for P in prods])
+    pi0 = P.mean(axis=0)
+    devs = np.array([np.abs(P - pi0[None, :]).max() for P in products()])
 
     mask = devs > 1e-14
     ell = np.arange(1, horizon + 1, dtype=float)[mask]
@@ -472,10 +482,10 @@ def mixing_diagnostics(schedule: GraphSchedule, delays: DelaySchedule,
         # the floor as an upper bound on the rate
         lam, c, r2 = 1e-14, float(max(devs[0], 1e-14)), 1.0
 
-    trace = np.empty((horizon, Vp))
-    pi = np.full(Vp, 1.0 / Vp)
+    trace = np.empty((horizon, len(pi0)))
+    pi = np.full(len(pi0), 1.0 / len(pi0))
     for t in range(horizon - 1, -1, -1):
-        pi = mats[t].T @ pi
+        pi = mat(t).T @ pi
         trace[t] = pi
     return MixingDiagnostics(
         c_hat=c, lambda_hat=lam, r_squared=r2, pi_trace=trace, deviations=devs,

@@ -63,12 +63,16 @@ def _run_configs(draw):
         shared_draw=draw(st.booleans()))
     output = draw(st.fixed_dictionaries({}, optional={
         "format": st.sampled_from(["tabular", "object-lines"]), "path": st.text(max_size=8)}))
+    horizon, gamma = draw(st.integers(0, 50)), draw(scale)
+    x0 = draw(st.sampled_from([None, np.array([[-1.0], [2.0], [2.0], [5.0], [1.0]])]))
+    seed, b_window = draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 4))
+    # a schedule that fails the connectivity check it asks for is a config error
+    connected = horizon < b_window or dp.validate_b_connectivity(graph, b_window, horizon).ok
     return dp.RunConfig(
-        game="nash-cournot", graph=graph, delays=delays, noise=noise,
-        horizon=draw(st.integers(0, 50)), gamma=draw(scale),
-        x0=draw(st.sampled_from([None, np.array([[-1.0], [2.0], [2.0], [5.0], [1.0]])])),
-        seed=draw(st.integers(0, 2 ** 32)), b_window=draw(st.integers(1, 4)),
-        validate_connectivity=draw(st.booleans()), cold_start=draw(st.sampled_from(["clamp", "zero"])),
+        game="nash-cournot", graph=graph, delays=delays, noise=noise, horizon=horizon,
+        gamma=gamma, x0=x0, seed=seed, b_window=b_window,
+        validate_connectivity=draw(st.booleans()) and connected,
+        cold_start=draw(st.sampled_from(["clamp", "zero"])),
         run_id=draw(st.text(max_size=8)), output=output)
 
 
@@ -310,6 +314,16 @@ def test_verify_entries_when_a_violating_phase_recurs(kind, expected):
     assert cli.verify_checks(_recurring_violation(kind)) == expected
 
 
+def test_verify_finds_a_missing_self_loop_late_in_a_long_cycle():
+    # edge set 280 of 300 drops agent 2's self-loop; the horizon passes it once
+    ring = [(i, (i + 1) % 5) for i in range(5)] + [(i, i) for i in range(5)]
+    sets = [[e for e in ring if e != (2, 2)] if k == 280 else ring for k in range(300)]
+    cfg = dp.RunConfig(game="nash-cournot", horizon=400,
+                       graph=dp.GraphSchedule.periodic(5, sets, require_self_loops=False))
+    assert cli.verify_checks(cfg)[0] == (
+        "self-loops", False, "missing self-loop, first at (agent, t) = (2, 280)")
+
+
 def test_sweep_epsilon_axis(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", "--preset", "fig2-baseline", "--horizon", "120",
@@ -515,6 +529,11 @@ _GRAPH = config_to_dict(preset("fig2-baseline"))["graph"]
     ("init", [[-1.0], ["2"], [2.0], [5.0], [1.0]]),
     ("init", [-1.0, 2.0, 2.0, 5.0, 1.0]),
     ("init", [[-1.0], [2.0, 3.0], [2.0], [5.0], [1.0]]),
+    # a uniform rule draws from a non-empty range
+    ("delays", {"tau_max": 10, "comm": {"type": "uniform", "low": 7, "high": 3}}),
+    # a schedule that fails the connectivity check it asks for
+    ("graph", {"type": "periodic", "num_agents": 5, "b_window": 1, "validate_connectivity": True,
+               "edge_sets": [[[0, 1], [1, 2], [2, 3], [3, 4]], [[4, 0]]]}),
 ])
 def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
     """A bad config value, a bad ``--option`` override of a good config, or

@@ -368,6 +368,21 @@ def test_ledger_fills_per_step():
     assert res.ledger.epsilon_hat == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("sensitivity, delta, delta_t", [("manual", 2.0, 2.0),
+                                                         ("analytic", None, 44550.0)])
+def test_sigma_mode_keeps_sigma_and_records_the_resolved_sensitivity(sensitivity, delta,
+                                                                     delta_t, cournot):
+    cfg = dataclasses.replace(preset("fig2-baseline"), horizon=10, noise=dp.NoiseConfig(
+        "sigma", sigma=4.0, sensitivity_mode=sensitivity, delta=delta))
+    if sensitivity == "analytic":
+        floor = dp.eigenvector_floor(cfg.graph, 10)
+        assert dp.sensitivity_bound(cournot.L, 1.0 / floor, 1) == delta_t
+    ledger = dp.run(cfg).ledger
+    assert ledger.to_rows() == [{"t": t, "delta": delta_t, "sigma": 4.0, "epsilon": delta_t / 4.0}
+                                for t in range(10)]
+    assert ledger.epsilon_hat == 10 * delta_t / 4.0  # 5.0 with the manual delta
+
+
 # ---------------------------------------------------------------------------
 # feedback delays and cold start
 
@@ -625,3 +640,43 @@ def test_procedural_schedule_alternating_edge_sets_matches_hand_reference(courno
         np.testing.assert_allclose(res.x[t + 1], x, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(res.v[t + 1], v, rtol=1e-12, atol=1e-9)
     assert res.messages_enqueued == sum(len(sets[t % 2]) for t in range(T))
+
+
+@pytest.mark.parametrize("name, blocks_repeat", [("fig5-fixed-delay", True),
+                                                 ("fig6-random-delays", False)])
+def test_arrivals_use_the_send_rounds_delay_blocks(name, blocks_repeat):
+    """The engine weights a message with the delay blocks of the round it
+    was sent in: round t's arrivals are sum_r W^r(t - r) b(t - r), not the
+    sum_r W^r(t) b(t - r) of a chain of ``augment(W(t), D(t))``. The two
+    agree when each round's blocks equal those of r rounds earlier, as under
+    fig5's fixed delay on its period-2 schedule, and not under fig6's
+    uniform delays.
+    """
+    cfg = dataclasses.replace(preset(name), horizon=60)
+    assert not cfg.noise.enabled  # the sent snapshot is b itself
+    world = World(cfg)
+    V, S = world.V, world.delays.tau_max + 1
+
+    def blocks(s):  # (S, V, V) delay blocks of round s, read from augment's top block row
+        top = dp.augment(cfg.graph.weights_at(s), world.delays.comm_matrix(s, V), S - 1)[:V]
+        out = top.reshape(V, S, V).swapaxes(0, 1).copy()
+        out[0][np.diag_indices(V)] = 0.0  # self terms use the raw value
+        return out
+
+    sent, block, gap_send, gap_receive, scale = [], [], 0.0, 0.0, 1.0
+    for t in range(cfg.horizon):
+        sent.append(world.b.copy())
+        block.append(blocks(t))
+        world.step()
+        arrived = world.last_arrivals[0]
+        stages = range(min(t, S - 1) + 1)
+        at_send = sum(block[t - r][r] @ sent[t - r] for r in stages)
+        at_receive = sum(block[t][r] @ sent[t - r] for r in stages)
+        gap_send = max(gap_send, float(np.abs(arrived - at_send).max()))
+        gap_receive = max(gap_receive, float(np.abs(at_send - at_receive).max()))
+        scale = max(scale, float(np.abs(world.b).max()))
+    assert gap_send <= 1e-12 * scale
+    if blocks_repeat:
+        assert gap_receive == 0.0
+    else:
+        assert gap_receive > 1e-2 * scale

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,15 @@ def test_b_connectivity_disconnected_pair():
             rep = dp.validate_b_connectivity(sched, b, 20)
             assert not rep.ok
             assert rep.first_violation == (0, b - 1)
+
+
+def test_b_connectivity_reports_a_violation_late_in_a_long_cycle():
+    # edge set 280 of 300 cuts the ring edge 4 -> 0; the horizon covers the cycle six times
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    sched = dp.GraphSchedule.periodic(5, [ring[:-1] if k == 280 else ring for k in range(300)])
+    rep = dp.validate_b_connectivity(sched, 1, 2000)
+    assert not rep.ok
+    assert rep.first_violation == (280, 280)
 
 
 def test_augment_no_delay_is_identity_embedding():
@@ -282,6 +293,27 @@ def test_mixing_benchmark_real_agent_floor(bench_graph):
     assert md.min_pi_all == 0.0
 
 
+def test_mixing_keeps_no_per_round_matrix():
+    # 20 agents with tau_max 10: an augmented matrix is 220 x 220 floats
+    # (0.37 MiB), so keeping every round's matrix and product for 100
+    # rounds would take about 75 MiB
+    rng = np.random.default_rng(7)
+    ring = [(i, (i + 1) % 20) for i in range(20)]
+    sets = [ring + [(int(src), dst) for dst in range(20)
+                    for src in rng.choice([s for s in range(20) if s not in (dst, (dst - 1) % 20)],
+                                          size=3, replace=False)]
+            for _ in range(4)]
+    graph, delays = dp.GraphSchedule.periodic(20, sets), dp.DelaySchedule.uniform(10, seed=7)
+    tracemalloc.start()
+    try:
+        md = dp.mixing_diagnostics(graph, delays, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert md.min_pi_real > 0
+    assert peak < 8 * 2 ** 20
+
+
 def test_mixing_rejects_disconnected_schedule():
     sched = dp.GraphSchedule.static(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
     with pytest.raises(DiagnosticsError):
@@ -303,6 +335,8 @@ def test_delay_schedule_rejects_out_of_range():
         dp.DelaySchedule.fixed(2, comm={(0, 1): 3})
     with pytest.raises(DelayRangeError):
         dp.DelaySchedule(2, comm={"type": "uniform", "low": 0, "high": 5})
+    with pytest.raises(DelayRangeError, match="^comm uniform low 3 exceeds high 1$"):
+        dp.DelaySchedule.uniform(4, low=3, high=1)
 
 
 def test_random_delays_are_order_independent():

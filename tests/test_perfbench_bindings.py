@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dpgames as dp
-from dpgames import metrics
+from dpgames import cli, metrics
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
@@ -43,6 +43,18 @@ def test_solve_equilibria_calls_the_module_oracle_once_per_round(monkeypatch):
     monkeypatch.setattr(metrics, "ne_oracle", counting)
     sols = metrics.solve_equilibria(dp.nash_cournot(), range(3))
     assert calls == [s.iterations for s in sols] and len(calls) == 3
+
+
+@pytest.mark.parametrize("name, calls", [("fig7-delays-private", 2), ("fig5-fixed-delay", 2),
+                                         ("scale-v20-random-digraph", 4)])
+def test_verify_augments_once_per_edge_set_the_horizon_reaches(name, calls, monkeypatch):
+    # the graph.augment span of the verify stage: one matrix per distinct
+    # edge set, at the workload's own horizon
+    built = []
+    augment = cli.augment
+    monkeypatch.setattr(cli, "augment", lambda *args: built.append(args) or augment(*args))
+    cli.verify_checks(workloads.WORKLOADS[name].config(7))
+    assert len(built) == calls
 
 
 def test_scale_oracle_iteration_count_is_pinned():
