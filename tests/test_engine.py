@@ -188,6 +188,26 @@ def test_aggregate_conservation_doubly_stochastic():
         assert abs(res.v[t].sum() - res.x_hat[t].sum()) <= 1e-9
 
 
+def test_aggregate_mass_in_flight_is_conserved_under_delays():
+    # doubly stochastic weights, uniform delays: every round, the estimates
+    # plus the v-columns of the messages still in the ring hold sum_i psi_i(x_hat_i)
+    game = small_linear_game(4)
+    cfg = dp.RunConfig(game=game, graph=complete_graph(4), horizon=200,
+                       delays=dp.DelaySchedule.uniform(3),
+                       x0=np.array([[1.0], [-2.0], [0.5], [3.0]]), seed=0)
+    world = World(cfg)
+    errors, scale = [], 0.0
+    for _ in range(cfg.horizon + 1):
+        held = world.v.sum(axis=0) + world.ring[:, :, game.dim:].sum(axis=(0, 1))
+        psi = game.psi_values(world.x_hat)
+        errors.append(np.abs(held - psi.sum(axis=0)).max())
+        scale = max(scale, np.abs(world.v).max(), np.abs(psi).max())
+        if world.t < cfg.horizon:
+            world.step()
+    assert max(errors) <= 1e-12 * scale
+    assert world.messages_pending() > 0  # the ring carries mass at the end
+
+
 @pytest.mark.parametrize("cfg", [
     dataclasses.replace(preset("fig2-baseline"), noise=dp.NoiseConfig.off()),
     # the benchmark digraph's ring and chord, fixed: unbalanced and static

@@ -110,6 +110,26 @@ def test_oracle_rejects_bad_tolerance(tol, cournot):
         dp.ne_oracle(cournot, 0, tol=tol)
 
 
+def test_oracle_stops_at_a_non_finite_residual(cournot):
+    with pytest.raises(OracleError, match="non-finite residual at round 0, iteration 1"):
+        dp.ne_oracle(cournot, 0, x0=np.full((5, 1), np.nan))
+    # a gradient that is NaN at round 4 only
+    game = dataclasses.replace(cournot, grad_own=lambda i, t, x, p: np.where(
+        (np.asarray(t) == 4)[..., None], np.nan, cournot.grad_own(i, t, x, p)))
+    assert dp.ne_oracle(game, 3).iterations == 2
+    with pytest.raises(OracleError, match="non-finite residual at round 4, iteration 1"):
+        dp.ne_oracle(game, 4)
+    with pytest.raises(OracleError, match="at round 4,"):
+        dp.solve_equilibria(game, range(8))
+
+
+@pytest.mark.parametrize("bound, iterations", [(np.inf, 1), (-np.inf, 2)])
+def test_oracle_clips_an_infinite_start_into_the_box(bound, iterations, cournot):
+    # +inf clips to the upper corner, which is the equilibrium
+    sol = dp.ne_oracle(cournot, 0, x0=np.full((5, 1), bound))
+    assert sol.iterations == iterations and np.array_equal(sol.x_star.ravel(), CORNER)
+
+
 def nonsymmetric_game(box):
     """Per-agent game with F_i(x) = a_i x_i + b_i sum_j x_j + c_i, so the
     Jacobian diag(a) + b 1^T is not symmetric; no analytic Lipschitz
@@ -201,6 +221,69 @@ def test_solve_equilibria_warm_starts(cournot):
     assert [s.t for s in sols] == list(range(30))
     assert all(s.residual <= 1e-10 for s in sols)
     assert max(s.iterations for s in sols[1:]) <= 10
+
+
+def _warm_started_loop(game, times, tol=1e-10):
+    """Reference: one ne_oracle call per round, each started from the last."""
+    out, x = [], None
+    for t in times:
+        sol = metrics.ne_oracle(game, t, tol=tol, x0=x)
+        out.append(sol)
+        x = sol.x_star
+    return out
+
+
+def switching_corner_game():
+    """Four agents whose equilibrium is the upper box corner before t = 37
+    and the lower one from t = 37 on: a step in the private linear term.
+    """
+    V = 4
+
+    def c(i, t):  # rows, or one agent, as in linear_demand_game
+        return np.where(np.asarray(t) < 37, -100.0, 100.0) + i
+
+    return dataclasses.replace(
+        small_linear_game(V), name="switching-corner",
+        cost_fn=lambda i, t, x, p: (c(i, t) + V * p.T[0]) * x.T[0],
+        grad_own=lambda i, t, x, p: (c(i, t) + V * p.T[0])[..., None])
+
+
+@pytest.mark.parametrize("game, times", [
+    (dp.nash_cournot(), range(401)),
+    (small_linear_game(20), range(21)),  # perfbench's scaling game: every warm round moves
+    (nonsymmetric_game(1.0)[0], range(10)),  # no grad_lipschitz: L_F sampled per round
+    (dp.nash_cournot(), [0, 5, 7, 100, 3, 3, 3]),
+    (switching_corner_game(), range(80)),  # a doubled chunk breaks at t = 37
+], ids=["cournot-401", "scale-21", "nonsymmetric-10", "out-of-order", "corner-switch"])
+def test_solve_equilibria_is_bit_identical_to_the_warm_started_loop(game, times):
+    sols = dp.solve_equilibria(game, times)
+    ref = _warm_started_loop(game, times)
+    assert len(sols) == len(ref)
+    assert len({id(s.x_star) for s in sols}) == len(sols)  # each round owns its profile
+    for s, r in zip(sols, ref):
+        assert (s.t, type(s.t), s.residual, s.iterations) == (r.t, type(r.t), r.residual, r.iterations)
+        assert s.x_star.tobytes() == r.x_star.tobytes()
+
+
+def _oracle_rounds(monkeypatch):
+    """The rounds ``solve_equilibria`` hands to the module-global oracle."""
+    rounds = []
+    oracle = metrics.ne_oracle
+    monkeypatch.setattr(metrics, "ne_oracle", lambda game, t, **kw: rounds.append(t) or oracle(game, t, **kw))
+    return rounds
+
+
+def test_corner_switch_goes_back_to_the_oracle(monkeypatch):
+    rounds = _oracle_rounds(monkeypatch)
+    sols = dp.solve_equilibria(switching_corner_game(), range(80))
+    assert rounds == [0, 1, 37, 38]
+    assert np.all(sols[36].x_star == 5.0) and np.all(sols[37].x_star == -5.0)
+
+
+def test_cournot_horizon_calls_the_oracle_twice(cournot, monkeypatch):
+    rounds = _oracle_rounds(monkeypatch)
+    dp.solve_equilibria(cournot, range(401))
+    assert rounds == [0, 1]
 
 
 # ---------------------------------------------------------------------------

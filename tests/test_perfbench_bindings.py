@@ -30,19 +30,21 @@ def test_required_spans_are_traced():
     assert set(layers.REQUIRED_SPANS) <= traced
 
 
-def test_solve_equilibria_calls_the_module_oracle_once_per_round(monkeypatch):
-    # the tracer counts oracle iterations through the module global
+def test_solve_equilibria_calls_the_module_oracle_for_the_unscreened_rounds(monkeypatch):
+    # the tracer counts oracle iterations through the module global; rounds
+    # settled by their warm start in the screening call never reach it
     calls = []
 
-    def counting(*args, **kwargs):
-        sol = oracle(*args, **kwargs)
-        calls.append(sol.iterations)
+    def counting(game, t, **kwargs):
+        sol = oracle(game, t, **kwargs)
+        calls.append((t, sol.iterations))
         return sol
 
     oracle = metrics.ne_oracle
     monkeypatch.setattr(metrics, "ne_oracle", counting)
     sols = metrics.solve_equilibria(dp.nash_cournot(), range(3))
-    assert calls == [s.iterations for s in sols] and len(calls) == 3
+    assert calls == [(0, 2), (1, 1)]
+    assert calls == [(s.t, s.iterations) for s in sols[:2]]
 
 
 @pytest.mark.parametrize("name, calls", [("fig7-delays-private", 2), ("fig5-fixed-delay", 2),
