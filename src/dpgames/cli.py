@@ -184,8 +184,9 @@ def _schedule(g: dict, n: int) -> GraphSchedule:
     return getattr(GraphSchedule, g["type"])(n, edges, g["require_self_loops"])
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    """The config ``raw`` describes; ConfigError itemizes every bad key."""
+def config_from_dict(raw: dict, validate: bool = True) -> RunConfig:
+    """The config ``raw`` describes; ConfigError itemizes every bad key.
+    ``validate=False`` leaves ``RunConfig.validate`` to the caller."""
     errors = []
     c = _read(SCHEMA, raw, errors)
     g, d, p = c.get("graph", {}), c.get("delays", {}), c.get("privacy", {})
@@ -202,7 +203,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         gamma=c["gamma"], x0=c["init"], seed=c["seed"], b_window=g["b_window"],
         validate_connectivity=g["validate_connectivity"], cold_start=c["cold_start"],
         run_id=c["run_id"], output={k: v for k, v in c["output"].items() if v is not None})
-    if more := cfg.validate():
+    if validate and (more := cfg.validate()):
         raise ConfigError(more)
     return cfg
 
@@ -225,15 +226,16 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "init": None if cfg.x0 is None else cfg.resolved_x0(cfg.resolved_game()).tolist()})
 
 
-def load_config(path) -> RunConfig:
-    """The config in the file ``path``; an empty file reads as ``{}``."""
+def load_config(path, validate: bool = True) -> RunConfig:
+    """The config in the file ``path``; an empty file reads as ``{}``.
+    ``validate`` is as in ``config_from_dict``."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8").strip() or "{}")
     except ValueError as e:  # what decoding UTF-8 or JSON raises
         raise ConfigError([f"config {path} is not UTF-8 JSON: {e}"])
     if not isinstance(raw, dict):
         raise ConfigError([f"config root must be an object, got {reprlib.repr(raw)}"])
-    return config_from_dict(raw)
+    return config_from_dict(raw, validate)
 
 
 def write_config(cfg: RunConfig, path) -> None:
@@ -348,12 +350,14 @@ def write_summary(result: RunResult, path) -> None:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The command's config with its overrides, validated here once: the
+    runs a command starts skip their own validation."""
     if args.preset and args.config:
         raise ConfigError(["pass either --preset or --config, not both"])
     if args.preset:
         cfg = preset(args.preset)
     elif args.config:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, validate=False)
     else:
         raise ConfigError(["one of --preset or --config is required"])
     if getattr(args, "seed", None) is not None:
@@ -370,7 +374,7 @@ def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     fmt = args.format or cfg.output.get("format", "tabular")
     out = args.out or cfg.output.get("path") or f"{cfg.run_id}.{'csv' if fmt == 'tabular' else 'jsonl'}"
-    result = engine.run(cfg)
+    result = engine.run(cfg, validated=True)
     write_records(result, out, fmt)
     write_summary(result, str(out) + ".summary.json")
     print(f"wrote {out} and {out}.summary.json "
@@ -378,8 +382,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50) -> list[tuple[str, bool, str]]:
+def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50,
+                  validated: bool = False) -> list[tuple[str, bool, str]]:
     """The verification battery; every entry is (name, passed, detail).
+    ``validated`` is as in ``engine.run``.
 
     The per-round checks run once per edge set the horizon reaches, at the
     first round that has it, with that round's delays. Later rounds add
@@ -424,8 +430,8 @@ def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50) -> list[tuple[s
 
     short = replace(cfg, horizon=min(horizon, equivalence_horizon))
     try:
-        a = engine.run(short)
-        b = engine.run_augmented_reference(short)
+        a = engine.run(short, validated)  # a shorter horizon keeps a config valid
+        b = engine.run_augmented_reference(short, validated)
         diff = max(float(np.abs(a.b - b.b).max()), float(np.abs(a.x - b.x).max()),
                    float(np.abs(a.v - b.v).max()))
         # the two routes differ only in summation order, so agreement is
@@ -441,7 +447,7 @@ def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50) -> list[tuple[s
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
-    checks = verify_checks(cfg)
+    checks = verify_checks(cfg, validated=True)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 0 if all(ok for _, ok, _ in checks) else 1
@@ -503,7 +509,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(errors)
     rows = []
     for raw_value, member in members:
-        result = engine.run(member)
+        result = engine.run(member, validated=True)
         tail = result.summary()["stabilization"].values()
         rows.append({
             "run_id": member.run_id, "axis": axis, "value": raw_value,

@@ -41,7 +41,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .game import GameSpec, _sum_in_order, resolve_game
+from .game import GameSpec, _sum_in_order, clip_to_box, resolve_game
 from .graph import (DelaySchedule, GraphSchedule, Phase, _delay_blocks, eigenvector_floor,
                     validate_b_connectivity)
 from .metrics import average_loss, stabilization_stat
@@ -66,7 +66,7 @@ def project(b: np.ndarray, eta: float, box_lo, box_hi) -> np.ndarray:
     """
     if eta <= 0:
         raise ValueError(f"step size must be positive, got {eta}")
-    return np.clip(-eta * np.asarray(b, float), box_lo, box_hi)
+    return clip_to_box(-eta * np.asarray(b, float), box_lo, box_hi)
 
 
 def step_size(gamma: float, k: int) -> float:
@@ -139,8 +139,9 @@ class RunConfig:
 class World:
     """Mutable simulation state; ``step()`` advances one synchronous round."""
 
-    def __init__(self, config: RunConfig):
-        errors = config.validate()
+    def __init__(self, config: RunConfig, validated: bool = False):
+        """``validated``: the caller has already checked ``config.validate()``."""
+        errors = [] if validated else config.validate()
         if errors:
             raise ValueError("invalid run config: " + "; ".join(errors))
         self.cfg = config
@@ -381,13 +382,14 @@ def _execute(world: World, start: float) -> RunResult:
         wall_time=time.perf_counter() - start)
 
 
-def run(config: RunConfig) -> RunResult:
+def run(config: RunConfig, validated: bool = False) -> RunResult:
     """Execute the arrival-ring simulation for t = 0..T-1.
 
     Deterministic for a given (config, seed): records for rounds 0..T.
+    ``validated`` skips ``config.validate()``, which the caller has run.
     """
     start = time.perf_counter()
-    return _execute(World(config), start)
+    return _execute(World(config, validated), start)
 
 
 class _AugmentedWorld(World):
@@ -405,8 +407,8 @@ class _AugmentedWorld(World):
     set, so each edge set's blocks are built once and reused.
     """
 
-    def __init__(self, config: RunConfig):
-        super().__init__(config)
+    def __init__(self, config: RunConfig, validated: bool = False):
+        super().__init__(config, validated)
         slots = len(self.states)
         self.carried = np.zeros((slots, slots, self.V, 2 * self.m))  # [s, r]: W^r(s) @ (b~, v~)(s)
         drawn = self.delays.comm["type"] == "uniform"
@@ -435,13 +437,13 @@ class _AugmentedWorld(World):
         self._apply_updates(t, phase, arrived[:, :m], arrived[:, m:], sigma_t)
 
 
-def run_augmented_reference(config: RunConfig) -> RunResult:
+def run_augmented_reference(config: RunConfig, validated: bool = False) -> RunResult:
     """Delay-free execution on V(1 + tau_max) nodes; real-agent trajectories.
 
     Draws the same per-round noise and delay blocks as ``run`` (one Philox
     stream per purpose, its counter set from the round) and is algebraically
     identical to it up to summation order. Message counters stay zero: this
-    route has no arrival ring.
+    route has no arrival ring. ``validated`` is as in ``run``.
     """
     start = time.perf_counter()
-    return _execute(_AugmentedWorld(config), start)
+    return _execute(_AugmentedWorld(config, validated), start)

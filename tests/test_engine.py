@@ -273,6 +273,22 @@ def test_y_ii_decays_exponentially_in_the_diameter_until_degeneracy():
         dp.run(cfg)
 
 
+def test_update_does_not_approach_an_equilibrium_off_the_box_corners():
+    # a pinned limit, not a goal: the executed update mixes the agents' dual
+    # variables, so on a game whose equilibrium is neither box corner the
+    # actions stay a box width away and the dynamic regret grows linearly
+    # (README, "Known limit: equilibria off the box corners")
+    V, T = 20, 2000
+    game = dp.linear_demand_game([-20.0 - 5.0 * i for i in range(V)], [-5.0] * V, [5.0] * V)
+    res = dp.run(dp.RunConfig(game=game, graph=ring_graph(V), horizon=2 * T))
+    sols = dp.solve_equilibria(game, range(2 * T + 1))
+    x_star = sols[0].x_star
+    assert np.abs(x_star).min() < 1e-9  # agent 5 sits at 0, inside its box
+    assert np.abs(res.x[T] - x_star).max() > 9.0  # measured 10.0, the box width
+    regret = dp.dynamic_regret(game, res.x, sols).cumulative
+    assert regret[2 * T] / regret[T] == pytest.approx(2.0, abs=0.1)  # measured 1.96
+
+
 # ---------------------------------------------------------------------------
 # noise handling
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dpgames as dp
-from dpgames.game import ActionDomainError
+from dpgames.game import ActionDomainError, clip_to_box
 
 from conftest import per_agent_copy, small_linear_game
 
@@ -284,3 +284,16 @@ def test_row_form_box_error_names_round_and_agent(cournot):
     x[5 + 3, 0] = 13.0  # block 1, agent 3: box [3, 12]
     with pytest.raises(ActionDomainError, match="agent 3 at round 21"):
         cournot.costs(np.repeat([20, 21, 22], 5), x, np.zeros_like(x))
+
+
+def test_box_clip_keeps_np_clip_bits_at_signed_zeros_on_a_face():
+    # faces at +0.0 and -0.0 from both sides, met by +-0.0, NaN and +-inf;
+    # with array bounds np.clip is minimum(maximum(x, lo), hi) bit for bit,
+    # and the engine's projection and the oracle both clip through it
+    lo = np.array([[0.0], [-0.0], [-1.0], [-1.0], [0.0], [-0.0]])
+    hi = np.array([[1.0], [1.0], [0.0], [-0.0], [0.0], [-0.0]])
+    for value in (-0.0, 0.0, np.nan, np.inf, -np.inf, 0.5, -0.5):
+        x = np.full((6, 1), value)
+        expected = np.clip(x, lo, hi).tobytes()
+        assert clip_to_box(x, lo, hi).tobytes() == expected
+        assert dp.project(x, 1.0, lo, hi).tobytes() == np.clip(-1.0 * x, lo, hi).tobytes()

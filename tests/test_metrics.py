@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -96,12 +97,37 @@ def test_oracle_matches_closed_form_on_unconstrained_toy():
     assert np.allclose(sol.x_star.ravel(), x_direct, atol=1e-10)
 
 
-def test_oracle_detects_non_contraction():
-    # a wildly understated Lipschitz constant makes the step size explosive
+def test_oracle_recovers_the_closed_form_under_an_understated_lipschitz_constant():
+    # L_F = 0.2 against a true 4 makes the first step 20 times too long; the
+    # adaptive step shrinks to the local curvature and still converges
     game = dp.linear_demand_game([-6.0, 2.0, 10.0], [-1e6] * 3, [1e6] * 3)
-    game = dataclasses.replace(game, grad_lipschitz=0.2)
-    with pytest.raises(OracleError):
-        dp.ne_oracle(game, 0, tol=1e-12)
+    sol = dp.ne_oracle(dataclasses.replace(game, grad_lipschitz=0.2), 0, tol=1e-12)
+    assert np.allclose(sol.x_star.ravel(), [7.5, -0.5, -8.5], rtol=0, atol=1e-12)
+
+
+def flickering_game():
+    """The unconstrained three-agent toy whose private linear term flips
+    between -10 and +10 on every gradient call: F is not a function of x,
+    so no step size contracts.
+    """
+    game = dp.linear_demand_game([-6.0, 2.0, 10.0], [-1e6] * 3, [1e6] * 3)
+    calls = itertools.count()
+    return dataclasses.replace(game, grad_own=lambda i, t, x, p: game.grad_own(i, t, x, p)
+                               + (-1.0) ** next(calls) * 10.0)
+
+
+def test_oracle_detects_a_gradient_that_is_not_a_function_of_the_profile():
+    with pytest.raises(OracleError, match="step size vanished at round 0"):
+        dp.ne_oracle(flickering_game(), 0)
+
+
+def test_oracle_detects_non_contraction():
+    # the stall guard: an overstated mu makes the stop test's step alpha =
+    # mu / L_F^2 so long that tol asks for more digits than doubles hold, and
+    # the residual stops falling
+    game = dp.linear_demand_game([-6.0, 2.0, 10.0], [-1e6] * 3, [1e6] * 3)
+    with pytest.raises(OracleError, match="no contraction after"):
+        dp.ne_oracle(dataclasses.replace(game, mu=1e6), 0)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
@@ -207,6 +233,16 @@ def test_solve_equilibria_unchanged_by_the_row_form_estimate(monkeypatch):
     assert [s.iterations for s in sols] == [s.iterations for s in ref]
     for s, r in zip(sols, ref):
         assert np.allclose(s.x_star, r.x_star, rtol=0, atol=1e-12)
+
+
+def test_scaling_game_equilibria_meet_the_kkt_gate():
+    # perfbench's scaling game: 5 agents on the lower face, 14 on the upper
+    # and one inside; the gate is the oracle's bound tol L_F^2 / mu
+    game, tol = small_linear_game(20), 1e-10
+    sols = dp.solve_equilibria(game, range(21), tol=tol)
+    assert np.abs(sols[0].x_star - best_response_fixed_point(game, 0)).max() <= 1e-7
+    bound = tol * game.grad_lipschitz ** 2 / game.mu
+    assert max(dp.kkt_max_violation(game, s.t, s.x_star) for s in sols) <= bound
 
 
 def test_cournot_equilibria_take_two_then_one_iteration(cournot):

@@ -62,7 +62,26 @@ def test_verify_augments_once_per_edge_set_the_horizon_reaches(name, calls, monk
 def test_scale_oracle_iteration_count_is_pinned():
     # a change to the oracle's step or stopping rule moves this count
     sol = metrics.ne_oracle(workloads.scale_game(), 0)
-    assert sol.iterations == 453
+    assert sol.iterations == 226
+
+
+def test_oracle_makes_one_pseudogradient_call_per_iteration(monkeypatch):
+    # so that on the scaling workload's regret stage the traced
+    # game.pseudogradient.calls equals metrics.ne_oracle.iterations
+    calls, iterations = [], []
+    pseudogradient, oracle = dp.GameSpec.pseudogradient, metrics.ne_oracle
+
+    def counting(game, t, **kwargs):
+        sol = oracle(game, t, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(dp.GameSpec, "pseudogradient",
+                        lambda self, t, x: calls.append(t) or pseudogradient(self, t, x))
+    monkeypatch.setattr(metrics, "ne_oracle", counting)
+    metrics.solve_equilibria(workloads.scale_game(), range(21))
+    assert calls.count(0) == iterations[0] == 226
+    assert len(calls) == sum(iterations)
 
 
 def test_scale_oracle_meets_the_benchmark_kkt_gate():
