@@ -184,9 +184,8 @@ def _schedule(g: dict, n: int) -> GraphSchedule:
     return getattr(GraphSchedule, g["type"])(n, edges, g["require_self_loops"])
 
 
-def config_from_dict(raw: dict, validate: bool = True) -> RunConfig:
-    """The config ``raw`` describes; ConfigError itemizes every bad key.
-    ``validate=False`` leaves ``RunConfig.validate`` to the caller."""
+def config_from_dict(raw: dict) -> RunConfig:
+    """The config ``raw`` describes; ConfigError itemizes every bad key."""
     errors = []
     c = _read(SCHEMA, raw, errors)
     g, d, p = c.get("graph", {}), c.get("delays", {}), c.get("privacy", {})
@@ -203,7 +202,7 @@ def config_from_dict(raw: dict, validate: bool = True) -> RunConfig:
         gamma=c["gamma"], x0=c["init"], seed=c["seed"], b_window=g["b_window"],
         validate_connectivity=g["validate_connectivity"], cold_start=c["cold_start"],
         run_id=c["run_id"], output={k: v for k, v in c["output"].items() if v is not None})
-    if validate and (more := cfg.validate()):
+    if more := cfg.validate():
         raise ConfigError(more)
     return cfg
 
@@ -226,16 +225,15 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "init": None if cfg.x0 is None else cfg.resolved_x0(cfg.resolved_game()).tolist()})
 
 
-def load_config(path, validate: bool = True) -> RunConfig:
-    """The config in the file ``path``; an empty file reads as ``{}``.
-    ``validate`` is as in ``config_from_dict``."""
+def load_config(path) -> RunConfig:
+    """The config in the file ``path``; an empty file reads as ``{}``."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8").strip() or "{}")
     except ValueError as e:  # what decoding UTF-8 or JSON raises
         raise ConfigError([f"config {path} is not UTF-8 JSON: {e}"])
     if not isinstance(raw, dict):
         raise ConfigError([f"config root must be an object, got {reprlib.repr(raw)}"])
-    return config_from_dict(raw, validate)
+    return config_from_dict(raw)
 
 
 def write_config(cfg: RunConfig, path) -> None:
@@ -350,14 +348,12 @@ def write_summary(result: RunResult, path) -> None:
 
 
 def _resolve_config(args) -> RunConfig:
-    """The command's config with its overrides, validated here once: the
-    runs a command starts skip their own validation."""
     if args.preset and args.config:
         raise ConfigError(["pass either --preset or --config, not both"])
     if args.preset:
         cfg = preset(args.preset)
     elif args.config:
-        cfg = load_config(args.config, validate=False)
+        cfg = load_config(args.config)
     else:
         raise ConfigError(["one of --preset or --config is required"])
     if getattr(args, "seed", None) is not None:
@@ -374,7 +370,7 @@ def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     fmt = args.format or cfg.output.get("format", "tabular")
     out = args.out or cfg.output.get("path") or f"{cfg.run_id}.{'csv' if fmt == 'tabular' else 'jsonl'}"
-    result = engine.run(cfg, validated=True)
+    result = engine.run(cfg)
     write_records(result, out, fmt)
     write_summary(result, str(out) + ".summary.json")
     print(f"wrote {out} and {out}.summary.json "
@@ -382,10 +378,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50,
-                  validated: bool = False) -> list[tuple[str, bool, str]]:
+def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50) -> list[tuple[str, bool, str]]:
     """The verification battery; every entry is (name, passed, detail).
-    ``validated`` is as in ``engine.run``.
 
     The per-round checks run once per edge set the horizon reaches, at the
     first round that has it, with that round's delays. Later rounds add
@@ -430,8 +424,8 @@ def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50,
 
     short = replace(cfg, horizon=min(horizon, equivalence_horizon))
     try:
-        a = engine.run(short, validated)  # a shorter horizon keeps a config valid
-        b = engine.run_augmented_reference(short, validated)
+        a = engine.run(short)
+        b = engine.run_augmented_reference(short)
         diff = max(float(np.abs(a.b - b.b).max()), float(np.abs(a.x - b.x).max()),
                    float(np.abs(a.v - b.v).max()))
         # the two routes differ only in summation order, so agreement is
@@ -447,7 +441,7 @@ def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50,
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
-    checks = verify_checks(cfg, validated=True)
+    checks = verify_checks(cfg)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 0 if all(ok for _, ok, _ in checks) else 1
@@ -509,7 +503,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(errors)
     rows = []
     for raw_value, member in members:
-        result = engine.run(member, validated=True)
+        result = engine.run(member)
         tail = result.summary()["stabilization"].values()
         rows.append({
             "run_id": member.run_id, "axis": axis, "value": raw_value,

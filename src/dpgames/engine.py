@@ -139,9 +139,8 @@ class RunConfig:
 class World:
     """Mutable simulation state; ``step()`` advances one synchronous round."""
 
-    def __init__(self, config: RunConfig, validated: bool = False):
-        """``validated``: the caller has already checked ``config.validate()``."""
-        errors = [] if validated else config.validate()
+    def __init__(self, config: RunConfig):
+        errors = config.validate()
         if errors:
             raise ValueError("invalid run config: " + "; ".join(errors))
         self.cfg = config
@@ -382,14 +381,13 @@ def _execute(world: World, start: float) -> RunResult:
         wall_time=time.perf_counter() - start)
 
 
-def run(config: RunConfig, validated: bool = False) -> RunResult:
+def run(config: RunConfig) -> RunResult:
     """Execute the arrival-ring simulation for t = 0..T-1.
 
     Deterministic for a given (config, seed): records for rounds 0..T.
-    ``validated`` skips ``config.validate()``, which the caller has run.
     """
     start = time.perf_counter()
-    return _execute(World(config, validated), start)
+    return _execute(World(config), start)
 
 
 class _AugmentedWorld(World):
@@ -407,8 +405,8 @@ class _AugmentedWorld(World):
     set, so each edge set's blocks are built once and reused.
     """
 
-    def __init__(self, config: RunConfig, validated: bool = False):
-        super().__init__(config, validated)
+    def __init__(self, config: RunConfig):
+        super().__init__(config)
         slots = len(self.states)
         self.carried = np.zeros((slots, slots, self.V, 2 * self.m))  # [s, r]: W^r(s) @ (b~, v~)(s)
         drawn = self.delays.comm["type"] == "uniform"
@@ -437,13 +435,13 @@ class _AugmentedWorld(World):
         self._apply_updates(t, phase, arrived[:, :m], arrived[:, m:], sigma_t)
 
 
-def run_augmented_reference(config: RunConfig, validated: bool = False) -> RunResult:
+def run_augmented_reference(config: RunConfig) -> RunResult:
     """Delay-free execution on V(1 + tau_max) nodes; real-agent trajectories.
 
     Draws the same per-round noise and delay blocks as ``run`` (one Philox
     stream per purpose, its counter set from the round) and is algebraically
     identical to it up to summation order. Message counters stay zero: this
-    route has no arrival ring. ``validated`` is as in ``run``.
+    route has no arrival ring.
     """
     start = time.perf_counter()
-    return _execute(_AugmentedWorld(config, validated), start)
+    return _execute(_AugmentedWorld(config), start)

@@ -13,8 +13,8 @@ from .game import GameSpec, _sum_in_order, clip_to_box
 
 class OracleError(RuntimeError):
     """The equilibrium iteration failed: its forward-backward residual
-    (step mu / L_F^2) was not finite or stopped falling, its adaptive step
-    vanished, or the game is not strongly monotone."""
+    (step mu / L_F^2) was not finite or stopped falling, or the game is not
+    strongly monotone."""
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,12 @@ RHO = 1 / PHI + 1 / PHI ** 2  # largest growth of the step from one iteration to
 
 def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
               x0: Optional[np.ndarray] = None, max_iter: int = 200000) -> EquilibriumSolution:
-    """Unique equilibrium at time t via the adaptive golden-ratio algorithm.
+    """Unique equilibrium at time t via an adaptive golden-ratio iteration.
 
-    Malitsky's aGRAAL ("Golden ratio algorithms for variational
-    inequalities", Math. Prog. 2020) makes one pseudogradient call per
-    iteration and takes its step from the local curvature of F_t:
+    A tuned variant of Malitsky's aGRAAL ("Golden ratio algorithms for
+    variational inequalities", Math. Prog. 2020, Algorithm 2): one
+    pseudogradient call per iteration, the step set by the local curvature
+    of F_t:
 
         lam_k   = min(rho lam_{k-1}, phi theta_{k-1} ||x_k - x_{k-1}||^2
                       / (4 lam_{k-1} ||F_t(x_k) - F_t(x_{k-1})||^2))
@@ -64,11 +65,16 @@ def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
         x_{k+1} = clip(xbar_k - lam_k F_t(x_k)),  theta_k = phi lam_k / lam_{k-1}
 
     with phi = 1.5, rho = 1/phi + 1/phi^2, xbar_0 = x_0, lam_0 = 1 / L_F and
-    theta_0 = phi. L_F is the pseudogradient Lipschitz constant (analytic
+    theta_0 = phi. It departs from the paper's Algorithm 2 in three ways:
+    the step has no upper cap (the paper's lam-bar), theta_0 is phi, not 1,
+    and xbar_0 is x_0, not x_1. So the paper's convergence theorem does not
+    cover it: a result is accepted only by the stop test below, and a run
+    that does not converge ends in the stall guard's or ``max_iter``'s
+    OracleError. L_F is the pseudogradient Lipschitz constant (analytic
     when the game provides one, sampled otherwise); it sets only the first
-    step and the stopping test, so an understated L_F still converges. Each
-    iteration first tests the forward-backward residual
-    ||x - clip(x - alpha F_t(x))||, alpha = mu / L_F^2, at the same F_t(x),
+    step and the stopping test, and an understated L_F still converged on
+    the tested games. Each iteration first tests the forward-backward
+    residual ||x - clip(x - alpha F_t(x))||, alpha = mu / L_F^2, at the same F_t(x),
     and returns clip(x - alpha F_t(x)) once it is <= tol, so the KKT
     violation of the result is at most tol / alpha. ``iterations`` counts
     iterations, one pseudogradient call each: 226 on the benchmark's
@@ -111,9 +117,6 @@ def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
             dx, dg = (x - x_prev).ravel(), (g - g_prev).ravel()
             dg2 = np.dot(dg, dg)
             step = min(RHO * lam, PHI * theta * np.dot(dx, dx) / (4 * lam * dg2)) if dg2 > 0 else RHO * lam
-            if not step > 0:  # the gradient moved where the profile did not
-                raise OracleError(f"step size vanished at round {t}, iteration {k}: the "
-                                  "pseudogradient is not a Lipschitz function of the profile")
             theta, lam = PHI * step / lam, step
             x_bar = ((PHI - 1) * x + x_bar) / PHI
         x_prev, g_prev = x, g

@@ -456,19 +456,6 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "verify", "ne-oracle"])
-def test_a_command_validates_its_config_once(command, tmp_path, monkeypatch):
-    # at the CLI boundary, after the overrides; the runs it starts skip it
-    p = tmp_path / "fig5.json"
-    write_config(replace(preset("fig5-fixed-delay"), horizon=30, validate_connectivity=True), p)
-    calls = []
-    validate = dp.RunConfig.validate
-    monkeypatch.setattr(dp.RunConfig, "validate", lambda cfg: calls.append(cfg) or validate(cfg))
-    out = ["--out", str(tmp_path / "r.csv")] if command == "run" else []
-    assert cli.main([command, "--config", str(p), *out]) == 0
-    assert len(calls) == 1
-
-
 _PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta": 1.0}
 _GRAPH = config_to_dict(preset("fig2-baseline"))["graph"]
 
