@@ -596,6 +596,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # a config whose arrays cannot be allocated
+        print(f"error: out of memory: {e or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

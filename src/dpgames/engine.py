@@ -14,10 +14,18 @@ holds the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
 
 Each round draws its randomness as one block per purpose: the (V, m) noise
 block, the (V, V) communication-delay matrix and the (V,) feedback delays.
-What a round needs that does not depend on the state is a per-phase value,
-built once and then shared read-only: the weights, message list and
-self-weights of each edge set (``GraphSchedule.phase_at``) and the delays of
-a ``none`` or ``fixed`` rule. ``uniform`` rules draw theirs every round.
+The weights, message list and self-weights of each edge set
+(``GraphSchedule.phase_at``) and the delays of a ``none`` or ``fixed`` rule
+are built once and shared read-only. The rest of what a round needs that
+does not depend on the state comes from a round plan, built when a round
+leaves the last one: for a chunk of at most CHUNK_ROUNDS rounds, never past
+the horizon, it holds the chunk's delays (a ``uniform`` rule's drawn in one
+batched pass, ``DelaySchedule._draw``), every message's arrival slot, the
+rounds and state-ring rows of the delayed gradients, the step sizes and the
+eigenvector products Y(t). The arrival ring and the twin share the plan and
+the round kernel ``_apply_updates``. A plan is never built by
+``World.__init__``, and a world stepped by hand past its horizon plans one
+round at a time.
 
 A state ring of the same shape holds round s's (x, v) in slot s mod
 (tau_max + 1), so the delayed gradients of round t are one gather at
@@ -37,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -49,6 +57,8 @@ from .privacy import (NoiseConfig, PrivacyLedger, sample_noise, sensitivity_boun
                       substream, STREAM_NOISE, STREAM_NOISE_AGGREGATE)
 
 Y_FLOOR = 1e-15
+CHUNK_ROUNDS = 64        # rounds one round plan covers at most
+CHUNK_DELAYS = 2 ** 20   # and about this many delays, V^2 + V per round
 
 
 class DegeneracyError(RuntimeError):
@@ -69,9 +79,10 @@ def project(b: np.ndarray, eta: float, box_lo, box_hi) -> np.ndarray:
     return clip_to_box(-eta * np.asarray(b, float), box_lo, box_hi)
 
 
-def step_size(gamma: float, k: int) -> float:
-    """eta(k) = gamma / sqrt(k + 1); the projection producing x(t+1) uses eta(t+1)."""
-    return gamma / math.sqrt(k + 1.0)
+def step_size(gamma: float, k):
+    """eta(k) = gamma / sqrt(k + 1); the projection producing x(t+1) uses eta(t+1).
+    ``k`` may be an integer array, giving one step size per entry."""
+    return gamma / np.sqrt(k + 1.0)
 
 
 @dataclass
@@ -136,6 +147,24 @@ class RunConfig:
         return errors
 
 
+class _RoundPlan(NamedTuple):
+    """What rounds ``start`` .. ``stop - 1`` need that does not depend on the
+    state; entry k of every array belongs to round start + k.
+    """
+
+    start: int
+    stop: int
+    D: np.ndarray          # (K, V, V) comm delays
+    skip: np.ndarray       # (K, V) tau_i(t) > t: no state of round t - tau_i(t) yet
+    s: np.ndarray          # (K, V) gradient rounds max(t - tau_i(t), 0)
+    rows: np.ndarray       # (K, V) their slots in the state ring
+    slots: list            # K arrays: each message's arrival slot, in send order
+    counts: np.ndarray     # (K, tau_max + 1) messages per arrival slot
+    eta: np.ndarray        # (K,) step size of the projection producing x(t + 1)
+    Y: np.ndarray          # (K + 1, V, V) Y(t) = W(t - 1) ... W(0), to Y(stop)
+    y_min: np.ndarray      # (K,) min_i y_ii(t)
+
+
 class World:
     """Mutable simulation state; ``step()`` advances one synchronous round."""
 
@@ -162,6 +191,7 @@ class World:
         self.ring = np.zeros((slots, V, 2 * m))
         self.states = np.zeros((slots, V, 2 * m))  # (x, v) of round s in slot s mod slots
         self.states[0] = np.concatenate((self.x, self.v), axis=1)
+        self._agents = np.arange(V)
         self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
         self.ledger = PrivacyLedger()
         self.min_y_diag = 1.0
@@ -169,6 +199,7 @@ class World:
         self.messages_delivered = 0
         self.last_arrivals: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._delta_t = self._resolve_sensitivity() if self.noise.enabled else None
+        self._plan: Optional[_RoundPlan] = None  # built by the first step
 
     def _resolve_sensitivity(self) -> float:
         if self.noise.sensitivity_mode == "manual":
@@ -203,40 +234,77 @@ class World:
         n_b, n_v, sigma_t = self.noise_block(t)
         return self.b + n_b, self.v + n_v, sigma_t
 
-    def _delayed_gradients(self, t: int) -> np.ndarray:
-        """(V, m): agent i's gradient at its stored state of round t - tau_i(t)."""
-        tau = self.delays.feedback_delays(t, self.V)
-        s = np.maximum(t - tau, 0)
-        xv = self.states[s % len(self.states), np.arange(self.V)]
-        g = self.game.gradients(s, xv[:, :self.m], xv[:, self.m:])
+    def _plan_at(self, t: int) -> tuple[_RoundPlan, int]:
+        """The round plan that covers round t, and t's entry in it."""
+        plan = self._plan
+        if plan is None or not plan.start <= t < plan.stop:
+            plan = self._plan = self._build_plan(t)
+        return plan, t - plan.start
+
+    def _build_plan(self, start: int) -> _RoundPlan:
+        """The plan of the chunk of rounds from ``start``: CHUNK_ROUNDS
+        rounds, or fewer so that it holds about CHUNK_DELAYS delays and ends
+        at the horizon. A round at or past the horizon is planned alone.
+        """
+        V, T, slots = self.V, self.cfg.horizon, len(self.states)
+        K = min(CHUNK_ROUNDS, max(CHUNK_DELAYS // (V * V + V), 1), max(T - start, 1))
+        t = np.arange(start, start + K)
+        D = self.delays._comm_matrices(start, start + K, V)
+        tau = self.delays._feedback_delays(start, start + K, V)
+        s = np.maximum(t[:, None] - tau, 0)
+
+        # each edge set's messages, for all the chunk's rounds that have it at
+        # once; the eigenvector recursion, which reads no state either
+        rounds = {}  # id of a phase -> (phase, its entries in the chunk)
+        Y = np.empty((K + 1, V, V))
+        Y[0] = self.Y
+        for k in range(K):
+            phase = self.graph.phase_at(start + k)
+            rounds.setdefault(id(phase), (phase, []))[1].append(k)
+            np.matmul(phase.weights, Y[k], out=Y[k + 1])
+        arrival, flat = [None] * K, []
+        for phase, ks in rounds.values():
+            ks = np.array(ks)
+            at = (t[ks, None] + D[ks[:, None], phase.receiver, phase.sender]) % slots
+            for k, row in zip(ks.tolist(), at):
+                arrival[k] = row
+            flat.append((ks[:, None] * slots + at).ravel())
+        counts = np.bincount(np.concatenate(flat), minlength=K * slots).reshape(K, slots)
+        return _RoundPlan(start, start + K, D, tau > t[:, None], s, s % slots, arrival, counts,
+                          step_size(self.cfg.gamma, t + 1), Y,
+                          Y[:K].diagonal(axis1=1, axis2=2).min(axis=1))
+
+    def _delayed_gradients(self, plan: _RoundPlan, k: int) -> np.ndarray:
+        """(V, m): agent i's gradient at its stored state of round t - tau_i(t),
+        for the round t of entry k of ``plan``."""
+        xv = self.states[plan.rows[k], self._agents]
+        g = self.game.gradients(plan.s[k], xv[:, :self.m], xv[:, self.m:])
         if self.cfg.cold_start == "zero":
-            g[tau > t] = 0.0
+            g[plan.skip[k]] = 0.0
         return g
 
     def step(self) -> None:
         t = self.t
+        plan, k = self._plan_at(t)
         phase = self.graph.phase_at(t)
-        D = self.delays.comm_matrix(t, self.V)
         b_tilde, v_tilde, sigma_t = self._noised(t)
 
         # phase 1: every message j -> i, weighted at send time, goes into the
         # slot of its arrival round t + tau_ij(t). Messages are listed sender
         # by sender and np.add.at applies them one at a time in that order,
         # so each receiver's slot sums in send order.
-        slots = len(self.ring)
-        sender, receiver = phase.sender, phase.receiver
-        slot = (t + D[receiver, sender]) % slots
+        slot = plan.slots[k]
         snapshot = np.concatenate((b_tilde, v_tilde), axis=1)
-        np.add.at(self.ring, (slot, receiver), phase.w_msg * snapshot[sender])
-        self.ring_count += np.bincount(slot, minlength=slots)
+        np.add.at(self.ring, (slot, phase.receiver), phase.w_msg * snapshot[phase.sender])
+        self.ring_count += plan.counts[k]
         self.messages_enqueued += len(slot)
 
         # phase 2: this round's slot holds everything arriving now
-        k = t % slots
-        arrived = self.ring[k].copy()
-        self.ring[k] = 0.0
-        self.messages_delivered += int(self.ring_count[k])
-        self.ring_count[k] = 0
+        now = t % len(self.ring)
+        arrived = self.ring[now].copy()
+        self.ring[now] = 0.0
+        self.messages_delivered += int(self.ring_count[now])
+        self.ring_count[now] = 0
 
         self._apply_updates(t, phase, arrived[:, :self.m], arrived[:, self.m:], sigma_t)
 
@@ -251,19 +319,18 @@ class World:
         game = self.game
         self.last_arrivals = (sum_b, sum_v)
 
-        y_diag = self.Y.diagonal()  # a view of this round's Y, which is replaced, not written
-        if y_diag.min() < Y_FLOOR:
+        plan, k = self._plan_at(t)
+        if plan.y_min[k] < Y_FLOOR:
             raise DegeneracyError(
-                f"y_ii = {y_diag.min():.3e} at t={t}; self-loop structure violated")
-        self.min_y_diag = min(self.min_y_diag, float(y_diag.min()))
+                f"y_ii = {plan.y_min[k]:.3e} at t={t}; self-loop structure violated")
+        self.min_y_diag = min(self.min_y_diag, float(plan.y_min[k]))
 
-        g = self._delayed_gradients(t)
+        g = self._delayed_gradients(plan, k)
         w_self = phase.w_self
-        b_new = w_self * self.b + sum_b + g / y_diag[:, None]
+        b_new = w_self * self.b + sum_b + g / self.Y.diagonal()[:, None]
 
-        self.Y = phase.weights @ self.Y
-        eta = step_size(self.cfg.gamma, t + 1)
-        x_new = project(b_new, eta, game.box_lo, game.box_hi)
+        self.Y = plan.Y[k + 1]
+        x_new = project(b_new, plan.eta[k], game.box_lo, game.box_hi)
         x_hat_new = ((t + 1) * self.x_hat + x_new) / (t + 2)
         psi_x_hat_new = game.psi_values(x_hat_new)
         v_new = w_self * self.v + sum_v + psi_x_hat_new - self.psi_x_hat
@@ -416,8 +483,8 @@ class _AugmentedWorld(World):
         """Blocks W^0 .. W^tau_max of round t, block 0's diagonal zeroed."""
         blocks = None if self._blocks is None else self._blocks.get(phase.edges)
         if blocks is None:
-            blocks = _delay_blocks(phase.weights, self.delays.comm_matrix(t, self.V),
-                                   self.delays.tau_max)
+            plan, k = self._plan_at(t)
+            blocks = _delay_blocks(phase.weights, plan.D[k], self.delays.tau_max)
             np.fill_diagonal(blocks[0], 0.0)  # self term uses the raw value
             if self._blocks is not None:
                 self._blocks[phase.edges] = blocks

@@ -19,6 +19,7 @@ import numpy as np
 from .privacy import substream, STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY
 
 Edge = tuple[int, int]
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 class ScheduleError(ValueError):
@@ -26,8 +27,8 @@ class ScheduleError(ValueError):
 
 
 class DelayRangeError(ValueError):
-    """Raised when a delay falls outside [0, tau_max], tau_ii != 0, or a uniform
-    rule's low exceeds its high."""
+    """Raised when a delay falls outside [0, tau_max], tau_ii != 0, a uniform
+    rule's low exceeds its high, or tau_max leaves [0, 2^31)."""
 
 
 class DiagnosticsError(RuntimeError):
@@ -155,9 +156,12 @@ class DelaySchedule:
 
     A ``seed`` of None is resolved to the run's master seed by the engine.
     Random delays are drawn as one block per (purpose, round), so the delay
-    of a given (i, j, t) is independent of query order and of V. A ``none``
-    or ``fixed`` rule draws nothing: its matrix or vector is built once per
-    V and shared read-only by every round.
+    of a given (i, j, t) is independent of query order and of V; the engine
+    draws the blocks of a chunk of rounds in one ``_draw``, and
+    ``comm_matrix`` and ``feedback_delays`` are its one-round views. A
+    ``none`` or ``fixed`` rule draws nothing: its matrix or vector is built
+    once per V and shared read-only by every round. ``tau_max`` stays below
+    2^31, the largest range the 32-bit draw covers.
     """
 
     tau_max: int
@@ -168,8 +172,8 @@ class DelaySchedule:
     _constant: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tau_max < 0:
-            raise DelayRangeError(f"tau_max must be >= 0, got {self.tau_max}")
+        if not 0 <= self.tau_max < 2 ** 31:
+            raise DelayRangeError(f"tau_max must lie in [0, 2^31), got {self.tau_max}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"delay seed must be a non-negative integer, got {self.seed}")
         for name, desc in (("comm", self.comm), ("feedback", self.feedback)):
@@ -223,29 +227,74 @@ class DelaySchedule:
         A uniform rule draws V^2 integers from the round's keyed stream,
         laid out shell by shell over max(i, j) (see
         ``_shell_order``), so every smaller V's matrix is the top-left block
-        of this one. A ``none`` or ``fixed`` rule returns one read-only
-        matrix per V, built on first use. Fixed entries naming an agent
-        outside [0, V) are left out here and rejected by
-        ``RunConfig.validate``.
+        of this one; the matrix is round t's entry of ``_comm_matrices``. A
+        ``none`` or ``fixed`` rule returns one read-only matrix per V, built
+        on first use. Fixed entries naming an agent outside [0, V) are left
+        out here and rejected by ``RunConfig.validate``.
         """
-        V = num_agents
         if self.comm["type"] != "uniform":
-            return self._constant_delays("comm", V)
-        rng = substream(self._need_seed(), STREAM_COMM_DELAY, t)
-        D = rng.integers(self.comm["low"], self.comm["high"] + 1, size=V * V)[_shell_order(V)]
-        np.fill_diagonal(D, 0)
-        return D
+            return self._constant_delays("comm", num_agents)
+        return self._comm_matrices(t, t + 1, num_agents)[0]
 
     def feedback_delays(self, t: int, num_agents: int) -> np.ndarray:
         """(V,) integer vector of the feedback delays tau_i(t); a uniform
         rule draws from the round's keyed stream, and every smaller V's
-        vector is a prefix of this one. A ``none`` or ``fixed`` rule returns
-        one read-only vector per V, built on first use.
+        vector is a prefix of this one. It is round t's entry of
+        ``_feedback_delays``. A ``none`` or ``fixed`` rule returns one
+        read-only vector per V, built on first use.
         """
         if self.feedback["type"] != "uniform":
             return self._constant_delays("feedback", num_agents)
-        rng = substream(self._need_seed(), STREAM_FEEDBACK_DELAY, t)
-        return rng.integers(self.feedback["low"], self.feedback["high"] + 1, size=num_agents)
+        return self._feedback_delays(t, t + 1, num_agents)[0]
+
+    def _comm_matrices(self, start: int, stop: int, V: int) -> np.ndarray:
+        """(stop - start, V, V): ``comm_matrix`` of each round in [start, stop);
+        a read-only broadcast of the constant matrix when the rule draws nothing.
+        """
+        if self.comm["type"] != "uniform":
+            return np.broadcast_to(self._constant_delays("comm", V), (stop - start, V, V))
+        D = self._draw(self.comm, STREAM_COMM_DELAY, start, stop, V * V)[:, _shell_order(V)]
+        D[:, np.arange(V), np.arange(V)] = 0
+        return D
+
+    def _feedback_delays(self, start: int, stop: int, V: int) -> np.ndarray:
+        """(stop - start, V): ``feedback_delays`` of each round in [start, stop)."""
+        if self.feedback["type"] != "uniform":
+            return np.broadcast_to(self._constant_delays("feedback", V), (stop - start, V))
+        return self._draw(self.feedback, STREAM_FEEDBACK_DELAY, start, stop, V)
+
+    def _draw(self, rule: dict, purpose: int, start: int, stop: int, n: int) -> np.ndarray:
+        """(stop - start, n) integers of the uniform ``rule``: row k equals
+        ``substream(seed, purpose, start + k).integers(low, high + 1, size=n)``.
+
+        Each round makes one ``random_raw`` call for the ceil(n / 2) Philox
+        words it needs, and numpy's buffered 32-bit bounded-integer rule
+        (Lemire, "Fast random integer generation in an interval", ACM TOMACS
+        2019) maps the whole chunk at once: the low half of each word, then
+        its high half, becomes ``low + (half * range) >> 32``. That rule
+        rejects a half whose product's low 32 bits fall under
+        ``(2^32 - range) % range`` and draws again, shifting every later
+        value, so a round with any such half is redrawn with ``integers``
+        itself. The mapping is numpy's for every range below 2^32; a
+        schedule's range is at most 2^31, since ``tau_max`` < 2^31.
+        """
+        seed, low = self._need_seed(), rule["low"]
+        span = rule["high"] - low + 1
+        words = np.empty((stop - start, (n + 1) // 2), np.uint64)
+        for k, t in enumerate(range(start, stop)):
+            words[k] = substream(seed, purpose, t).bit_generator.random_raw(words.shape[1])
+        halves = np.empty((len(words), 2 * words.shape[1]), np.uint64)
+        np.bitwise_and(words, _LOW32, out=halves[:, 0::2])
+        np.right_shift(words, np.uint64(32), out=halves[:, 1::2])
+        scaled = halves[:, :n]
+        scaled *= np.uint64(span)
+        rejected = ((scaled & _LOW32) < np.uint64((2 ** 32 - span) % span)).any(axis=1)
+        scaled >>= np.uint64(32)
+        out = halves.view(np.int64)[:, :n]  # every value is now below 2^32
+        out += low
+        for k in np.flatnonzero(rejected):
+            out[k] = substream(seed, purpose, start + k).integers(low, rule["high"] + 1, size=n)
+        return out
 
     def _constant_delays(self, name: str, V: int) -> np.ndarray:
         """The (V, V) matrix or (V,) vector of the rule ``name`` ("comm" or

@@ -606,3 +606,30 @@ def test_diverging_run_exits_nonzero_with_one_error_line(tmp_path, capsys, monke
     assert rc == 1 and not out.exists()
     assert err.count("\n") == 1
     assert err.startswith("error: non-finite state at round 2, agent 0")
+
+
+def test_tau_max_beyond_the_32_bit_draw_is_a_config_error(tmp_path, capsys):
+    d = config_to_dict(preset("fig7-random-delays-private"))
+    d["delays"]["tau_max"] = 10 ** 12
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(d))
+    out = tmp_path / "r.csv"
+    assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: delays: tau_max must lie in [0, 2^31)")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_out_of_memory_exits_nonzero_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # what numpy raises when a run's rings cannot be allocated
+    def allocate(cfg):
+        raise MemoryError("Unable to allocate 160. GiB for an array with shape "
+                          "(2147483647, 5, 2) and data type float64")
+
+    monkeypatch.setattr(cli.engine, "run", allocate)
+    out = tmp_path / "r.csv"
+    assert cli.main(["run", "--preset", "fig7-random-delays-private", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: out of memory: Unable to allocate 160. GiB")
+    assert not out.exists()

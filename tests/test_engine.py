@@ -6,8 +6,8 @@ import pytest
 
 import dpgames as dp
 from dpgames.cli import preset
-from dpgames.engine import (DegeneracyError, NonFiniteStateError, World, _AugmentedWorld,
-                            step_size)
+from dpgames.engine import (CHUNK_ROUNDS, DegeneracyError, NonFiniteStateError, World,
+                            _AugmentedWorld, step_size)
 
 from conftest import (bench_init, complete_graph, diverging_cournot, ring_graph,
                       small_linear_game)
@@ -345,13 +345,19 @@ def test_one_generator_per_purpose_and_round(preset_name, per_round, world_class
 
     monkeypatch.setattr(engine, "substream", counting)
     monkeypatch.setattr(graph, "substream", counting)
-    world = world_class(bench_cfg(**{k: getattr(preset(preset_name), k)
-                                     for k in ("delays", "noise")}))
-    for t in range(12):
+    cfg = bench_cfg(**{k: getattr(preset(preset_name), k) for k in ("delays", "noise")})
+    world = world_class(cfg)
+    purposes = {key[0] for key in calls}
+    for t in range(cfg.horizon):
         world.step()
-        assert len(calls) == per_round * (t + 1)
-    # keyed by (purpose, round) only
-    assert all(len(key) == 2 and key[1] < 12 for key in calls)
+        # a round plan draws its chunk's delays ahead of the rounds it
+        # covers: every round stepped has its blocks, none drawn twice
+        assert len(set(calls)) == len(calls) >= per_round * (t + 1)
+        purposes |= {key[0] for key in calls}
+        assert {(p, s) for p in purposes for s in range(t + 1)} <= set(calls)
+    # keyed by (purpose, round) only, and nothing drawn past the horizon
+    assert len(calls) == per_round * cfg.horizon
+    assert all(len(key) == 2 and key[1] < cfg.horizon for key in calls)
 
 
 def _stepped_states(worlds, rounds):
@@ -363,6 +369,48 @@ def _stepped_states(worlds, rounds):
             world.step()
             rows.append(np.concatenate((world.x, world.b, world.v), axis=1))
     return [np.stack(rows) for rows in states]
+
+
+@pytest.mark.parametrize("cold_start", ["clamp", "zero"])
+def test_round_plans_across_chunk_boundaries_match_a_world_stepped_by_hand(cold_start):
+    T = 2 * CHUNK_ROUNDS + 3
+    cfg = bench_cfg(horizon=T, delays=dp.DelaySchedule.uniform(4), seed=3, cold_start=cold_start,
+                    noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))
+    res = dp.run(cfg)
+    world, plans = World(cfg), set()
+    for t in range(T + 9):  # nine rounds past the horizon
+        world.step()
+        plans.add(world._plan[:2])
+        if world.t <= T:
+            for name in ("x", "x_hat", "v", "b"):
+                assert np.array_equal(getattr(world, name), getattr(res, name)[world.t]), (t, name)
+    ends = [0, CHUNK_ROUNDS, 2 * CHUNK_ROUNDS, T]
+    assert sorted(plans) == list(zip(ends, ends[1:])) + [(s, s + 1) for s in range(T, T + 9)]
+
+    # a world stepped past its horizon keeps the rounds of a longer run
+    longer = dp.run(dataclasses.replace(cfg, horizon=T + 9))
+    for name in ("x", "x_hat", "v", "b"):
+        assert np.array_equal(getattr(world, name), getattr(longer, name)[-1]), name
+    assert (world.messages_enqueued, world.messages_delivered) == (
+        longer.messages_enqueued, longer.messages_delivered)
+
+    twin = dp.run_augmented_reference(cfg)
+    diff = max(float(np.abs(getattr(res, k) - getattr(twin, k)).max()) for k in ("b", "x", "v"))
+    scale = max(1.0, float(np.abs(res.b).max()), float(np.abs(res.v).max()))
+    assert diff <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference])
+def test_records_do_not_depend_on_the_chunk_length(execute, monkeypatch):
+    # 30 delays a round: a cap of 100 plans three rounds at a time
+    cfg = bench_cfg(horizon=40, delays=dp.DelaySchedule.uniform(6), seed=8,
+                    noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))
+    whole = execute(cfg)
+    monkeypatch.setattr(dp.engine, "CHUNK_DELAYS", 100)
+    chunked = execute(cfg)
+    for name in ("x", "x_hat", "v", "b", "y_diag"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
+    assert whole.summary() | {"wall_time_s": 0} == chunked.summary() | {"wall_time_s": 0}
 
 
 @pytest.mark.parametrize("pair", ["two-seeds", "world-and-twin"])

@@ -337,6 +337,9 @@ def test_delay_schedule_rejects_out_of_range():
         dp.DelaySchedule(2, comm={"type": "uniform", "low": 0, "high": 5})
     with pytest.raises(DelayRangeError, match="^comm uniform low 3 exceeds high 1$"):
         dp.DelaySchedule.uniform(4, low=3, high=1)
+    dp.DelaySchedule.uniform(2 ** 31 - 1)  # the largest range the 32-bit draw covers
+    with pytest.raises(DelayRangeError, match=r"tau_max must lie in \[0, 2\^31\), got 2147483648"):
+        dp.DelaySchedule(2 ** 31)
 
 
 def test_random_delays_are_order_independent():
@@ -362,6 +365,30 @@ def test_comm_delay_is_a_view_onto_the_round_matrix(V):
         # shell-by-shell layout: every smaller matrix is the top-left block
         assert np.array_equal(d.comm_matrix(t, V - 1), D[:V - 1, :V - 1])
         assert np.array_equal(d.comm_matrix(t, 20)[:V, :V], D)
+
+
+@pytest.mark.parametrize("seed", [0, 19, 2 ** 40])
+@pytest.mark.parametrize("n", [5, 25, 400])
+@pytest.mark.parametrize("low, high", [(0, 10), (4, 9), (0, 3 * 2 ** 30)],
+                         ids=["0-10", "4-9", "forced-rejection"])
+def test_batched_draw_equals_the_generators_integers(seed, n, low, high, monkeypatch):
+    # numpy's bounded-integer rule rejects about a quarter of the words on
+    # [0, 3 * 2^30], so there the rounds it redraws with ``integers`` run too
+    from dpgames import graph, privacy
+    calls = []
+    monkeypatch.setattr(graph, "substream", lambda *key: calls.append(key) or privacy.substream(*key))
+    d = dp.DelaySchedule.uniform(10, seed=seed)
+    rule = {"type": "uniform", "low": low, "high": high}
+    for start, stop in ((0, 6), (2 ** 33 - 2, 2 ** 33 + 1)):
+        calls.clear()
+        out = d._draw(rule, privacy.STREAM_COMM_DELAY, start, stop, n)
+        expected = [privacy.substream(seed, privacy.STREAM_COMM_DELAY, t).integers(
+            low, high + 1, size=n) for t in range(start, stop)]
+        assert out.dtype == expected[0].dtype and np.array_equal(out, expected)
+        if high == 3 * 2 ** 30:
+            assert len(calls) > stop - start  # rounds redrawn
+        else:
+            assert len(calls) == stop - start
 
 
 def test_feedback_delay_is_a_view_onto_the_round_vector():
