@@ -21,9 +21,11 @@ does not depend on the state comes from a round plan, built when a round
 leaves the last one: for a chunk of at most CHUNK_ROUNDS rounds, never past
 the horizon, it holds the chunk's delays (a ``uniform`` rule's drawn in one
 batched pass, ``DelaySchedule._draw``), every message's arrival slot, the
-rounds and state-ring rows of the delayed gradients, the step sizes and the
-eigenvector products Y(t). The arrival ring and the twin share the plan and
-the round kernel ``_apply_updates``. A plan is never built by
+rounds and state-ring rows of the delayed gradients, the negated step sizes
+-eta(t + 1) that the projection multiplies by, and the eigenvector products
+Y(t) with the (V, 1) column of their diagonals y_ii(t) that divides the
+delayed gradients. The arrival ring and the twin share the plan and the
+round kernel ``_apply_updates``. A plan is never built by
 ``World.__init__``, and a world stepped by hand past its horizon plans one
 round at a time.
 
@@ -160,8 +162,9 @@ class _RoundPlan(NamedTuple):
     rows: np.ndarray       # (K, V) their slots in the state ring
     slots: list            # K arrays: each message's arrival slot, in send order
     counts: np.ndarray     # (K, tau_max + 1) messages per arrival slot
-    eta: np.ndarray        # (K,) step size of the projection producing x(t + 1)
+    neg_eta: np.ndarray    # (K,) -eta(t + 1), the signed step of the projection to x(t + 1)
     Y: np.ndarray          # (K + 1, V, V) Y(t) = W(t - 1) ... W(0), to Y(stop)
+    y: np.ndarray          # (K, V, 1) y_ii(t), the column dividing the delayed gradients
     y_min: np.ndarray      # (K,) min_i y_ii(t)
 
 
@@ -270,9 +273,9 @@ class World:
                 arrival[k] = row
             flat.append((ks[:, None] * slots + at).ravel())
         counts = np.bincount(np.concatenate(flat), minlength=K * slots).reshape(K, slots)
+        y = Y[:K].diagonal(axis1=1, axis2=2)
         return _RoundPlan(start, start + K, D, tau > t[:, None], s, s % slots, arrival, counts,
-                          step_size(self.cfg.gamma, t + 1), Y,
-                          Y[:K].diagonal(axis1=1, axis2=2).min(axis=1))
+                          -step_size(self.cfg.gamma, t + 1), Y, y[..., None], y.min(axis=1))
 
     def _delayed_gradients(self, plan: _RoundPlan, k: int) -> np.ndarray:
         """(V, m): agent i's gradient at its stored state of round t - tau_i(t),
@@ -327,10 +330,11 @@ class World:
 
         g = self._delayed_gradients(plan, k)
         w_self = phase.w_self
-        b_new = w_self * self.b + sum_b + g / self.Y.diagonal()[:, None]
+        b_new = w_self * self.b + sum_b + g / plan.y[k]
 
         self.Y = plan.Y[k + 1]
-        x_new = project(b_new, plan.eta[k], game.box_lo, game.box_hi)
+        # project(b_new, eta(t + 1), ...) without its checks: eta > 0 for a valid gamma
+        x_new = clip_to_box(plan.neg_eta[k] * b_new, game.box_lo, game.box_hi)
         x_hat_new = ((t + 1) * self.x_hat + x_new) / (t + 2)
         psi_x_hat_new = game.psi_values(x_hat_new)
         v_new = w_self * self.v + sum_v + psi_x_hat_new - self.psi_x_hat

@@ -177,30 +177,32 @@ def nash_cournot() -> GameSpec:
     The constants L and mu are derived from the box geometry at construction
     (L from the affine structure of the own-gradient over the sin and
     aggregate ranges); the pseudogradient Jacobian is I + 11^T, giving
-    mu = 1 and Lipschitz constant V + 1.
+    mu = 1 and Lipschitz constant V + 1. The price coefficients 4(i+1) and
+    50 i are (V,) tables built once, and each cost or gradient call
+    evaluates the time term sin(t/6) once.
     """
     V, m = 5, 1
     lo = np.array([[-5.0], [0.0], [-4.0], [3.0], [-1.0]])
     hi = np.array([[5.0], [10.0], [8.0], [12.0], [6.0]])
+    firm = np.arange(1, V + 1)
+    slope, level = 4.0 * (firm + 1), 50.0 * firm  # p_i(t) = slope[i] sin6(t) + level[i]
 
     # t is a scalar or a (k,) time array; math.sin keeps scalar calls cheap
     # and gives the same bits as np.sin
     def sin6(t):
         return np.sin(t / 6.0) if isinstance(t, np.ndarray) else math.sin(t / 6.0)
 
-    def price(i, t):
-        firm = i + 1
-        return 4.0 * (firm + 1) * sin6(t) + 50.0 * firm
-
     # i is a (k,) index array, x_i and psi_val are (k, m) tables and a.T[0]
     # is coordinate 0 of every row; with an integer i and (m,) vectors the
     # same code gives one agent's value, so it also serves GameSpec.per_agent
     def cost_fn(i, t, x_i, psi_val):
-        market = 850.0 - 10.0 * sin6(t) - V * psi_val.T[0]
-        return (price(i, t) - market) * x_i.T[0]
+        s = sin6(t)
+        market = 850.0 - 10.0 * s - V * psi_val.T[0]
+        return (slope[i] * s + level[i] - market) * x_i.T[0]
 
     def grad_own(i, t, x_i, psi_val):
-        return (price(i, t) - 850.0 + 10.0 * sin6(t) + V * psi_val.T[0])[..., None]
+        s = sin6(t)
+        return (slope[i] * s + level[i] - 850.0 + 10.0 * s + V * psi_val.T[0])[..., None]
 
     def grad_agg(i, t, x_i, psi_val):
         return V * x_i

@@ -231,6 +231,39 @@ def test_tracker_conserves_the_pi_weighted_aggregate(cfg):
     assert np.abs(res.v[T].mean(axis=0) - psi[T].mean(axis=0)).max() > 1e-3 * scale
 
 
+def receive_side_row_sums(cfg):
+    """(T - tau_max, V): w_ii(t) + sum_{j != i} sum_r W_ij(t - r) I{D_ij(t - r) = r}
+    for the rounds t >= tau_max, whose every relay stage has been sent:
+    the weight agent i's round-t update gives the snapshots arriving then.
+    """
+    T, V = cfg.horizon, cfg.graph.num_agents
+    delays = cfg.delays.with_seed(cfg.seed)
+    received = np.zeros((T + delays.tau_max + 1, V))
+    w_self = np.empty((T, V))
+    for s in range(T):
+        W = cfg.graph.weights_at(s)
+        w_self[s] = W.diagonal()
+        i, j = np.nonzero(W - np.diag(W.diagonal()))
+        np.add.at(received, (s + delays.comm_matrix(s, V)[i, j], i), W[i, j])
+    return (w_self + received[:T])[delays.tau_max:]
+
+
+def test_estimates_agree_under_fixed_delays_and_not_under_uniform_ones():
+    # send-time weighting keeps every receive-side row sum at 1 under fig5's
+    # fixed delay, so the estimates agree; under fig6's uniform delays the
+    # row sums range over [1/3, 10/3] and the estimates stay apart
+    fig5, fig6 = preset("fig5-fixed-delay"), preset("fig6-random-delays")
+    T = fig5.horizon
+    assert T == fig6.horizon == 2000 and not (fig5.noise.enabled or fig6.noise.enabled)
+    rows = receive_side_row_sums(fig5)
+    assert np.all(rows == 1.0)
+    assert np.ptp(dp.run(fig5).v[T]) < 1e-5
+    rows = receive_side_row_sums(fig6)
+    assert rows.min() == pytest.approx(1 / 3) and rows.max() == pytest.approx(10 / 3)
+    assert np.mean(rows != 1.0) > 0.5
+    assert np.ptp(dp.run(fig6).v[T]) > 1.0
+
+
 def test_actions_always_feasible():
     cfg = bench_cfg(horizon=200, delays=dp.DelaySchedule.uniform(6), seed=5,
                     noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))

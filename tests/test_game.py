@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,45 @@ def test_box_clip_keeps_np_clip_bits_at_signed_zeros_on_a_face():
         expected = np.clip(x, lo, hi).tobytes()
         assert clip_to_box(x, lo, hi).tobytes() == expected
         assert dp.project(x, 1.0, lo, hi).tobytes() == np.clip(-1.0 * x, lo, hi).tobytes()
+
+
+def published_cournot(t, x, psi_val):
+    """Gradients and costs of the rows of ``nash_cournot`` from its published
+    formula, in the order of operations of the code it replaced: p_i(t) =
+    4(i+1) sin(t/6) + 50 i for firm i = r mod V + 1, the gradient
+    p_i - 850 + 10 sin(t/6) + V psi plus (V x) / V through psi's identity
+    Jacobian, and the cost (p_i - (850 - 10 sin(t/6) - V psi)) x.
+    """
+    V = 5
+    firm = np.arange(len(x)) % V + 1
+    s = np.sin(t / 6.0) if isinstance(t, np.ndarray) else math.sin(t / 6.0)
+    price = 4.0 * (firm + 1) * s + 50.0 * firm
+    grad = price - 850.0 + 10.0 * s + V * psi_val[:, 0] + V * x[:, 0] / V
+    cost = (price - (850.0 - 10.0 * s - V * psi_val[:, 0])) * x[:, 0]
+    return grad[:, None], cost
+
+
+def test_cournot_rows_equal_the_published_formula_bit_for_bit(cournot):
+    rng = np.random.default_rng(53)
+    for blocks in (1, 3):
+        x, psi_val = stacked_profiles(cournot, rng, blocks)
+        for t in (rng.integers(0, 5000, size=len(x)), 0, 7, 4999):
+            grad, cost = published_cournot(t, x, psi_val)
+            assert cournot.gradients(t, x, psi_val).tobytes() == grad.tobytes()
+            assert cournot.costs(t, x, psi_val).tobytes() == cost.tobytes()
+
+
+def test_cournot_evaluates_the_time_term_once_per_call(cournot, monkeypatch):
+    calls, np_sin = [], np.sin
+
+    def counted_sin(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return np_sin(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counted_sin)
+    x, psi_val = random_profile(cournot, np.random.default_rng(59))
+    t = np.array([3, 0, 11, 250, 7])
+    cournot.gradients(t, x, psi_val)
+    assert calls == [(5,)]
+    cournot.costs(t, x, psi_val)
+    assert calls == [(5,), (5,)]
