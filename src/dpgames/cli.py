@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine, metrics
-from .engine import RunConfig, RunResult
+from .engine import NonFiniteStateError, RunConfig, RunResult
 from .game import GAME_REGISTRY
 from .graph import DelaySchedule, GraphSchedule, augment, validate_b_connectivity
 from .privacy import NoiseConfig
@@ -294,7 +294,7 @@ def _running_average(loss: np.ndarray) -> np.ndarray:
     return np.concatenate([loss[:1], metrics.average_loss(loss[1:])])
 
 
-def _record_table(result: RunResult) -> list[list[float]]:
+def _record_table(result: RunResult) -> np.ndarray:
     """One row of floats per (t, agent), t ascending: x, x_hat, v (m each),
     then b_norm, loss, avg_loss, loss_true, avg_loss_true.
     """
@@ -307,22 +307,29 @@ def _record_table(result: RunResult) -> list[list[float]]:
                result.loss_true, _running_average(result.loss_true)]
     return np.hstack([result.x.reshape(-1, m), result.x_hat.reshape(-1, m),
                       result.v.reshape(-1, m), b_norm]
-                     + [a.reshape(-1, 1) for a in scalars]).tolist()
+                     + [a.reshape(-1, 1) for a in scalars])
 
 
 def write_records(result: RunResult, path, fmt: str) -> None:
+    """Write the records file; raise NonFiniteStateError, before opening it,
+    at the first cell that is not finite (a finite but huge b has an
+    infinite b_norm)."""
     if fmt not in ("tabular", "object-lines"):
         raise ConfigError([f"unknown output format {fmt!r}"])
     V, m = result.x.shape[1:]
     run_id, seed = result.config.run_id, result.config.seed
-    table = _record_table(result)
+    columns = (_vec_columns("x", m) + _vec_columns("x_hat", m) + _vec_columns("v", m)
+               + ["b_norm", "loss", "avg_loss", "loss_true", "avg_loss_true"])
+    with np.errstate(over="ignore"):
+        table = _record_table(result)
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        t, i = divmod(int(bad[0, 0]), V)
+        raise NonFiniteStateError(f"non-finite {columns[bad[0, 1]]} at round {t}, agent {i}")
+    table = table.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "tabular":
-            header = (["run_id", "seed", "t", "agent"]
-                      + _vec_columns("x", m) + _vec_columns("x_hat", m)
-                      + _vec_columns("v", m)
-                      + ["b_norm", "loss", "avg_loss", "loss_true", "avg_loss_true"])
-            fh.write(",".join(header) + "\n")
+            fh.write(",".join(["run_id", "seed", "t", "agent"] + columns) + "\n")
             for k, row in enumerate(table):
                 t, i = divmod(k, V)
                 fh.write(f"{run_id},{seed},{t},{i}," + ",".join(map(repr, row)) + "\n")

@@ -35,9 +35,9 @@ class GameSpec:
     callables written for one agent at a time.
 
     L bounds ||grad_own|| on the joint box, mu is the strong-monotonicity
-    modulus of the pseudogradient, and grad_lipschitz, when known
-    analytically, is its Lipschitz constant, used by the equilibrium
-    oracle's step size.
+    modulus of the pseudogradient, and grad_lipschitz is its Lipschitz
+    constant on the joint box. The equilibrium oracle and the regret pass
+    require it (their step size and KKT bound rest on it); runs do not.
     """
 
     name: str

@@ -13,8 +13,8 @@ from .game import GameSpec, _sum_in_order, clip_to_box
 
 class OracleError(RuntimeError):
     """The equilibrium iteration failed: its forward-backward residual
-    (step mu / L_F^2) was not finite or stopped falling, or the game is not
-    strongly monotone."""
+    (step mu / L_F^2) was not finite or stopped falling, or the game does
+    not declare mu > 0 and a finite, positive grad_lipschitz L_F."""
 
 
 @dataclass(frozen=True)
@@ -25,33 +25,24 @@ class EquilibriumSolution:
     iterations: int
 
 
-def _lipschitz_estimate(game: GameSpec, t: int, samples: int = 64, seed: int = 0) -> float:
-    """Sampled bound on the pseudogradient's Lipschitz constant: the
-    largest ||F_t(u) - F_t(w)|| / ||u - w|| over ``samples`` random pairs of
-    profiles in the box, all evaluated in one row-form gradient call.
-    """
-    V, m = game.num_agents, game.dim
-    rng = np.random.default_rng(seed)
-    x = game.box_lo + rng.random((samples, 2, V, m)) * (game.box_hi - game.box_lo)  # pairs (u, w)
-    rows = x.reshape(-1, m)
-    agg = _sum_in_order(game.psi_values(rows).reshape(-1, V, m)) / V
-    g = game.gradients(t, rows, np.repeat(agg, V, axis=0)).reshape(samples, 2, -1)
-    x = x.reshape(samples, 2, -1)
-    du = np.linalg.norm(x[:, 0] - x[:, 1], axis=1)
-    dg = np.linalg.norm(g[:, 0] - g[:, 1], axis=1)
-    keep = du >= 1e-12
-    best = float(np.fmax.reduce(dg[keep] / du[keep], initial=0.0))  # NaN ratios are skipped
-    if best == 0.0:
-        raise OracleError("could not estimate a Lipschitz constant (degenerate game?)")
-    return 1.1 * best
-
-
 PHI = 1.5  # aGRAAL's averaging ratio, in (1, golden ratio]
 RHO = 1 / PHI + 1 / PHI ** 2  # largest growth of the step from one iteration to the next
+MAX_ITER = 200000  # ne_oracle's iteration budget
+
+
+def _step_constants(game: GameSpec) -> tuple[float, float]:
+    """(L_F, alpha = mu / L_F^2): the game's declared pseudogradient
+    Lipschitz constant and the forward-backward step of the stop test."""
+    if not game.mu > 0:  # also rejects NaN
+        raise OracleError(f"game must be strongly monotone (mu > 0), got mu={game.mu}")
+    L_F = game.grad_lipschitz
+    if L_F is None or not 0 < L_F < np.inf:
+        raise OracleError(f"the oracle needs the game's grad_lipschitz, finite and positive, got {L_F}")
+    return L_F, game.mu / (L_F * L_F)
 
 
 def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
-              x0: Optional[np.ndarray] = None, max_iter: int = 200000) -> EquilibriumSolution:
+              x0: Optional[np.ndarray] = None) -> EquilibriumSolution:
     """Unique equilibrium at time t via an adaptive golden-ratio iteration.
 
     A tuned variant of Malitsky's aGRAAL ("Golden ratio algorithms for
@@ -69,11 +60,12 @@ def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
     the step has no upper cap (the paper's lam-bar), theta_0 is phi, not 1,
     and xbar_0 is x_0, not x_1. So the paper's convergence theorem does not
     cover it: a result is accepted only by the stop test below, and a run
-    that does not converge ends in the stall guard's or ``max_iter``'s
-    OracleError. L_F is the pseudogradient Lipschitz constant (analytic
-    when the game provides one, sampled otherwise); it sets only the first
-    step and the stopping test, and an understated L_F still converged on
-    the tested games. Each iteration first tests the forward-backward
+    that does not converge ends in the stall guard's or ``MAX_ITER``'s
+    OracleError. L_F is the game's declared ``grad_lipschitz``, which must
+    be a true Lipschitz constant of F_t for the KKT bound below to hold; it
+    sets only the first step and the stopping test. A game without one, or
+    with mu <= 0, raises OracleError before any gradient call. Each
+    iteration first tests the forward-backward
     residual ||x - clip(x - alpha F_t(x))||, alpha = mu / L_F^2, at the same F_t(x),
     and returns clip(x - alpha F_t(x)) once it is <= tol, so the KKT
     violation of the result is at most tol / alpha. ``iterations`` counts
@@ -83,10 +75,7 @@ def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if game.mu <= 0:
-        raise OracleError(f"game must be strongly monotone (mu > 0), got mu={game.mu}")
-    L_F = game.grad_lipschitz or _lipschitz_estimate(game, t)
-    alpha = game.mu / (L_F * L_F)
+    L_F, alpha = _step_constants(game)
 
     lo, hi = game.box_lo, game.box_hi
     x = (lo + hi) / 2.0 if x0 is None else clip_to_box(
@@ -94,7 +83,7 @@ def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
     best_residual = np.inf
     stall = 0
     lam, theta, x_bar = 1.0 / L_F, PHI, x  # theta_0: as if the step before the first were 1 / L_F
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         g = game.pseudogradient(t, x)
         x_fb = clip_to_box(x - alpha * g, lo, hi)
         d = (x - x_fb).ravel()
@@ -121,7 +110,7 @@ def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
             x_bar = ((PHI - 1) * x + x_bar) / PHI
         x_prev, g_prev = x, g
         x = clip_to_box(x_bar - lam * g, lo, hi)
-    raise OracleError(f"oracle did not reach tol={tol} in {max_iter} iterations "
+    raise OracleError(f"oracle did not reach tol={tol} in {MAX_ITER} iterations "
                       f"(best residual {best_residual:.3e})")
 
 
@@ -130,8 +119,8 @@ def solve_equilibria(game: GameSpec, times: Sequence[int], tol: float = 1e-10) -
 
     The result is bit-identical to calling ``ne_oracle`` round by round with
     the previous round's ``x_star`` as ``x0``. Rounds whose warm start is
-    already their forward-backward fixed point, clip(x - alpha_t F_t(x)) equal
-    to x byte for byte, are settled together in one row-form gradient call:
+    already their forward-backward fixed point, clip(x - alpha F_t(x)) equal
+    to x byte for byte, with ne_oracle's alpha = mu / L_F^2, are settled together in one row-form gradient call:
     after an oracle round that ends where it started, the next 1, 2, 4, ...
     rounds are screened at once, and the first round that moves goes back to
     ``ne_oracle``. A settled round reports residual 0.0 and ``iterations ==
@@ -139,6 +128,7 @@ def solve_equilibria(game: GameSpec, times: Sequence[int], tol: float = 1e-10) -
     """
     times = list(times)
     V, m = game.num_agents, game.dim
+    alpha = _step_constants(game)[1]  # ne_oracle's stop-test step
     out: list[EquilibriumSolution] = []
     x = None
     chunk = 0  # rounds to screen next; 0 sends the next round to ne_oracle
@@ -150,8 +140,6 @@ def solve_equilibria(game: GameSpec, times: Sequence[int], tol: float = 1e-10) -
             x, chunk = sol.x_star, int(unmoved)
             continue
         ts = times[len(out):len(out) + chunk]
-        L_F = np.array([game.grad_lipschitz or _lipschitz_estimate(game, t) for t in ts])
-        alpha = (game.mu / (L_F * L_F))[:, None, None]  # ne_oracle's step, round by round
         g = game.gradients(np.repeat(ts, V), np.tile(x, (len(ts), 1)),
                            np.full((len(ts) * V, m), game.aggregate(x))).reshape(-1, V, m)
         x_fb = clip_to_box(x - alpha * g, game.box_lo, game.box_hi)

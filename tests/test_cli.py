@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import dpgames as dp
 from dpgames import cli
 from dpgames.cli import (ConfigError, config_from_dict, config_to_dict, derive_seed,
                          load_config, preset, write_config)
+from dpgames.engine import NonFiniteStateError
 
 from conftest import diverging_cournot
 
@@ -606,6 +608,44 @@ def test_diverging_run_exits_nonzero_with_one_error_line(tmp_path, capsys, monke
     assert rc == 1 and not out.exists()
     assert err.count("\n") == 1
     assert err.startswith("error: non-finite state at round 2, agent 0")
+
+
+def _huge_noise_config(tmp_path):
+    # finite inputs whose round-1 dual variable is about 1e200: its norm's
+    # square overflows, so b_norm is infinite while b is finite
+    d = {**config_to_dict(preset("fig2-baseline")), "horizon": 1,
+         "privacy": {"mode": "sigma", "sigma": 1e200, "delta": 1.0}}
+    p = tmp_path / "huge-noise.json"
+    p.write_text(json.dumps(d))
+    return p
+
+
+@pytest.mark.parametrize("fmt", ["object-lines", "tabular"])
+def test_non_finite_record_exits_nonzero_and_writes_nothing(fmt, tmp_path, capsys):
+    out = tmp_path / "r.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow warning either
+        rc = cli.main(["run", "--config", str(_huge_noise_config(tmp_path)),
+                       "--format", fmt, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite b_norm at round 1, agent 0\n"
+    assert not out.exists() and not (tmp_path / "r.out.summary.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["object-lines", "tabular"])
+def test_write_records_names_the_first_non_finite_cell(fmt, tmp_path):
+    result = dp.run(load_config(_huge_noise_config(tmp_path)))
+    out = tmp_path / "r.out"
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite b_norm at round 1, agent 0$"):
+        cli.write_records(result, out, fmt)
+    ok = dp.run(replace(preset("fig2-baseline"), horizon=4))
+    loss_true = ok.loss_true.copy()
+    loss_true[3, 2] = np.nan
+    x = ok.x.copy()
+    x[3, 4, 0] = np.inf  # later in row order than agent 2's loss_true
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite loss_true at round 3, agent 2$"):
+        cli.write_records(replace(ok, loss_true=loss_true, x=x), out, fmt)
+    assert not out.exists()
 
 
 def test_tau_max_beyond_the_32_bit_draw_is_a_config_error(tmp_path, capsys):

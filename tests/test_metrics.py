@@ -141,8 +141,8 @@ def test_oracle_clips_an_infinite_start_into_the_box(bound, iterations, cournot)
 
 def nonsymmetric_game(box):
     """Per-agent game with F_i(x) = a_i x_i + b_i sum_j x_j + c_i, so the
-    Jacobian diag(a) + b 1^T is not symmetric; no analytic Lipschitz
-    constant, so the oracle samples one. Returns the game and (M, c).
+    Jacobian diag(a) + b 1^T is not symmetric; it declares ||M||_2 as its
+    Lipschitz constant. Returns the game and (M, c).
     """
     rng = np.random.default_rng(31)
     V = 6
@@ -160,7 +160,7 @@ def nonsymmetric_game(box):
         grad_own=lambda i, t, x, p: np.array([(a[i] - b[i]) * x[0] + b[i] * V * p[0] + c[i]]),
         grad_agg=lambda i, t, x, p: np.array([b[i] * V * x[0]]),
         psi_fn=lambda i, x: x, grad_psi=lambda i, x: np.eye(1),
-        mu=mu, grad_lipschitz=None)
+        mu=mu, grad_lipschitz=float(np.linalg.norm(M, 2)))
     return game, M, c
 
 
@@ -177,45 +177,54 @@ def test_oracle_on_nonsymmetric_per_agent_game():
     sol = dp.ne_oracle(boxed, 0, tol=tol)
     x_star = sol.x_star.ravel()
     assert np.any(np.abs(x_star) == 1.0) and np.any(np.abs(x_star) < 1.0)
-    L_F = metrics._lipschitz_estimate(boxed, 0)
-    assert dp.kkt_max_violation(boxed, 0, sol.x_star) <= tol * L_F ** 2 / boxed.mu
+    assert dp.kkt_max_violation(boxed, 0, sol.x_star) <= tol * boxed.grad_lipschitz ** 2 / boxed.mu
 
 
-def _lipschitz_loop(game, t, samples=64, seed=0):
-    """Reference estimate: one pseudogradient call per sampled profile."""
+def _sampled_lipschitz_ratios(game, t, samples=64, seed=0):
+    """||F_t(u) - F_t(w)|| / ||u - w|| over random pairs of profiles in the box."""
     rng = np.random.default_rng(seed)
     shape = (game.num_agents, game.dim)
-    best = 0.0
+    ratios = []
     for _ in range(samples):
         u = game.box_lo + rng.random(shape) * (game.box_hi - game.box_lo)
         w = game.box_lo + rng.random(shape) * (game.box_hi - game.box_lo)
         du = np.linalg.norm(u - w)
-        if du < 1e-12:
-            continue
-        dg = np.linalg.norm(game.pseudogradient(t, u) - game.pseudogradient(t, w))
-        best = max(best, dg / du)
-    return 1.1 * best
+        if du >= 1e-12:
+            ratios.append(np.linalg.norm(game.pseudogradient(t, u) - game.pseudogradient(t, w)) / du)
+    return np.array(ratios)
 
 
-def test_lipschitz_estimate_is_one_row_form_call_equal_to_the_loop(monkeypatch):
-    boxed, _, _ = nonsymmetric_game(1.0)
-    for t in (0, 5):
-        assert metrics._lipschitz_estimate(boxed, t) == pytest.approx(
-            _lipschitz_loop(boxed, t), rel=1e-12)
+@pytest.mark.parametrize("game, t", [
+    (dp.nash_cournot(), 0), (dp.nash_cournot(), 7), (dp.nash_cournot(), 4999),
+    (small_linear_game(20), 0),  # perfbench's scaling game
+    (dp.linear_demand_game([-20.0, -25.0, -30.0], [-5.0] * 3, [5.0] * 3), 0),  # README's game
+    (nonsymmetric_game(1.0)[0], 3),
+], ids=["cournot-0", "cournot-7", "cournot-4999", "scale", "readme", "nonsymmetric"])
+def test_declared_lipschitz_constant_bounds_every_sampled_ratio(game, t):
+    # the oracle's step and its KKT bound rest on grad_lipschitz being a true bound
+    ratios = _sampled_lipschitz_ratios(game, t)
+    assert ratios.size > 0 and ratios.max() <= game.grad_lipschitz * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("L_F", [None, 0.0, -1.0, float("nan"), float("inf")])
+def test_oracle_requires_a_declared_finite_positive_lipschitz_constant(L_F, cournot, monkeypatch):
+    game = dataclasses.replace(cournot, grad_lipschitz=L_F)
     calls = []
-    monkeypatch.setattr(dp.GameSpec, "pseudogradient", lambda *a: calls.append(a))
-    metrics._lipschitz_estimate(boxed, 0)
-    assert calls == []
+    monkeypatch.setattr(dp.GameSpec, "gradients", lambda *a: calls.append(a))
+    with pytest.raises(OracleError, match="grad_lipschitz"):
+        dp.ne_oracle(game, 0)
+    with pytest.raises(OracleError, match="grad_lipschitz"):
+        dp.solve_equilibria(game, range(3))
+    assert calls == []  # raised before any gradient call
 
 
-def test_solve_equilibria_unchanged_by_the_row_form_estimate(monkeypatch):
-    boxed, _, _ = nonsymmetric_game(1.0)
-    sols = dp.solve_equilibria(boxed, range(10))
-    monkeypatch.setattr(metrics, "_lipschitz_estimate", _lipschitz_loop)
-    ref = dp.solve_equilibria(boxed, range(10))
-    assert [s.iterations for s in sols] == [s.iterations for s in ref]
-    for s, r in zip(sols, ref):
-        assert np.allclose(s.x_star, r.x_star, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan")])
+def test_oracle_requires_a_positive_monotonicity_modulus(mu, cournot):
+    game = dataclasses.replace(cournot, mu=mu)
+    with pytest.raises(OracleError, match="strongly monotone"):
+        dp.ne_oracle(game, 0)
+    with pytest.raises(OracleError, match="strongly monotone"):
+        dp.solve_equilibria(game, range(3))
 
 
 def test_scaling_game_equilibria_meet_the_kkt_gate():
@@ -270,7 +279,7 @@ def switching_corner_game():
 @pytest.mark.parametrize("game, times", [
     (dp.nash_cournot(), range(401)),
     (small_linear_game(20), range(21)),  # perfbench's scaling game: every warm round moves
-    (nonsymmetric_game(1.0)[0], range(10)),  # no grad_lipschitz: L_F sampled per round
+    (nonsymmetric_game(1.0)[0], range(10)),  # a GameSpec.per_agent game
     (dp.nash_cournot(), [0, 5, 7, 100, 3, 3, 3]),
     (switching_corner_game(), range(80)),  # a doubled chunk breaks at t = 37
 ], ids=["cournot-401", "scale-21", "nonsymmetric-10", "out-of-order", "corner-switch"])
