@@ -218,7 +218,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
     # keys each block writes
     return _write(SCHEMA, {
         **vars(cfg), "game": cfg.game if isinstance(cfg.game, str) else cfg.game.name,
-        "graph": {**vars(graph), "type": graph.kind, "edges": sets[0], "edge_sets": sets,
+        "graph": {**vars(graph), "type": "static" if len(sets) == 1 else "periodic",
+                  "edges": sets[0], "edge_sets": sets,
                   "b_window": cfg.b_window, "validate_connectivity": cfg.validate_connectivity},
         "delays": {**vars(delays), "comm": rule(delays.comm), "feedback": rule(delays.feedback)},
         "privacy": {**vars(noise), "sensitivity": noise.sensitivity_mode} if noise.enabled else None,
@@ -310,14 +311,21 @@ def _record_table(result: RunResult) -> np.ndarray:
                      + [a.reshape(-1, 1) for a in scalars])
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one comma-separated field: quoted, with its quotes doubled,
+    when it holds a comma, a double quote or a line break (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def write_records(result: RunResult, path, fmt: str) -> None:
     """Write the records file; raise NonFiniteStateError, before opening it,
     at the first cell that is not finite (a finite but huge b has an
-    infinite b_norm)."""
+    infinite b_norm). Both formats fill one line template per row, whose
+    ``%r`` spells a finite float as ``json.dumps`` does."""
     if fmt not in ("tabular", "object-lines"):
         raise ConfigError([f"unknown output format {fmt!r}"])
     V, m = result.x.shape[1:]
-    run_id, seed = result.config.run_id, result.config.seed
+    run_id, seed = result.config.run_id, int(result.config.seed)
     columns = (_vec_columns("x", m) + _vec_columns("x_hat", m) + _vec_columns("v", m)
                + ["b_norm", "loss", "avg_loss", "loss_true", "avg_loss_true"])
     with np.errstate(over="ignore"):
@@ -326,22 +334,20 @@ def write_records(result: RunResult, path, fmt: str) -> None:
     if len(bad):
         t, i = divmod(int(bad[0, 0]), V)
         raise NonFiniteStateError(f"non-finite {columns[bad[0, 1]]} at round {t}, agent {i}")
-    table = table.tolist()
+    if fmt == "tabular":
+        head = ",".join(["run_id", "seed", "t", "agent"] + columns) + "\n"
+        fixed, cells = f"{_csv_field(str(run_id))},{seed}", ",%d,%d" + ",%r" * len(columns) + "\n"
+    else:  # JSON's item spelling: ", " between items, ": " after keys
+        vec = "[" + ", ".join(["%r"] * m) + "]"
+        head, fixed = "", json.dumps({"run_id": run_id, "seed": seed})[:-1]  # no closing brace
+        items = zip(["t", "agent", "x", "x_hat", "v"] + columns[3 * m:],
+                    ["%d"] * 2 + [vec] * 3 + ["%r"] * 5)
+        cells = "".join(f', "{k}": {f}' for k, f in items) + "}\n"
+    line = fixed.replace("%", "%%") + cells
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "tabular":
-            fh.write(",".join(["run_id", "seed", "t", "agent"] + columns) + "\n")
-            for k, row in enumerate(table):
-                t, i = divmod(k, V)
-                fh.write(f"{run_id},{seed},{t},{i}," + ",".join(map(repr, row)) + "\n")
-        else:
-            for k, row in enumerate(table):
-                t, i = divmod(k, V)
-                b_norm, loss, avg_loss, loss_true, avg_loss_true = row[3 * m:]
-                fh.write(json.dumps({
-                    "run_id": run_id, "seed": seed, "t": t, "agent": i,
-                    "x": row[:m], "x_hat": row[m:2 * m], "v": row[2 * m:3 * m],
-                    "b_norm": b_norm, "loss": loss, "avg_loss": avg_loss,
-                    "loss_true": loss_true, "avg_loss_true": avg_loss_true}) + "\n")
+        fh.write(head)
+        for k, row in enumerate(table.tolist()):
+            fh.write(line % (*divmod(k, V), *row))
 
 
 def write_summary(result: RunResult, path) -> None:
@@ -367,8 +373,7 @@ def _resolve_config(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "horizon", None) is not None:
         cfg = replace(cfg, horizon=args.horizon)
-    errors = cfg.validate()
-    if errors:
+    if errors := cfg.validate():
         raise ConfigError(errors)
     return cfg
 
@@ -527,7 +532,7 @@ def cmd_sweep(args) -> int:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+            fh.write(",".join(_csv_field(str(row[c])) for c in cols) + "\n")
     print(f"wrote {out} ({len(rows)} runs)")
     return 0
 

@@ -13,7 +13,8 @@ the slot of round s + tau_ij(s), so at round t the slot t mod (tau_max + 1)
 holds the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
 
 Each round draws its randomness as one block per purpose: the (V, m) noise
-block, the (V, V) communication-delay matrix and the (V,) feedback delays.
+block at the Laplace scale fixed when the ``World`` is built, the (V, V)
+communication-delay matrix and the (V,) feedback delays.
 The weights, message list and self-weights of each edge set
 (``GraphSchedule.phase_at``) and the delays of a ``none`` or ``fixed`` rule
 are built once and shared read-only. The rest of what a round needs that
@@ -122,15 +123,15 @@ class RunConfig:
             return [str(e)]
         if self.graph.num_agents != game.num_agents:
             errors.append(f"graph has {self.graph.num_agents} agents, game has {game.num_agents}")
-        if self.horizon < 0:
-            errors.append(f"horizon must be >= 0, got {self.horizon}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            errors.append(f"seed must be a non-negative integer, got {self.seed!r}")
+        # a bool is not taken for an integer, as in a config file
+        bad = {k: v for k, v in (("horizon", self.horizon), ("seed", self.seed))
+               if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0)}
+        errors += [f"{k} must be a non-negative integer, got {v!r}" for k, v in bad.items()]
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             errors.append(f"gamma must be positive and finite, got {self.gamma}")
         if self.b_window < 1:
             errors.append(f"b_window must be >= 1, got {self.b_window}")
-        elif self.validate_connectivity and self.horizon >= self.b_window:
+        elif self.validate_connectivity and "horizon" not in bad and self.horizon >= self.b_window:
             report = validate_b_connectivity(self.graph, self.b_window, self.horizon)
             if not report.ok:
                 errors.append(f"schedule not strongly connected over window {report.first_violation}")
@@ -201,41 +202,23 @@ class World:
         self.messages_enqueued = 0
         self.messages_delivered = 0
         self.last_arrivals: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._delta_t = self._resolve_sensitivity() if self.noise.enabled else None
+        if self.noise.enabled:  # the sensitivity and Laplace scale of every round
+            delta = self.noise.delta if self.noise.sensitivity_mode == "manual" else sensitivity_bound(
+                self.game.L, 1.0 / eigenvector_floor(self.graph, max(config.horizon, 1)), m)
+            self._delta, self._sigma = self.noise.resolve(float(delta))
         self._plan: Optional[_RoundPlan] = None  # built by the first step
 
-    def _resolve_sensitivity(self) -> float:
-        if self.noise.sensitivity_mode == "manual":
-            return float(self.noise.delta)
-        floor = eigenvector_floor(self.graph, max(self.cfg.horizon, 1))
-        return sensitivity_bound(self.game.L, 1.0 / floor, self.m)
-
-    def noise_block(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Round t's (V, m) noise for the duals and for the aggregate
-        estimates (one draw when shared), and sigma_t; zeros when disabled.
-        """
+    def _noised(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's noised (b, v) snapshot at round t: ``b`` and ``v``
+        themselves when noise is off, else plus round t's (V, m) Laplace
+        blocks, one draw for both when it is shared."""
         if not self.noise.enabled:
-            z = np.zeros((self.V, self.m))
-            return z, z, 0.0
-        _, sigma = self.noise.resolve(self._delta_t)
-        shape = (self.V, self.m)
-        n_b = sample_noise(sigma, shape, substream(self.cfg.seed, STREAM_NOISE, t))
-        if self.noise.shared_draw:
-            return n_b, n_b, sigma
-        n_v = sample_noise(sigma, shape, substream(self.cfg.seed, STREAM_NOISE_AGGREGATE, t))
-        return n_b, n_v, sigma
-
-    def draw_noise(self, i: int, t: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Agent i's row of ``noise_block(t)``."""
-        n_b, n_v, sigma = self.noise_block(t)
-        return n_b[i], n_v[i], sigma
-
-    def _noised(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Every agent's noised (b, v) snapshot at round t, and sigma_t."""
-        if not self.noise.enabled:
-            return self.b, self.v, 0.0
-        n_b, n_v, sigma_t = self.noise_block(t)
-        return self.b + n_b, self.v + n_v, sigma_t
+            return self.b, self.v
+        shape, seed = (self.V, self.m), self.cfg.seed
+        n_b = sample_noise(self._sigma, shape, substream(seed, STREAM_NOISE, t))
+        n_v = n_b if self.noise.shared_draw else sample_noise(
+            self._sigma, shape, substream(seed, STREAM_NOISE_AGGREGATE, t))
+        return self.b + n_b, self.v + n_v
 
     def _plan_at(self, t: int) -> tuple[_RoundPlan, int]:
         """The round plan that covers round t, and t's entry in it."""
@@ -290,7 +273,7 @@ class World:
         t = self.t
         plan, k = self._plan_at(t)
         phase = self.graph.phase_at(t)
-        b_tilde, v_tilde, sigma_t = self._noised(t)
+        b_tilde, v_tilde = self._noised(t)
 
         # phase 1: every message j -> i, weighted at send time, goes into the
         # slot of its arrival round t + tau_ij(t). Messages are listed sender
@@ -309,10 +292,9 @@ class World:
         self.messages_delivered += int(self.ring_count[now])
         self.ring_count[now] = 0
 
-        self._apply_updates(t, phase, arrived[:, :self.m], arrived[:, self.m:], sigma_t)
+        self._apply_updates(t, phase, arrived[:, :self.m], arrived[:, self.m:])
 
-    def _apply_updates(self, t: int, phase: Phase, sum_b: np.ndarray,
-                       sum_v: np.ndarray, sigma_t: float) -> None:
+    def _apply_updates(self, t: int, phase: Phase, sum_b: np.ndarray, sum_v: np.ndarray) -> None:
         """Local part of a round: dual update with compensated delayed
         gradient, eigenvector recursion, projection, running average,
         aggregate-estimate tracking, ledger entry. Shared by the arrival
@@ -340,7 +322,7 @@ class World:
         v_new = w_self * self.v + sum_v + psi_x_hat_new - self.psi_x_hat
 
         if self.noise.enabled:
-            self.ledger.record(t, self._delta_t, sigma_t)
+            self.ledger.record(t, self._delta, self._sigma)
 
         self.b, self.x, self.x_hat, self.v = b_new, x_new, x_hat_new, v_new
         self.psi_x_hat = psi_x_hat_new
@@ -392,7 +374,7 @@ class RunResult:
                                          "degenerate": st.degenerate}
         return {
             "run_id": self.config.run_id,
-            "seed": self.config.seed,
+            "seed": int(self.config.seed),
             "horizon": self.horizon,
             "final_x_hat": self.x_hat[-1].tolist(),
             "epsilon_hat": self.ledger.epsilon_hat,
@@ -497,13 +479,13 @@ class _AugmentedWorld(World):
     def step(self) -> None:
         t, m, slots = self.t, self.m, len(self.carried)
         phase = self.graph.phase_at(t)
-        b_tilde, v_tilde, sigma_t = self._noised(t)
+        b_tilde, v_tilde = self._noised(t)
         np.matmul(self._blocks_at(t, phase), np.concatenate((b_tilde, v_tilde), axis=1),
                   out=self.carried[t % slots])
 
         r = np.arange(min(t, slots - 1) + 1)  # stages that have carried a snapshot
         arrived = self.carried[(t - r) % slots, r].sum(axis=0)
-        self._apply_updates(t, phase, arrived[:, :m], arrived[:, m:], sigma_t)
+        self._apply_updates(t, phase, arrived[:, :m], arrived[:, m:])
 
 
 def run_augmented_reference(config: RunConfig) -> RunResult:

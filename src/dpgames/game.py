@@ -108,15 +108,14 @@ class GameSpec:
         domain is enforced on costs, not gradients, so probes at or beyond
         faces are allowed.
         """
-        i, x_i, v_i = np.array([i]), self._row(x_i), self._row(v_i)
-        g1 = np.asarray(self.grad_own(i, t, x_i, v_i), dtype=float)[0]
-        g2 = np.asarray(self.grad_agg(i, t, x_i, v_i), dtype=float)[0]
-        J = np.asarray(self.grad_psi(i, x_i), dtype=float)[0]
-        return g1 + J.T @ g2 / self.num_agents
+        return self._gradients(np.array([i]), t, self._row(x_i), self._row(v_i))[0]
 
     def gradients(self, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
         """Row form of ``local_gradient``; t is a scalar or a (k,) array of row times."""
-        i = self._agents(len(x))
+        return self._gradients(self._agents(len(x)), t, x, psi_val)
+
+    def _gradients(self, i: np.ndarray, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
+        """``local_gradient`` of agents i at the rows of x and psi_val."""
         g1 = np.asarray(self.grad_own(i, t, x, psi_val), dtype=float)
         g2 = np.asarray(self.grad_agg(i, t, x, psi_val), dtype=float)
         J = np.asarray(self.grad_psi(i, x), dtype=float)

@@ -88,17 +88,16 @@ def _phase(num_agents: int, edges: frozenset[Edge], k: int) -> Phase:
 @dataclass(frozen=True)
 class GraphSchedule:
     """A cycle of directed edge sets: the set at time t is
-    ``edge_sets[t % period]``. A static schedule is a cycle of one.
+    ``edge_sets[t % period]``. A static schedule is a cycle of one, which is
+    what a config file (``cli.SCHEMA``) calls ``static`` when written.
 
     Construction builds and checks one read-only ``Phase`` per distinct edge
     set, so an edge set that leaves an agent with no in-neighbors raises
-    ScheduleError here, not when a round reaches it. ``kind`` only picks the
-    config file's form (``cli.SCHEMA``). A rule ``t -> edges`` over a T-round
-    run is ``GraphSchedule.periodic(V, [rule(t) for t in range(T)])``.
+    ScheduleError here, not when a round reaches it. A rule ``t -> edges``
+    over a T-round run is ``GraphSchedule.periodic(V, [rule(t) for t in range(T)])``.
     """
 
     num_agents: int
-    kind: str  # "static" | "periodic"
     edge_sets: tuple[frozenset[Edge], ...]
     require_self_loops: bool = True
     _phases: tuple[Phase, ...] = field(init=False, repr=False, compare=False)
@@ -114,14 +113,13 @@ class GraphSchedule:
 
     @staticmethod
     def static(num_agents: int, edges: Iterable[Edge], require_self_loops: bool = True) -> "GraphSchedule":
-        es = _normalize_edges(num_agents, edges, require_self_loops)
-        return GraphSchedule(num_agents, "static", (es,), require_self_loops)
+        return GraphSchedule.periodic(num_agents, [edges], require_self_loops)
 
     @staticmethod
     def periodic(num_agents: int, edge_sets: Iterable[Iterable[Edge]],
                  require_self_loops: bool = True) -> "GraphSchedule":
         sets = tuple(_normalize_edges(num_agents, es, require_self_loops) for es in edge_sets)
-        return GraphSchedule(num_agents, "periodic", sets, require_self_loops)
+        return GraphSchedule(num_agents, sets, require_self_loops)
 
     def phase_at(self, t: int) -> Phase:
         """Round t's ``Phase``, built once per edge set and read-only."""

@@ -70,7 +70,7 @@ def sensitivity_bound(L: float, theta: float, m: int) -> float:
 
 
 def sigma_for(delta_t: float, epsilon_t: float) -> float:
-    """Laplace scale sigma_t = Delta_t / epsilon_t."""
+    """Laplace scale sigma = Delta / epsilon of a step."""
     if delta_t <= 0:
         raise ValueError(f"sensitivity must be positive, got {delta_t}")
     if epsilon_t <= 0:
@@ -151,7 +151,7 @@ class NoiseConfig:
         return self.mode != "off"
 
     def resolve(self, delta_t: float) -> tuple[float, float]:
-        """(delta_t, sigma_t) for a step, given the resolved sensitivity."""
+        """(Delta, sigma) of every step, given the resolved sensitivity Delta."""
         if not self.enabled:
             raise ValueError("noise is disabled")
         if self.mode == "epsilon":
@@ -172,9 +172,9 @@ class NoiseConfig:
 
 @dataclass
 class PrivacyLedger:
-    """Per-step (t, Delta_t, sigma_t, eps_t) records and the running total.
+    """Per-step (t, Delta, sigma, epsilon) records and the running total.
 
-    epsilon_hat is sum_t Delta_t / sigma_t, accumulated with math.fsum so the
+    epsilon_hat is sum_t Delta / sigma, accumulated with math.fsum so the
     reported total is the correctly rounded sum of the recorded per-step
     losses (recomputing from the records is bit-identical).
     """
@@ -182,13 +182,13 @@ class PrivacyLedger:
     records: list[tuple[int, float, float, float]] = field(default_factory=list)
     _seen: set[int] = field(default_factory=set, repr=False)
 
-    def record(self, t: int, delta_t: float, sigma_t: float) -> None:
+    def record(self, t: int, delta: float, sigma: float) -> None:
         if t in self._seen:
             raise LedgerError(f"step {t} already recorded in the privacy ledger")
-        if delta_t <= 0 or sigma_t <= 0:
+        if delta <= 0 or sigma <= 0:
             raise ValueError("ledger entries need positive delta and sigma")
         self._seen.add(t)
-        self.records.append((t, float(delta_t), float(sigma_t), delta_t / sigma_t))
+        self.records.append((t, float(delta), float(sigma), delta / sigma))
 
     @property
     def epsilon_hat(self) -> float:

@@ -26,6 +26,22 @@ def small_linear_game(num_agents, box=5.0):
     return dp.linear_demand_game(c, [-box] * num_agents, [box] * num_agents)
 
 
+def toy_2d_game():
+    """Three agents with two-dimensional actions, written one agent at a time."""
+    V, m = 3, 2
+    c = np.array([[-8.0, 4.0], [2.0, -6.0], [5.0, 1.0]])
+    identity = np.eye(m)
+    return dp.GameSpec.per_agent(
+        name="toy-2d", num_agents=V, dim=m, box_lo=np.full((V, m), -4.0),
+        box_hi=np.full((V, m), 4.0),
+        cost_fn=lambda i, t, x, p: float((c[i] + V * p) @ x),
+        grad_own=lambda i, t, x, p: c[i] + V * p,
+        grad_agg=lambda i, t, x, p: V * x,
+        psi_fn=lambda i, x: x, grad_psi=lambda i, x: identity,
+        L=float(np.abs(c).max() + V * m * 4.0), mu=1.0,
+        grad_lipschitz=float(V + 1))
+
+
 def per_agent_copy(game, **callables):
     """``game`` rebuilt with ``GameSpec.per_agent`` from its own callables,
     any of them replaced by ``callables``: every row evaluated on its own.

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 from dataclasses import replace
@@ -14,7 +16,7 @@ from dpgames.cli import (ConfigError, config_from_dict, config_to_dict, derive_s
                          load_config, preset, write_config)
 from dpgames.engine import NonFiniteStateError
 
-from conftest import diverging_cournot
+from conftest import diverging_cournot, ring_graph, toy_2d_game
 
 
 def test_config_round_trip(tmp_path):
@@ -24,6 +26,18 @@ def test_config_round_trip(tmp_path):
         write_config(cfg, path)
         loaded = load_config(path)
         assert config_to_dict(loaded) == config_to_dict(cfg)
+
+
+def test_schedule_file_form_follows_its_edge_sets():
+    two = cli.benchmark_graph()  # a cycle of two edge sets
+    cfg = replace(preset("fig2-baseline"), graph=two)
+    d = config_to_dict(cfg)["graph"]
+    assert d["type"] == "periodic" and d["edge_sets"] == [sorted(map(list, es)) for es in two.edge_sets]
+    back = config_from_dict(config_to_dict(cfg)).graph
+    assert back == two and [back.edges_at(t) for t in range(4)] == [two.edges_at(t) for t in range(4)]
+    one = dp.GraphSchedule.periodic(5, [two.edge_sets[1]])
+    d = config_to_dict(replace(cfg, graph=one))
+    assert d["graph"]["type"] == "static" and config_from_dict(d).graph == one
 
 
 @st.composite
@@ -211,6 +225,82 @@ def test_object_lines_format(tmp_path):
     assert len(lines) == 11 * 5
     rec = json.loads(lines[0])
     assert rec["t"] == 0 and rec["agent"] == 0 and rec["x"] == [-1.0]
+
+
+_SCALARS = ["b_norm", "loss", "avg_loss", "loss_true", "avg_loss_true"]
+
+
+def _per_row_records(result, fmt) -> str:
+    """The records as a per-row writer spells them: one ``json.dumps`` of a
+    dict per row, or one ``csv.writer`` row, which quotes like RFC 4180."""
+    V, m = result.x.shape[1:]
+    run_id, seed = result.config.run_id, int(result.config.seed)
+    out = io.StringIO()
+    rows = cli._record_table(result).tolist()
+    if fmt == "tabular":
+        vec = lambda stem: [stem] if m == 1 else [f"{stem}_{k}" for k in range(m)]
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["run_id", "seed", "t", "agent"] + vec("x") + vec("x_hat") + vec("v")
+                        + _SCALARS)
+        for k, row in enumerate(rows):
+            writer.writerow([run_id, seed, *divmod(k, V), *row])
+    else:
+        for k, row in enumerate(rows):
+            t, i = divmod(k, V)
+            out.write(json.dumps({
+                "run_id": run_id, "seed": seed, "t": t, "agent": i,
+                "x": row[:m], "x_hat": row[m:2 * m], "v": row[2 * m:3 * m],
+                **dict(zip(_SCALARS, row[3 * m:]))}) + "\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["tabular", "object-lines"])
+@pytest.mark.parametrize("run_id", ["a%db", 'q"uote', "\u00e9", "a,b"])
+def test_records_match_a_per_row_writer(fmt, run_id, tmp_path):
+    cfg = dp.RunConfig(game=toy_2d_game(), graph=ring_graph(3), delays=dp.DelaySchedule.uniform(2),
+                       noise=dp.NoiseConfig.fixed_epsilon(0.5, delta=1.0), horizon=30,
+                       x0=np.zeros((3, 2)), seed=3, run_id=run_id)
+    result = dp.run(cfg)
+    out = tmp_path / "r.out"
+    cli.write_records(result, out, fmt)
+    assert out.read_bytes() == _per_row_records(result, fmt).encode()
+
+
+def test_run_id_with_a_comma_reads_back_as_one_field(tmp_path):
+    out = tmp_path / "r.csv"
+    cli.write_records(dp.run(replace(preset("fig5-fixed-delay"), horizon=2, run_id="a,b")),
+                      out, "tabular")
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 3 * 5
+    assert {len(row) for row in rows} == {12} and {row[0] for row in rows[1:]} == {"a,b"}
+
+
+def test_sweep_table_quotes_a_run_id_with_a_comma_or_quote(tmp_path):
+    config, out = tmp_path / "c.json", tmp_path / "sweep.csv"
+    config.write_text(json.dumps({**config_to_dict(preset("fig5-fixed-delay")), "horizon": 3,
+                                  "run_id": 'a,"b'}))
+    assert cli.main(["sweep", "--config", str(config), "--axis", "gamma",
+                     "--values", "1,2", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [row[0] for row in rows] == ['a,"b-gamma-1', 'a,"b-gamma-2']
+    assert {len(row) for row in rows} == {len(header)}
+
+
+def test_numpy_integer_seed_writes_the_files_of_its_int(tmp_path):
+    written = []
+    for seed in (3, np.int64(3)):
+        result = dp.run(replace(preset("fig5-fixed-delay"), horizon=2, seed=seed))
+        out = tmp_path / f"{type(seed).__name__}"
+        cli.write_records(result, f"{out}.csv", "tabular")
+        cli.write_records(result, f"{out}.jsonl", "object-lines")
+        cli.write_summary(result, f"{out}.json")
+        summary = json.loads(Path(f"{out}.json").read_text())
+        del summary["wall_time_s"]
+        written.append((Path(f"{out}.csv").read_bytes(), Path(f"{out}.jsonl").read_bytes(),
+                        summary))
+    assert written[0] == written[1] and written[0][2]["seed"] == 3
 
 
 def test_summary_contents(tmp_path):

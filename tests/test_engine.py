@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import dpgames as dp
 from dpgames.cli import preset
 from dpgames.engine import (CHUNK_ROUNDS, DegeneracyError, NonFiniteStateError, World,
                             _AugmentedWorld, step_size)
+from dpgames.privacy import STREAM_NOISE, STREAM_NOISE_AGGREGATE, substream
 
 from conftest import (bench_init, complete_graph, diverging_cournot, ring_graph,
-                      small_linear_game)
+                      small_linear_game, toy_2d_game)
 
 
 def bench_cfg(**kw):
@@ -84,6 +86,16 @@ def test_initial_action_outside_box_is_a_config_error():
         dp.run(cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", True), ("seed", 3.0), ("horizon", True), ("horizon", 2.5), ("horizon", -1)])
+def test_bool_or_non_integer_seed_and_horizon_are_config_errors(field, value):
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), **{"horizon": 2, field: value})
+    message = f"{field} must be a non-negative integer, got {value!r}"
+    assert cfg.validate() == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dp.run(cfg)
+
+
 # ---------------------------------------------------------------------------
 # reduction to the delay-free, noise-free recursions
 
@@ -146,7 +158,7 @@ def test_arrival_sums_match_indicator_enumeration():
     tau = delays.tau_max
     snapshots = {}
     for t in range(cfg.horizon):
-        n = np.stack([world.draw_noise(i, t)[0] for i in range(5)])
+        n = dp.sample_noise(5.0, (5, 1), substream(11, STREAM_NOISE, t))  # shared draw
         snapshots[t] = (world.b + n, world.v + n)
         world.step()
         sum_b, sum_v = world.last_arrivals
@@ -326,41 +338,52 @@ def test_update_does_not_approach_an_equilibrium_off_the_box_corners():
 # noise handling
 
 
+def _noise_blocks(world, t):
+    """Round t's noise for the duals and the aggregate estimates: the noised
+    snapshot of zero duals and estimates, to which adding is exact."""
+    world.b, world.v = np.zeros_like(world.b), np.zeros_like(world.v)
+    return world._noised(t)
+
+
 def test_noise_disabled_noises_nothing():
     world = World(bench_cfg())
-    n_b, n_v, sigma = world.draw_noise(2, 7)
-    assert sigma == 0.0 and not n_b.any() and not n_v.any()
+    b_tilde, v_tilde = world._noised(7)
+    assert b_tilde is world.b and v_tilde is world.v
 
 
 def test_shared_draw_uses_one_vector_per_agent_step():
     shared = World(bench_cfg(noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0)))
-    n_b, n_v, _ = shared.draw_noise(1, 4)
+    n_b, n_v = _noise_blocks(shared, 4)
     assert np.array_equal(n_b, n_v)
     indep = World(bench_cfg(noise=dp.NoiseConfig.fixed_epsilon(
         0.2, delta=1.0, shared_draw=False)))
-    n_b2, n_v2, _ = indep.draw_noise(1, 4)
+    n_b2, n_v2 = _noise_blocks(indep, 4)
     assert np.array_equal(n_b, n_b2)  # dual-variable stream unchanged
     assert not np.array_equal(n_b2, n_v2)
 
 
 @pytest.mark.parametrize("shared", [True, False])
-def test_draw_noise_is_a_row_of_the_round_block(shared):
-    from dpgames.privacy import STREAM_NOISE, STREAM_NOISE_AGGREGATE, substream
+def test_noised_snapshot_adds_the_round_blocks(shared):
     world = World(bench_cfg(noise=dp.NoiseConfig.fixed_epsilon(
         0.2, delta=1.0, shared_draw=shared)))
+    aggregate = STREAM_NOISE if shared else STREAM_NOISE_AGGREGATE
     for t in (0, 4, 33):
-        n_b, n_v, sigma = world.noise_block(t)
-        assert n_b.shape == n_v.shape == (5, 1) and sigma == 5.0
+        n_b, n_v = _noise_blocks(world, t)
+        assert n_b.shape == n_v.shape == (5, 1)
         assert np.array_equal(n_b, dp.sample_noise(5.0, (5, 1), substream(42, STREAM_NOISE, t)))
-        if shared:
-            assert n_v is n_b
-        else:
-            assert np.array_equal(n_v, dp.sample_noise(
-                5.0, (5, 1), substream(42, STREAM_NOISE_AGGREGATE, t)))
-        for i in range(5):
-            row_b, row_v, s = world.draw_noise(i, t)
-            assert np.array_equal(row_b, n_b[i]) and np.array_equal(row_v, n_v[i])
-            assert s == sigma
+        assert np.array_equal(n_v, dp.sample_noise(5.0, (5, 1), substream(42, aggregate, t)))
+
+
+@pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference])
+@pytest.mark.parametrize("sensitivity", ["manual", "analytic"])
+def test_noise_scale_is_resolved_once_per_run(execute, sensitivity, monkeypatch):
+    deltas, resolve = [], dp.NoiseConfig.resolve
+    monkeypatch.setattr(dp.NoiseConfig, "resolve",
+                        lambda self, delta: deltas.append(delta) or resolve(self, delta))
+    res = execute(bench_cfg(horizon=30, noise=dp.NoiseConfig.fixed_epsilon(
+        0.2, delta=1.0, sensitivity_mode=sensitivity)))
+    assert len(deltas) == 1
+    assert [r[1:3] for r in res.ledger.records] == [resolve(res.config.noise, deltas[0])] * 30
 
 
 @pytest.mark.parametrize("world_class", [World, _AugmentedWorld])
@@ -475,7 +498,7 @@ def test_analytic_sensitivity_uses_measured_floor(cournot):
     world = World(cfg)
     floor = dp.eigenvector_floor(cfg.graph, 40)
     expected = dp.sensitivity_bound(cournot.L, 1.0 / floor, 1)
-    assert world._delta_t == pytest.approx(expected)
+    assert world._delta == pytest.approx(expected)
 
 
 def test_ledger_fills_per_step():
@@ -567,19 +590,8 @@ def test_augmented_reference_random_delays_with_noise():
 
 def test_two_dimensional_actions_full_loop():
     # the action paths are (V, m) arrays throughout; exercise m = 2
-    V, m = 3, 2
-    c = np.array([[-8.0, 4.0], [2.0, -6.0], [5.0, 1.0]])
-    lo = np.full((V, m), -4.0)
-    hi = np.full((V, m), 4.0)
-    identity = np.eye(m)
-    game = dp.GameSpec.per_agent(
-        name="toy-2d", num_agents=V, dim=m, box_lo=lo, box_hi=hi,
-        cost_fn=lambda i, t, x, p: float((c[i] + V * p) @ x),
-        grad_own=lambda i, t, x, p: c[i] + V * p,
-        grad_agg=lambda i, t, x, p: V * x,
-        psi_fn=lambda i, x: x, grad_psi=lambda i, x: identity,
-        L=float(np.abs(c).max() + V * m * 4.0), mu=1.0,
-        grad_lipschitz=float(V + 1))
+    game = toy_2d_game()
+    V, m, lo, hi = game.num_agents, game.dim, game.box_lo, game.box_hi
     cfg = dp.RunConfig(game=game, graph=ring_graph(3),
                        delays=dp.DelaySchedule.uniform(2),
                        noise=dp.NoiseConfig.fixed_epsilon(0.5, delta=1.0),
