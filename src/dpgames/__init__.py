@@ -15,8 +15,8 @@ from .graph import (ConnectivityReport, DelaySchedule, GraphSchedule,
 from .metrics import (EquilibriumSolution, RegretReport, StabilizationStat,
                       average_loss, dynamic_regret, kkt_max_violation, ne_oracle,
                       solve_equilibria, stabilization_stat, stabilization_time)
-from .privacy import (NoiseConfig, PrivacyLedger, density_ratio_check,
-                      sample_noise, sensitivity_bound, sigma_for, substream)
+from .privacy import (NoiseConfig, PrivacyLedger, sample_noise, sensitivity_bound,
+                      sigma_for, substream)
 
 __version__ = "0.1.0"
 
@@ -24,8 +24,7 @@ __all__ = [
     "ConnectivityReport", "DelaySchedule", "EquilibriumSolution",
     "GameSpec", "GraphSchedule", "MixingDiagnostics",
     "NoiseConfig", "PrivacyLedger", "RegretReport", "RunConfig", "RunResult",
-    "StabilizationStat", "World", "augment", "average_loss",
-    "density_ratio_check", "dynamic_regret", "eigenvector_floor",
+    "StabilizationStat", "World", "augment", "average_loss", "dynamic_regret", "eigenvector_floor",
     "kkt_max_violation", "linear_demand_game", "mixing_diagnostics",
     "nash_cournot", "ne_oracle", "project", "resolve_game", "run",
     "run_augmented_reference", "sample_noise", "sensitivity_bound", "sigma_for",

@@ -45,7 +45,6 @@ message list, and serves as an independent oracle for the arrival ring.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
@@ -56,8 +55,8 @@ from .game import GameSpec, _sum_in_order, clip_to_box, resolve_game
 from .graph import (DelaySchedule, GraphSchedule, Phase, _delay_blocks, eigenvector_floor,
                     validate_b_connectivity)
 from .metrics import average_loss, stabilization_stat
-from .privacy import (NoiseConfig, PrivacyLedger, sample_noise, sensitivity_bound,
-                      substream, STREAM_NOISE, STREAM_NOISE_AGGREGATE)
+from .privacy import (NoiseConfig, PrivacyLedger, _positive_finite, sample_noise,
+                      sensitivity_bound, substream, STREAM_NOISE, STREAM_NOISE_AGGREGATE)
 
 Y_FLOOR = 1e-15
 CHUNK_ROUNDS = 64        # rounds one round plan covers at most
@@ -86,6 +85,11 @@ def step_size(gamma: float, k):
     """eta(k) = gamma / sqrt(k + 1); the projection producing x(t+1) uses eta(t+1).
     ``k`` may be an integer array, giving one step size per entry."""
     return gamma / np.sqrt(k + 1.0)
+
+
+def _integer(value, low: int) -> bool:
+    """True for an integer (not a bool) >= low."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 @dataclass
@@ -123,14 +127,13 @@ class RunConfig:
             return [str(e)]
         if self.graph.num_agents != game.num_agents:
             errors.append(f"graph has {self.graph.num_agents} agents, game has {game.num_agents}")
-        # a bool is not taken for an integer, as in a config file
-        bad = {k: v for k, v in (("horizon", self.horizon), ("seed", self.seed))
-               if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0)}
+        # a bool is not taken for a number, as in a config file
+        bad = {k: v for k, v in (("horizon", self.horizon), ("seed", self.seed)) if not _integer(v, 0)}
         errors += [f"{k} must be a non-negative integer, got {v!r}" for k, v in bad.items()]
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            errors.append(f"gamma must be positive and finite, got {self.gamma}")
-        if self.b_window < 1:
-            errors.append(f"b_window must be >= 1, got {self.b_window}")
+        if not _positive_finite(self.gamma):
+            errors.append(f"gamma must be a finite number > 0, got {self.gamma!r}")
+        if not _integer(self.b_window, 1):
+            errors.append(f"b_window must be an integer >= 1, got {self.b_window!r}")
         elif self.validate_connectivity and "horizon" not in bad and self.horizon >= self.b_window:
             report = validate_b_connectivity(self.graph, self.b_window, self.horizon)
             if not report.ok:
@@ -297,9 +300,9 @@ class World:
     def _apply_updates(self, t: int, phase: Phase, sum_b: np.ndarray, sum_v: np.ndarray) -> None:
         """Local part of a round: dual update with compensated delayed
         gradient, eigenvector recursion, projection, running average,
-        aggregate-estimate tracking, ledger entry. Shared by the arrival
-        ring and virtual-relay routes, which differ only in how the arrival
-        sums are formed.
+        aggregate-estimate tracking. Shared by the arrival ring and
+        virtual-relay routes, which differ only in how the arrival sums are
+        formed.
         """
         game = self.game
         self.last_arrivals = (sum_b, sum_v)
@@ -320,9 +323,6 @@ class World:
         x_hat_new = ((t + 1) * self.x_hat + x_new) / (t + 2)
         psi_x_hat_new = game.psi_values(x_hat_new)
         v_new = w_self * self.v + sum_v + psi_x_hat_new - self.psi_x_hat
-
-        if self.noise.enabled:
-            self.ledger.record(t, self._delta, self._sigma)
 
         self.b, self.x, self.x_hat, self.v = b_new, x_new, x_hat_new, v_new
         self.psi_x_hat = psi_x_hat_new
@@ -385,7 +385,7 @@ class RunResult:
             "wall_time_s": self.wall_time,
             "empirical_theta": float("inf") if self.min_y_diag == 0 else 1.0 / self.min_y_diag,
             "stabilization": stabilization,
-            "ledger": self.ledger.to_rows(),
+            "ledger": self.ledger.entries(),
         }
 
 
@@ -423,6 +423,8 @@ def _execute(world: World, start: float) -> RunResult:
     for t in range(1, T + 1):
         world.step()
         _collect(world, rec, t)
+    if world.noise.enabled:  # every round spent Delta / sigma
+        world.ledger.record(T, world._delta, world._sigma)
     _check_finite(rec)
     loss_local, loss_true = _losses(world.game, rec["x"], rec["v"])
     return RunResult(

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,10 +25,6 @@ STREAM_NOISE = 1
 STREAM_COMM_DELAY = 2
 STREAM_FEEDBACK_DELAY = 3
 STREAM_NOISE_AGGREGATE = 4  # independent-draw mode only
-
-
-class LedgerError(ValueError):
-    """Raised on double-recording a step in the privacy ledger."""
 
 
 @functools.lru_cache(maxsize=256)
@@ -87,27 +84,10 @@ def sample_noise(sigma: float, shape, rng: np.random.Generator) -> np.ndarray:
     return rng.laplace(0.0, sigma, size=shape)
 
 
-def density_ratio_check(b: np.ndarray, b_prime: np.ndarray, sigma: float,
-                        probes: np.ndarray) -> float:
-    """Max |log density ratio| of Laplace(b, sigma) vs Laplace(b', sigma) over
-    the probe points.
-
-    The analytic bound is ||b - b'||_1 / sigma; the returned maximum never
-    exceeds it, which is the pointwise epsilon-DP witness.
-    """
-    if sigma <= 0:
-        raise ValueError(f"Laplace scale must be positive, got {sigma}")
-    b = np.atleast_1d(np.asarray(b, float))
-    bp = np.atleast_1d(np.asarray(b_prime, float))
-    pts = np.atleast_2d(np.asarray(probes, float))
-    log_ratio = (np.abs(pts - bp[None, :]).sum(axis=1)
-                 - np.abs(pts - b[None, :]).sum(axis=1)) / sigma
-    return float(np.abs(log_ratio).max())
-
-
 def _positive_finite(value) -> bool:
-    """False for None, bools, NaN, infinities and values <= 0."""
-    return value is not None and not isinstance(value, bool) and value > 0 and math.isfinite(value)
+    """True for a real number (not a bool) that is finite and > 0."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value > 0 and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -172,28 +152,36 @@ class NoiseConfig:
 
 @dataclass
 class PrivacyLedger:
-    """Per-step (t, Delta, sigma, epsilon) records and the running total.
+    """A run's privacy loss under basic sequential composition.
 
-    epsilon_hat is sum_t Delta / sigma, accumulated with math.fsum so the
-    reported total is the correctly rounded sum of the recorded per-step
-    losses (recomputing from the records is bit-identical).
+    Every round of a run noises its parameters at the one sensitivity Delta
+    and Laplace scale sigma fixed when its ``World`` is built, so the run is
+    recorded once, as (rounds, Delta, sigma), and epsilon_hat is
+    rounds * (Delta / sigma): the correctly rounded total of the per-round
+    losses Delta / sigma, as their math.fsum is.
     """
 
-    records: list[tuple[int, float, float, float]] = field(default_factory=list)
-    _seen: set[int] = field(default_factory=set, repr=False)
+    rounds: int = 0
+    delta: float = 0.0
+    sigma: float = 0.0
 
-    def record(self, t: int, delta: float, sigma: float) -> None:
-        if t in self._seen:
-            raise LedgerError(f"step {t} already recorded in the privacy ledger")
+    def record(self, rounds: int, delta: float, sigma: float) -> None:
         if delta <= 0 or sigma <= 0:
             raise ValueError("ledger entries need positive delta and sigma")
-        self._seen.add(t)
-        self.records.append((t, float(delta), float(sigma), delta / sigma))
+        self.rounds, self.delta, self.sigma = int(rounds), float(delta), float(sigma)
 
     @property
     def epsilon_hat(self) -> float:
-        return math.fsum(r[3] for r in self.records)
+        return self.rounds * (self.delta / self.sigma) if self.rounds else 0.0
 
-    def to_rows(self) -> list[dict]:
-        return [{"t": t, "delta": d, "sigma": s, "epsilon": e}
-                for t, d, s, e in self.records]
+    @property
+    def records(self) -> list[tuple[int, float, float, float]]:
+        """(t, Delta, sigma, epsilon) of every recorded round t."""
+        return [(t, self.delta, self.sigma, self.delta / self.sigma) for t in range(self.rounds)]
+
+    def entries(self) -> list[dict]:
+        """The summary's ledger: the run's entry, none when it noised no round."""
+        if not self.rounds:
+            return []
+        return [{"rounds": self.rounds, "delta": self.delta, "sigma": self.sigma,
+                 "epsilon": self.delta / self.sigma}]

@@ -56,6 +56,21 @@ def diverging_cournot():
         dp.nash_cournot(), grad_own=lambda i, t, x, p: np.multiply(1e308, t + 1.0)[..., None])
 
 
+def density_ratio_check(b, b_prime, sigma, probes):
+    """Max |log density ratio| of Laplace(b, sigma) vs Laplace(b', sigma) over
+    the probe points.
+
+    The analytic bound is ||b - b'||_1 / sigma; the returned maximum never
+    exceeds it, which is the pointwise epsilon-DP witness.
+    """
+    b = np.atleast_1d(np.asarray(b, float))
+    bp = np.atleast_1d(np.asarray(b_prime, float))
+    pts = np.atleast_2d(np.asarray(probes, float))
+    log_ratio = (np.abs(pts - bp[None, :]).sum(axis=1)
+                 - np.abs(pts - b[None, :]).sum(axis=1)) / sigma
+    return float(np.abs(log_ratio).max())
+
+
 def avg_series(result):
     """Per-agent running-average of the local-estimate losses, rounds 1..T."""
     return dp.average_loss(result.loss_local[1:])

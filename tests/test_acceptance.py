@@ -24,7 +24,8 @@ import dpgames as dp
 from dpgames.cli import benchmark_graph, preset
 from dpgames.engine import World
 
-from conftest import avg_series, bench_init, complete_graph, per_agent_copy, small_linear_game
+from conftest import (avg_series, bench_init, complete_graph, density_ratio_check, per_agent_copy,
+                      small_linear_game)
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -156,14 +157,12 @@ def test_a6_privacy_ledger_and_density_ratio():
     rng = np.random.default_rng(60)
     worst_margin = -np.inf
     ratio_ok = True
-    for row in res.ledger.to_rows()[::20]:  # sampled steps
-        delta, sigma = row["delta"], row["sigma"]
-        eps_t = delta / sigma
+    for _, delta, sigma, eps_t in res.ledger.records[::20]:  # sampled steps
         # adjacent released duals: l1 distance at most delta
         b = rng.normal(0, 100, 1)
         b_prime = b + rng.uniform(-delta, delta, 1)
         probes = b + rng.normal(0, 5 * sigma, size=(10 ** 4, 1))
-        ratio = dp.density_ratio_check(b, b_prime, sigma, probes)
+        ratio = density_ratio_check(b, b_prime, sigma, probes)
         ratio_ok &= ratio <= eps_t * (1 + 1e-12)
         worst_margin = max(worst_margin, ratio - eps_t)
     ok = exact and ratio_ok

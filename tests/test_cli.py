@@ -310,7 +310,7 @@ def test_summary_contents(tmp_path):
     summary = json.loads((tmp_path / "r.csv.summary.json").read_text())
     assert summary["epsilon_hat"] == pytest.approx(30.0)
     assert summary["empirical_theta"] >= 1.0
-    assert len(summary["ledger"]) == 150
+    assert summary["ledger"] == [{"rounds": 150, "delta": 1.0, "sigma": 5.0, "epsilon": 0.2}]
     assert summary["messages_enqueued"] == summary["messages_delivered"]
     assert set(summary["stabilization"]) == {"0", "1", "2", "3", "4"}
 

@@ -96,6 +96,26 @@ def test_bool_or_non_integer_seed_and_horizon_are_config_errors(field, value):
         dp.run(cfg)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("gamma", True, "a finite number > 0"), ("gamma", "1", "a finite number > 0"),
+    ("gamma", None, "a finite number > 0"), ("b_window", True, "an integer >= 1"),
+    ("b_window", 2.5, "an integer >= 1"), ("b_window", "2", "an integer >= 1")])
+def test_bool_or_non_numeric_gamma_and_b_window_are_config_errors(field, value, message):
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, validate_connectivity=True,
+                              **{field: value})
+    message = f"{field} must be {message}, got {value!r}"
+    assert cfg.validate() == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        World(cfg)
+
+
+@pytest.mark.parametrize("gamma, b_window", [(np.float64(0.5), 2), (2, np.int64(1))])
+def test_numpy_and_integer_gamma_and_b_window_are_accepted(gamma, b_window):
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, gamma=gamma,
+                              b_window=b_window, validate_connectivity=True)
+    assert cfg.validate() == []
+
+
 # ---------------------------------------------------------------------------
 # reduction to the delay-free, noise-free recursions
 
@@ -518,8 +538,8 @@ def test_sigma_mode_keeps_sigma_and_records_the_resolved_sensitivity(sensitivity
         floor = dp.eigenvector_floor(cfg.graph, 10)
         assert dp.sensitivity_bound(cournot.L, 1.0 / floor, 1) == delta_t
     ledger = dp.run(cfg).ledger
-    assert ledger.to_rows() == [{"t": t, "delta": delta_t, "sigma": 4.0, "epsilon": delta_t / 4.0}
-                                for t in range(10)]
+    assert ledger.entries() == [{"rounds": 10, "delta": delta_t, "sigma": 4.0,
+                                 "epsilon": delta_t / 4.0}]
     assert ledger.epsilon_hat == 10 * delta_t / 4.0  # 5.0 with the manual delta
 
 

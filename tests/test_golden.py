@@ -7,7 +7,9 @@ The rows of the five presets with noise or random delays were re-pinned when
 draws moved to one keyed block per (purpose, round), and again when each
 block came from a Philox stream keyed by (seed, purpose) with the round as
 its counter instead of a generator seeded by (seed, purpose, round);
-fig5-fixed-delay, which draws nothing, kept its row both times.
+fig5-fixed-delay, which draws nothing, kept its row both times. The
+summaries of the four noised presets were re-pinned when the summary's
+ledger became one entry per run instead of one row per round.
 """
 
 import hashlib
@@ -23,15 +25,15 @@ GOLDEN = {
     "fig2-baseline": (
         "5d302bdb75b480e8f6e7ce4af9d57ff26ef190adc9bf838858fa3eae2789d019",
         "501741714d45d30e8a696417bc35352d9be952274f4ce0e765bd3b23ba96c63a",
-        "fa4aae0a3c8b4d273ee017c76536c0cab2f84d8efc0d940947a61b84f1d4d947"),
+        "9ee08176f86e9e356964f91565f46cb5d41f7fbbfbba38d8cca61c123f19826a"),
     "fig3-high-lr": (
         "08454626db7ada0173f638c0c4137f2320cd8446167ea33f5b32556826732493",
         "3ac45edc7d8dc15f3c46d99959595f5a97a69311c9bb99d01d3809a3bf400072",
-        "e514ae2b632e5c49a50a7f74b4b38df498e8a528d6191835936dd2d250a02a12"),
+        "7b0a9246feb6c633bd9ba872fbc329a9145009ae6861b4ffa12fef8d6272f948"),
     "fig4-tight-privacy": (
         "7d7c22dc37ede8fa0854ee74be0b48d4295365982a1a0a11e6183094b9104102",
         "38b43b55930356c046c190b147486c4607448ae430cf169ec155b88191946096",
-        "1988e63b01d145c1216471980ec5625dadde08469a874f3b0c52a7e36b40bc2b"),
+        "c37b74cd1c1f19213ad400fdb722fea205029599928fdfd3313b7654ed1f17f1"),
     "fig5-fixed-delay": (
         "4fe4be12888ea4c63c2b78ef5171744ad5d0f05d8a9bf670d9c89c0d06e2a750",
         "02b711eff341c35a072d7e8b3eab4b7defed6f0aea54b926948efbfc64c56fb3",
@@ -43,7 +45,7 @@ GOLDEN = {
     "fig7-random-delays-private": (
         "a27ed3fcd6ebe3e17dfb2ed24fb4894ee2ef66f4e83d82ba3d51d106af6ed11c",
         "a7220518be5ae55a8e2b1f3fbb5158422e958df672c41595bda2d674973a634c",
-        "6511ba12ab3278f709292acd6315509c57c97f45dd6bd3e2b80ab38181185262"),
+        "f95bf93e1192dbc76e3a2e6d11a901038cd42c2abc1ae56c5d521b409a8a0462"),
 }
 
 

@@ -14,6 +14,7 @@ import dpgames as dp
 from dpgames import cli, metrics
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
 import layers  # noqa: E402
 import pipeline  # noqa: E402
 import tracing  # noqa: E402
@@ -112,3 +113,17 @@ def test_traced_repetition_records_the_gated_spans(name, tmp_path):
     assert required <= {span for _, span in tracer.aggregate()}
     assert tracer.accounting_error(start, end) is None
     assert tracer.restored()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_gate_passes_on_every_workload(name, tmp_path):
+    # the correctness gate of every benchmark repetition, untraced; on fig5,
+    # fig7 and scale it reads the ledger with noise off, at exactly T * eps,
+    # and as T per-round records
+    workload = workloads.WORKLOADS[name]
+    cfg = workload.config(7, horizon=4)
+    game = cfg.resolved_game()
+    _, _, out = pipeline.repetition(workload, cfg, game, tmp_path)
+    failed = [(check, detail) for check, ok, detail in checks.gate(workload, cfg, game, out, None)
+              if not ok]
+    assert failed == []

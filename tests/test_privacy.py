@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import dpgames as dp
-from dpgames.cli import config_from_dict, config_to_dict, preset
-from dpgames.privacy import (LedgerError, STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY, STREAM_NOISE,
+from dpgames.cli import PRESETS, _apply_axis, config_from_dict, config_to_dict, preset
+from dpgames.privacy import (STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY, STREAM_NOISE,
                              STREAM_NOISE_AGGREGATE, NoiseConfig, PrivacyLedger, substream)
+
+from conftest import density_ratio_check
 
 PURPOSES = (STREAM_NOISE, STREAM_COMM_DELAY, STREAM_FEEDBACK_DELAY, STREAM_NOISE_AGGREGATE)
 
@@ -94,54 +96,66 @@ def test_seeds_beyond_64_bits_have_their_own_streams():
 
 def test_ledger_constant_epsilon_is_exact():
     ledger = PrivacyLedger()
-    for t in range(100):
-        ledger.record(t, 1.0, dp.sigma_for(1.0, 0.2))
+    ledger.record(100, 1.0, dp.sigma_for(1.0, 0.2))
     assert ledger.epsilon_hat == 20.0  # exactly
 
 
-def test_ledger_single_and_mixed_steps():
+def test_ledger_holds_one_entry_per_run():
     ledger = PrivacyLedger()
-    ledger.record(0, 1.0, 5.0)
-    assert ledger.epsilon_hat == pytest.approx(0.2, abs=1e-15)
-    ledger.record(1, 2.0, 4.0)
-    assert ledger.epsilon_hat == pytest.approx(0.7, abs=1e-15)
+    assert (ledger.epsilon_hat, ledger.records, ledger.entries()) == (0.0, [], [])
+    ledger.record(3, 2.0, 4.0)
+    assert ledger.records == [(t, 2.0, 4.0, 0.5) for t in range(3)]
+    assert ledger.entries() == [{"rounds": 3, "delta": 2.0, "sigma": 4.0, "epsilon": 0.5}]
+    assert ledger.epsilon_hat == 1.5
+    ledger.record(0, 2.0, 4.0)  # a run of no rounds spends nothing
+    assert (ledger.epsilon_hat, ledger.records, ledger.entries()) == (0.0, [], [])
+    with pytest.raises(ValueError):
+        ledger.record(3, 0.0, 4.0)
 
 
-def test_ledger_recompute_is_bit_identical():
-    ledger = PrivacyLedger()
-    rng = np.random.default_rng(8)
-    for t in range(257):
-        ledger.record(t, float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.0, 9.0)))
-    recomputed = math.fsum(row["delta"] / row["sigma"] for row in ledger.to_rows())
-    assert recomputed == ledger.epsilon_hat
+def _fsum_of_rounds(ledger):
+    """The total as a sum of per-round losses: math.fsum of T terms Delta / sigma."""
+    return math.fsum(epsilon for _, _, _, epsilon in ledger.records)
 
 
-def test_ledger_rejects_duplicate_step():
-    ledger = PrivacyLedger()
-    ledger.record(3, 1.0, 5.0)
-    with pytest.raises(LedgerError):
-        ledger.record(3, 1.0, 5.0)
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_epsilon_hat_is_the_correctly_rounded_sum_of_per_round_losses(name):
+    cfg = replace(preset(name), horizon=2000)
+    ledger = dp.run(cfg).ledger
+    assert ledger.rounds == (2000 if cfg.noise.enabled else 0)
+    assert ledger.epsilon_hat == _fsum_of_rounds(ledger)
+
+
+@pytest.mark.parametrize("mode", ["manual", "analytic"])
+@pytest.mark.parametrize("epsilon", [0.1, 0.3, 1 / 3, 0.7])
+def test_sweep_epsilon_member_total_is_the_sum_of_per_round_losses(epsilon, mode):
+    base = preset("fig7-random-delays-private")
+    noise = replace(base.noise, sensitivity_mode=mode, delta=2.5 if mode == "manual" else None)
+    member = _apply_axis(replace(base, noise=noise), "epsilon", epsilon)
+    ledger = dp.run(member).ledger
+    assert ledger.rounds == base.horizon
+    assert ledger.epsilon_hat == _fsum_of_rounds(ledger)
 
 
 def test_density_ratio_scalar_case():
     rng = np.random.default_rng(4)
     probes = rng.normal(0.0, 10.0, size=(5000, 1))
-    worst = dp.density_ratio_check([0.0], [1.0], 5.0, probes)
+    worst = density_ratio_check([0.0], [1.0], 5.0, probes)
     assert worst <= 0.2 + 1e-12
     # the bound is attained in the tails
     tail_probes = np.array([[50.0], [-50.0]])
-    assert dp.density_ratio_check([0.0], [1.0], 5.0, tail_probes) == pytest.approx(0.2)
+    assert density_ratio_check([0.0], [1.0], 5.0, tail_probes) == pytest.approx(0.2)
 
 
 def test_density_ratio_identical_centers_is_zero():
     probes = np.linspace(-5, 5, 101)[:, None]
-    assert dp.density_ratio_check([0.7], [0.7], 3.0, probes) == 0.0
+    assert density_ratio_check([0.7], [0.7], 3.0, probes) == 0.0
 
 
 def test_density_ratio_l1_bound_in_two_dims():
     rng = np.random.default_rng(9)
     probes = rng.normal(0.0, 8.0, size=(5000, 2))
-    worst = dp.density_ratio_check([0.0, 0.0], [1.0, 1.0], 5.0, probes)
+    worst = density_ratio_check([0.0, 0.0], [1.0, 1.0], 5.0, probes)
     assert worst <= 0.4 + 1e-12
 
 
