@@ -27,6 +27,7 @@ from .graph import DelaySchedule, GraphSchedule, augment, validate_b_connectivit
 from .privacy import NoiseConfig
 
 SWEEP_AXES = ("gamma", "epsilon", "tau_max", "seed", "T", "horizon")
+EQUIVALENCE_HORIZON = 50  # rounds of the run and twin that ``verify_checks`` compares, at most
 # what reading a malformed value or block of a config can raise
 _MALFORMED = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
 
@@ -390,7 +391,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50) -> list[tuple[str, bool, str]]:
+def verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     """The verification battery; every entry is (name, passed, detail).
 
     The per-round checks run once per edge set the horizon reaches, at the
@@ -434,7 +435,7 @@ def verify_checks(cfg: RunConfig, equivalence_horizon: int = 50) -> list[tuple[s
     checks.append(("augmented-row-stochastic", worst_aug <= 1e-12,
                    f"max row-sum error {worst_aug:.2e}"))
 
-    short = replace(cfg, horizon=min(horizon, equivalence_horizon))
+    short = replace(cfg, horizon=min(horizon, EQUIVALENCE_HORIZON))
     try:
         a = engine.run(short)
         b = engine.run_augmented_reference(short)

@@ -20,15 +20,14 @@ The weights, message list and self-weights of each edge set
 are built once and shared read-only. The rest of what a round needs that
 does not depend on the state comes from a round plan, built when a round
 leaves the last one: for a chunk of at most CHUNK_ROUNDS rounds, never past
-the horizon, it holds the chunk's delays (a ``uniform`` rule's drawn in one
-batched pass, ``DelaySchedule._draw``), every message's arrival slot, the
-rounds and state-ring rows of the delayed gradients, the negated step sizes
--eta(t + 1) that the projection multiplies by, and the eigenvector products
+the horizon, it holds the chunk's weights and delays (a ``uniform`` rule's
+drawn in one batched pass, ``DelaySchedule._draw``), every message's arrival
+slot, the rounds and state-ring rows of the delayed gradients, the negated
+step sizes -eta(t + 1) that the projection multiplies by, and the products
 Y(t) with the (V, 1) column of their diagonals y_ii(t) that divides the
 delayed gradients. The arrival ring and the twin share the plan and the
-round kernel ``_apply_updates``. A plan is never built by
-``World.__init__``, and a world stepped by hand past its horizon plans one
-round at a time.
+round kernel ``_apply_updates``. ``World.__init__`` builds no plan, and a
+world stepped by hand past its horizon plans one round at a time.
 
 A state ring of the same shape holds round s's (x, v) in slot s mod
 (tau_max + 1), so the delayed gradients of round t are one gather at
@@ -38,9 +37,10 @@ Records fill preallocated arrays; losses are computed after the loop.
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
 snapshots: each round's snapshot is contracted once, when it is sent, with
-the round's delay blocks built from its (W, D), and every relay stage of
-the result is kept by send round. It reads neither the arrival ring nor the
-message list, and serves as an independent oracle for the arrival ring.
+the round's delay blocks, built with the whole chunk's from the plan's (W, D)
+under every delay rule, and every relay stage of the result is kept by send
+round. It reads neither the arrival ring nor the message list, and serves as
+an independent oracle for the arrival ring.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .game import GameSpec, _sum_in_order, clip_to_box, resolve_game
-from .graph import (DelaySchedule, GraphSchedule, Phase, _delay_blocks, eigenvector_floor,
+from .graph import (DelaySchedule, GraphSchedule, _delay_blocks, eigenvector_floor,
                     validate_b_connectivity)
 from .metrics import average_loss, stabilization_stat
 from .privacy import (NoiseConfig, PrivacyLedger, _positive_finite, sample_noise,
@@ -60,7 +60,8 @@ from .privacy import (NoiseConfig, PrivacyLedger, _positive_finite, sample_noise
 
 Y_FLOOR = 1e-15
 CHUNK_ROUNDS = 64        # rounds one round plan covers at most
-CHUNK_DELAYS = 2 ** 20   # and about this many delays, V^2 + V per round
+CHUNK_DELAYS = 2 ** 20   # and about this many floats of the twin's delay blocks and the
+                         # feedback delays, (tau_max + 1) V^2 + V per round
 
 
 class DegeneracyError(RuntimeError):
@@ -125,6 +126,14 @@ class RunConfig:
             game = self.resolved_game()
         except ValueError as e:
             return [str(e)]
+        # the checks below read these fields, so a wrong type is all that is itemized
+        wrong = [f"{k} must be {what}, got {v!r}" for k, kind, what in (
+            ("graph", GraphSchedule, "a GraphSchedule"), ("delays", DelaySchedule, "a DelaySchedule"),
+            ("noise", NoiseConfig, "a NoiseConfig"), ("run_id", str, "a string"),
+            ("validate_connectivity", (bool, np.bool_), "true or false"))
+            if not isinstance(v := getattr(self, k), kind)]
+        if wrong:
+            return wrong
         if self.graph.num_agents != game.num_agents:
             errors.append(f"graph has {self.graph.num_agents} agents, game has {game.num_agents}")
         # a bool is not taken for a number, as in a config file
@@ -160,6 +169,8 @@ class _RoundPlan(NamedTuple):
 
     start: int
     stop: int
+    W: np.ndarray          # (K, V, V) weights
+    w_self: np.ndarray     # (K, V, 1) their diagonals, the self-weights
     D: np.ndarray          # (K, V, V) comm delays
     skip: np.ndarray       # (K, V) tau_i(t) > t: no state of round t - tau_i(t) yet
     s: np.ndarray          # (K, V) gradient rounds max(t - tau_i(t), 0)
@@ -231,21 +242,21 @@ class World:
         return plan, t - plan.start
 
     def _build_plan(self, start: int) -> _RoundPlan:
-        """The plan of the chunk of rounds from ``start``: CHUNK_ROUNDS
-        rounds, or fewer so that it holds about CHUNK_DELAYS delays and ends
-        at the horizon. A round at or past the horizon is planned alone.
+        """The plan of the chunk of rounds from ``start``: CHUNK_ROUNDS rounds,
+        or fewer so that its delay blocks take about CHUNK_DELAYS floats and
+        it ends at the horizon. A round at or past the horizon is planned alone.
         """
         V, T, slots = self.V, self.cfg.horizon, len(self.states)
-        K = min(CHUNK_ROUNDS, max(CHUNK_DELAYS // (V * V + V), 1), max(T - start, 1))
+        K = min(CHUNK_ROUNDS, max(CHUNK_DELAYS // (slots * V * V + V), 1), max(T - start, 1))
         t = np.arange(start, start + K)
         D = self.delays._comm_matrices(start, start + K, V)
         tau = self.delays._feedback_delays(start, start + K, V)
         s = np.maximum(t[:, None] - tau, 0)
 
-        # each edge set's messages, for all the chunk's rounds that have it at
-        # once; the eigenvector recursion, which reads no state either
+        # each edge set's weights and messages, for all the chunk's rounds that
+        # have it at once; the eigenvector recursion, which reads no state either
         rounds = {}  # id of a phase -> (phase, its entries in the chunk)
-        Y = np.empty((K + 1, V, V))
+        W, Y = np.empty((K, V, V)), np.empty((K + 1, V, V))
         Y[0] = self.Y
         for k in range(K):
             phase = self.graph.phase_at(start + k)
@@ -254,14 +265,16 @@ class World:
         arrival, flat = [None] * K, []
         for phase, ks in rounds.values():
             ks = np.array(ks)
+            W[ks] = phase.weights
             at = (t[ks, None] + D[ks[:, None], phase.receiver, phase.sender]) % slots
             for k, row in zip(ks.tolist(), at):
                 arrival[k] = row
             flat.append((ks[:, None] * slots + at).ravel())
         counts = np.bincount(np.concatenate(flat), minlength=K * slots).reshape(K, slots)
-        y = Y[:K].diagonal(axis1=1, axis2=2)
-        return _RoundPlan(start, start + K, D, tau > t[:, None], s, s % slots, arrival, counts,
-                          -step_size(self.cfg.gamma, t + 1), Y, y[..., None], y.min(axis=1))
+        # contiguous columns: the kernel reads a strided view of a diagonal slower
+        w, y = (A.diagonal(axis1=1, axis2=2)[..., None].copy() for A in (W, Y[:K]))
+        return _RoundPlan(start, start + K, W, w, D, tau > t[:, None], s, s % slots, arrival,
+                          counts, -step_size(self.cfg.gamma, t + 1), Y, y, y.min(axis=(1, 2)))
 
     def _delayed_gradients(self, plan: _RoundPlan, k: int) -> np.ndarray:
         """(V, m): agent i's gradient at its stored state of round t - tau_i(t),
@@ -276,14 +289,13 @@ class World:
         t = self.t
         plan, k = self._plan_at(t)
         phase = self.graph.phase_at(t)
-        b_tilde, v_tilde = self._noised(t)
 
         # phase 1: every message j -> i, weighted at send time, goes into the
         # slot of its arrival round t + tau_ij(t). Messages are listed sender
         # by sender and np.add.at applies them one at a time in that order,
         # so each receiver's slot sums in send order.
         slot = plan.slots[k]
-        snapshot = np.concatenate((b_tilde, v_tilde), axis=1)
+        snapshot = np.concatenate(self._noised(t), axis=1)
         np.add.at(self.ring, (slot, phase.receiver), phase.w_msg * snapshot[phase.sender])
         self.ring_count += plan.counts[k]
         self.messages_enqueued += len(slot)
@@ -295,26 +307,24 @@ class World:
         self.messages_delivered += int(self.ring_count[now])
         self.ring_count[now] = 0
 
-        self._apply_updates(t, phase, arrived[:, :self.m], arrived[:, self.m:])
+        self._apply_updates(plan, k, arrived[:, :self.m], arrived[:, self.m:])
 
-    def _apply_updates(self, t: int, phase: Phase, sum_b: np.ndarray, sum_v: np.ndarray) -> None:
-        """Local part of a round: dual update with compensated delayed
-        gradient, eigenvector recursion, projection, running average,
-        aggregate-estimate tracking. Shared by the arrival ring and
-        virtual-relay routes, which differ only in how the arrival sums are
-        formed.
-        """
-        game = self.game
+    def _apply_updates(self, plan: _RoundPlan, k: int, sum_b: np.ndarray, sum_v: np.ndarray) -> None:
+        """Local part of round t, entry k of ``plan``: dual update with
+        compensated delayed gradient, eigenvector recursion, projection,
+        running average, aggregate-estimate tracking. Shared by the arrival
+        ring and virtual-relay routes, which differ only in how the arrival
+        sums are formed."""
+        game, t = self.game, plan.start + k
         self.last_arrivals = (sum_b, sum_v)
 
-        plan, k = self._plan_at(t)
         if plan.y_min[k] < Y_FLOOR:
             raise DegeneracyError(
                 f"y_ii = {plan.y_min[k]:.3e} at t={t}; self-loop structure violated")
         self.min_y_diag = min(self.min_y_diag, float(plan.y_min[k]))
 
         g = self._delayed_gradients(plan, k)
-        w_self = phase.w_self
+        w_self = plan.w_self[k]
         b_new = w_self * self.b + sum_b + g / plan.y[k]
 
         self.Y = plan.Y[k + 1]
@@ -456,38 +466,29 @@ class _AugmentedWorld(World):
     reproduces the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}
     term by term without reading the arrival ring or the message list.
 
-    When the comm-delay rule draws nothing, (W, D) is a function of the edge
-    set, so each edge set's blocks are built once and reused.
+    Under every delay rule, the blocks of a plan's whole chunk are built
+    from its (W, D) in one pass when the plan is built.
     """
 
     def __init__(self, config: RunConfig):
         super().__init__(config)
-        slots = len(self.states)
-        self.carried = np.zeros((slots, slots, self.V, 2 * self.m))  # [s, r]: W^r(s) @ (b~, v~)(s)
-        drawn = self.delays.comm["type"] == "uniform"
-        self._blocks: Optional[dict] = None if drawn else {}  # edge set -> (slots, V, V)
+        self.carried = np.zeros((len(self.states), *self.states.shape))  # [s, r]: W^r(s) @ (b~, v~)(s)
 
-    def _blocks_at(self, t: int, phase: Phase) -> np.ndarray:
-        """Blocks W^0 .. W^tau_max of round t, block 0's diagonal zeroed."""
-        blocks = None if self._blocks is None else self._blocks.get(phase.edges)
-        if blocks is None:
-            plan, k = self._plan_at(t)
-            blocks = _delay_blocks(phase.weights, plan.D[k], self.delays.tau_max)
-            np.fill_diagonal(blocks[0], 0.0)  # self term uses the raw value
-            if self._blocks is not None:
-                self._blocks[phase.edges] = blocks
-        return blocks
+    def _build_plan(self, start: int) -> _RoundPlan:
+        plan = super()._build_plan(start)
+        self._blocks = _delay_blocks(plan.W, plan.D, self.delays.tau_max)  # (K, slots, V, V)
+        self._blocks[:, 0, self._agents, self._agents] = 0.0  # self terms use the raw values
+        return plan
 
     def step(self) -> None:
         t, m, slots = self.t, self.m, len(self.carried)
-        phase = self.graph.phase_at(t)
-        b_tilde, v_tilde = self._noised(t)
-        np.matmul(self._blocks_at(t, phase), np.concatenate((b_tilde, v_tilde), axis=1),
-                  out=self.carried[t % slots])
+        plan, k = self._plan_at(t)
+        snapshot = np.concatenate(self._noised(t), axis=1)
+        np.matmul(self._blocks[k], snapshot, out=self.carried[t % slots])
 
         r = np.arange(min(t, slots - 1) + 1)  # stages that have carried a snapshot
         arrived = self.carried[(t - r) % slots, r].sum(axis=0)
-        self._apply_updates(t, phase, arrived[:, :m], arrived[:, m:])
+        self._apply_updates(plan, k, arrived[:, :m], arrived[:, m:])
 
 
 def run_augmented_reference(config: RunConfig) -> RunResult:

@@ -413,15 +413,16 @@ def _strongly_connected(adj: np.ndarray) -> bool:
 
 
 def _delay_blocks(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:
-    """The (tau_max + 1, V, V) stack of one round's delay blocks W^0 ..
-    W^tau_max, with ``W^r[i, j] = W[i, j]`` exactly when ``delays[i, j] == r``:
-    each weight lands in exactly one block, so the blocks sum to W.
+    """The (..., tau_max + 1, V, V) delay blocks W^0 .. W^tau_max of (V, V)
+    or (K, V, V) weights and delays, ``W^r[i, j] = W[i, j]`` exactly when
+    ``delays[i, j] == r``: each weight lands in one block, so they sum to W.
 
     Checks nothing: ``augment`` checks what callers pass from outside, and
-    the twin passes weights from ``GraphSchedule.phase_at`` and delays from
-    ``DelaySchedule``, which built them valid.
+    the twin passes a round plan's weights from ``GraphSchedule.phase_at``
+    and delays from ``DelaySchedule``, which built them valid.
     """
-    return np.where(delays == np.arange(tau_max + 1)[:, None, None], weights, 0.0)
+    return np.where(delays[..., None, :, :] == np.arange(tau_max + 1)[:, None, None],
+                    weights[..., None, :, :], 0.0)
 
 
 def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:

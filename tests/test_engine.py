@@ -109,6 +109,24 @@ def test_bool_or_non_numeric_gamma_and_b_window_are_config_errors(field, value, 
         World(cfg)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("validate_connectivity", "no", "true or false"), ("run_id", 5, "a string"),
+    ("graph", "x", "a GraphSchedule"), ("delays", "x", "a DelaySchedule"),
+    ("noise", "x", "a NoiseConfig")])
+def test_wrongly_typed_fields_are_config_errors(field, value, message):
+    # each is the one error itemized, and no check reads the bad field first
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, **{field: value})
+    message = f"{field} must be {message}, got {value!r}"
+    assert cfg.validate() == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        World(cfg)
+
+
+def test_a_numpy_bool_validate_connectivity_is_accepted():
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, validate_connectivity=np.True_)
+    assert cfg.validate() == []
+
+
 @pytest.mark.parametrize("gamma, b_window", [(np.float64(0.5), 2), (2, np.int64(1))])
 def test_numpy_and_integer_gamma_and_b_window_are_accepted(gamma, b_window):
     cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, gamma=gamma,
@@ -478,11 +496,13 @@ def test_round_plans_across_chunk_boundaries_match_a_world_stepped_by_hand(cold_
 
 @pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference])
 def test_records_do_not_depend_on_the_chunk_length(execute, monkeypatch):
-    # 30 delays a round: a cap of 100 plans three rounds at a time
+    # (tau_max + 1) V^2 + V = 180 floats a round: a cap of 540 plans three
+    # rounds at a time
     cfg = bench_cfg(horizon=40, delays=dp.DelaySchedule.uniform(6), seed=8,
                     noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))
     whole = execute(cfg)
-    monkeypatch.setattr(dp.engine, "CHUNK_DELAYS", 100)
+    monkeypatch.setattr(dp.engine, "CHUNK_DELAYS", 540)
+    assert World(cfg)._build_plan(0)[:2] == (0, 3)
     chunked = execute(cfg)
     for name in ("x", "x_hat", "v", "b", "y_diag"):
         assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
@@ -716,37 +736,64 @@ def test_non_finite_state_raises_naming_round_and_agent(execute):
 
 
 class _AugmentCutTwin(_AugmentedWorld):
-    """The twin with every round's blocks cut from the top block row of
-    ``augment(W, D)``, block 0's diagonal zeroed, and nothing cached.
+    """The twin with each plan's blocks replaced, round by round, by blocks
+    cut from the top block row of ``augment(W(t), D(t))``, block 0's
+    diagonal zeroed. ``rounds`` lists the rounds it cut.
     """
 
-    def _blocks_at(self, t, phase):
+    def __init__(self, config):
+        super().__init__(config)
+        self.rounds = []
+
+    def _build_plan(self, start):
+        plan = super()._build_plan(start)
         V, slots = self.V, len(self.carried)
-        A = dp.augment(phase.weights, self.delays.comm_matrix(t, V), slots - 1)
-        blocks = np.ascontiguousarray(A[:V].reshape(V, slots, V).swapaxes(0, 1))
-        np.fill_diagonal(blocks[0], 0.0)
-        return blocks
+        for k, t in enumerate(range(plan.start, plan.stop)):
+            A = dp.augment(self.graph.weights_at(t), self.delays.comm_matrix(t, V), slots - 1)
+            self._blocks[k] = A[:V].reshape(V, slots, V).swapaxes(0, 1)
+            np.fill_diagonal(self._blocks[k, 0], 0.0)
+            self.rounds.append(t)
+        return plan
 
 
-@pytest.mark.parametrize("name, calls", [("fig5-fixed-delay", 2), ("fig7-random-delays-private", 50)])
-def test_twin_builds_delay_blocks_once_per_phase_unless_delays_are_drawn(name, calls, monkeypatch):
-    # fig5 alternates two edge sets under fixed delays; fig7 draws D every round
+@pytest.mark.parametrize("name, horizon, builds", [
+    ("fig5-fixed-delay", 50, 1), ("fig5-fixed-delay", 2 * CHUNK_ROUNDS + 3, 3),
+    ("fig7-random-delays-private", 50, 1), ("fig7-random-delays-private", 2 * CHUNK_ROUNDS + 3, 3)])
+def test_twin_builds_delay_blocks_once_per_chunk(name, horizon, builds, monkeypatch):
+    # fixed and drawn delays alike: one batched build for each round plan
     built, augmented = [], []
     blocks, augment = dp.engine._delay_blocks, dp.graph.augment
     monkeypatch.setattr(dp.engine, "_delay_blocks", lambda *args: built.append(args) or blocks(*args))
     for module in (dp.graph, dp.engine):  # every binding the twin could resolve
         monkeypatch.setattr(module, "augment", lambda *args: augmented.append(args) or augment(*args),
                             raising=False)
-    dp.run_augmented_reference(dataclasses.replace(preset(name), horizon=50))
-    assert len(built) == calls
+    dp.run_augmented_reference(dataclasses.replace(preset(name), horizon=horizon))
+    assert [len(weights) for weights, _, _ in built] == [CHUNK_ROUNDS] * (builds - 1) + [
+        horizon - CHUNK_ROUNDS * (builds - 1)]
     assert augmented == []
+
+
+def test_a_chunks_delay_blocks_stay_within_the_cap():
+    # 40 agents, tau_max 10: 11 * 40^2 + 40 = 17640 floats a round, so a
+    # chunk plans 59 rounds and its blocks stay within CHUNK_DELAYS floats
+    V = 40
+    cfg = dp.RunConfig(game=small_linear_game(V), graph=ring_graph(V),
+                       delays=dp.DelaySchedule.uniform(10), horizon=100)
+    twin = _AugmentedWorld(cfg)
+    twin.step()
+    K = dp.engine.CHUNK_DELAYS // (11 * V * V + V)
+    assert twin._plan[:2] == (0, K) and K < CHUNK_ROUNDS
+    assert twin._blocks.shape == (K, 11, V, V)
+    assert twin._blocks.size + K * V <= dp.engine.CHUNK_DELAYS
 
 
 @pytest.mark.parametrize("name", ["fig5-fixed-delay", "fig7-random-delays-private"])
 def test_twin_equals_a_twin_whose_blocks_are_cut_from_augment(name):
-    cfg = dataclasses.replace(preset(name), horizon=50)
+    cfg = dataclasses.replace(preset(name), horizon=2 * CHUNK_ROUNDS + 3)
     twin = dp.run_augmented_reference(cfg)
-    expected = dp.engine._execute(_AugmentCutTwin(cfg), 0.0)
+    cut = _AugmentCutTwin(cfg)
+    expected = dp.engine._execute(cut, 0.0)
+    assert cut.rounds == list(range(cfg.horizon))  # the override supplied every round's blocks
     for field in ("b", "x", "x_hat", "v", "y_diag"):
         assert np.array_equal(getattr(twin, field), getattr(expected, field)), field
 
