@@ -545,8 +545,13 @@ def cmd_presets(args) -> int:
 
 
 def cmd_ne_oracle(args) -> int:
+    errors = []
     if not 0 < args.tol < np.inf:  # also rejects NaN
-        raise ConfigError([f"--tol must be finite and positive, got {args.tol}"])
+        errors.append(f"--tol must be finite and positive, got {args.tol}")
+    if args.time < 0:  # rounds start at 0, as a run's horizon does
+        errors.append(f"--time must be a non-negative integer, got {args.time}")
+    if errors:
+        raise ConfigError(errors)
     cfg = _resolve_config(args)
     game = cfg.resolved_game()
     sol = metrics.ne_oracle(game, args.time, tol=args.tol)

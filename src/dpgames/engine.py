@@ -150,6 +150,17 @@ class RunConfig:
         errors += self.delays.entry_errors(game.num_agents)
         if self.cold_start not in ("clamp", "zero"):
             errors.append(f"cold_start must be 'clamp' or 'zero', got {self.cold_start!r}")
+        # the keys and values a config file's output block takes
+        out = self.output
+        if not isinstance(out, dict):
+            errors.append(f"output must be a dict, got {out!r}")
+        else:
+            if out.get("format", "tabular") not in ("tabular", "object-lines"):
+                errors.append(f"output format must be 'tabular' or 'object-lines', got {out['format']!r}")
+            if not isinstance(out.get("path", ""), str):
+                errors.append(f"output path must be a string, got {out['path']!r}")
+            if unknown := [k for k in out if k not in ("format", "path")]:
+                errors.append(f"output has unknown keys {unknown}")
         try:
             x0 = self.resolved_x0(game)
             # written as "inside" so that NaN entries count as outside

@@ -541,6 +541,38 @@ def test_ne_oracle_rejects_bad_tolerance(tol, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args, options", [
+    (["--time", "-3"], ["--time"]),
+    (["--time=-1", "--tol=0"], ["--tol", "--time"]),  # each bad option on its own line
+])
+def test_ne_oracle_rejects_a_negative_round(args, options, capsys, monkeypatch):
+    solved = []
+    monkeypatch.setattr(cli.metrics, "ne_oracle", lambda *a, **kw: solved.append(a))
+    assert cli.main(["ne-oracle", "--preset", "fig2-baseline", *args]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == len(options) and all(
+        line.startswith("config error") and option in line for line, option in zip(lines, options))
+    assert captured.out == "" and solved == []
+
+
+@pytest.mark.parametrize("output, expected", [
+    (5, "output must be a dict, got 5"),
+    ([("format", "tabular")], "output must be a dict"),
+    ({"format": "xml"}, "output format must be 'tabular' or 'object-lines', got 'xml'"),
+    ({"format": None}, "output format"),
+    ({"path": 5}, "output path must be a string, got 5"),
+    ({"path": "r.csv", "fromat": "tabular"}, "output has unknown keys ['fromat']"),
+])
+def test_run_config_validate_itemizes_a_bad_output(output, expected):
+    # the output block a config file would be rejected for
+    cfg = replace(preset("fig5-fixed-delay"), horizon=3, output=output)
+    errors = cfg.validate()
+    assert len(errors) == 1 and expected in errors[0]
+    with pytest.raises(ValueError, match="invalid run config"):
+        dp.run(cfg)
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{}")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -104,13 +105,41 @@ def test_oracle_recovers_the_closed_form_under_an_understated_lipschitz_constant
     assert np.allclose(sol.x_star.ravel(), [7.5, -0.5, -8.5], rtol=0, atol=1e-12)
 
 
-def test_oracle_detects_non_contraction():
-    # the stall guard: an overstated mu makes the stop test's step alpha =
-    # mu / L_F^2 so long that tol asks for more digits than doubles hold, and
-    # the residual stops falling
+def test_a_closed_safeguard_leaves_the_plain_forward_backward_iteration(monkeypatch):
+    # with D = 0 the safeguard turns every extrapolation away, and each step
+    # is x <- T(x) = clip(x - alpha F(x)), alpha = mu / L_F^2
     game = dp.linear_demand_game([-6.0, 2.0, 10.0], [-1e6] * 3, [1e6] * 3)
+    tol, alpha = 1e-10, game.mu / game.grad_lipschitz ** 2
+    x = (game.box_lo + game.box_hi) / 2.0
+    for k in range(1, 10000):
+        x_fb = np.clip(x - alpha * game.pseudogradient(0, x), game.box_lo, game.box_hi)
+        d = (x - x_fb).ravel()
+        if np.sqrt(np.dot(d, d)) <= tol:
+            break
+        x = x_fb
+    monkeypatch.setattr(metrics, "SAFEGUARD_D", 0.0)
+    sol = dp.ne_oracle(game, 0, tol=tol)
+    assert sol.iterations == k > 100
+    assert sol.x_star.tobytes() == x_fb.tobytes()
+
+
+def flipping_gradient_game():
+    """Three agents in boxes [-10, 10] whose pseudogradient is the constant
+    c on odd-numbered calls and -c on even-numbered ones.
+    """
+    c = np.array([[4.0], [-1.0], [2.5]])
+    signs = itertools.cycle([1.0, -1.0])
+    return dataclasses.replace(small_linear_game(3, box=10.0), name="flipping-gradient",
+                               grad_own=lambda i, t, x, p: next(signs) * c[i],
+                               grad_agg=lambda i, t, x, p: np.zeros_like(x))
+
+
+def test_oracle_detects_non_contraction():
+    # the stall guard: no profile is a fixed point of two successive calls,
+    # and every residual inside the box is ||c|| / 16 (alpha = 1 / 16), so
+    # no method that keeps its iterates inside makes the residual fall
     with pytest.raises(OracleError, match="no contraction after"):
-        dp.ne_oracle(dataclasses.replace(game, mu=1e6), 0)
+        dp.ne_oracle(flipping_gradient_game(), 0)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
@@ -180,6 +209,61 @@ def test_oracle_on_nonsymmetric_per_agent_game():
     assert dp.kkt_max_violation(boxed, 0, sol.x_star) <= tol * boxed.grad_lipschitz ** 2 / boxed.mu
 
 
+def cubic_game(box=2.0):
+    """Per-agent game with F_i(x) = a_i x_i + x_i^3 + b sum_j x_j + c_i on
+    boxes [-box, box]: not affine, strongly monotone with mu = min a_i, and
+    its Jacobian diag(a + 3 x^2) + b 11^T has norm at most
+    max a_i + 3 box^2 + b V, the declared L_F.
+    """
+    V, b = 6, 0.3
+    a = np.array([1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+    c = np.array([-30.0, -6.0, 1.0, 4.0, 12.0, 40.0])
+    return dp.GameSpec.per_agent(
+        name="cubic", num_agents=V, dim=1,
+        box_lo=np.full((V, 1), -box), box_hi=np.full((V, 1), box),
+        cost_fn=lambda i, t, x, p: (a[i] - b) / 2 * x[0] ** 2 + x[0] ** 4 / 4 + (b * V * p[0] + c[i]) * x[0],
+        grad_own=lambda i, t, x, p: np.array([(a[i] - b) * x[0] + x[0] ** 3 + b * V * p[0] + c[i]]),
+        grad_agg=lambda i, t, x, p: np.array([b * V * x[0]]),
+        psi_fn=lambda i, x: x, grad_psi=lambda i, x: np.eye(1),
+        mu=float(a.min()), grad_lipschitz=float(a.max() + 3 * box ** 2 + b * V))
+
+
+def test_oracle_on_a_non_affine_game_matches_a_projection_loop():
+    game, tol = cubic_game(), 1e-10
+    sol = dp.ne_oracle(game, 0, tol=tol)
+    x_star = sol.x_star.ravel()
+    assert np.any(np.abs(x_star) == 2.0) and np.any(np.abs(x_star) < 2.0)
+    assert dp.kkt_max_violation(game, 0, sol.x_star) <= tol * game.grad_lipschitz ** 2 / game.mu
+    # slow reference: projected gradient steps of 1 / L_F (F is the gradient
+    # of a strongly convex potential) until a step changes nothing
+    x = (game.box_lo + game.box_hi) / 2.0
+    for _ in range(10000):
+        x_next = np.clip(x - game.pseudogradient(0, x) / game.grad_lipschitz, game.box_lo, game.box_hi)
+        if np.array_equal(x_next, x):
+            break
+        x = x_next
+    else:
+        raise AssertionError("reference projection loop did not settle")
+    assert np.abs(sol.x_star - x).max() <= 1e-9
+
+
+@pytest.mark.parametrize("game, iterations", [
+    (small_linear_game(20), 14),  # perfbench's scaling game
+    (small_linear_game(50), 15),
+    (nonsymmetric_game(1e6)[0], 11),
+    (nonsymmetric_game(1.0)[0], 5),
+    (dp.linear_demand_game([-6.0, 2.0, 10.0], [-1e6] * 3, [1e6] * 3), 4),  # the unconstrained toy
+    (dp.linear_demand_game([-20.0, -25.0, -30.0], [-5.0] * 3, [5.0] * 3), 5),  # README's game
+    (dp.nash_cournot(), 2),
+    (cubic_game(), 16),
+], ids=["scale", "linear-50", "nonsymmetric-box-1e6", "nonsymmetric-box-1", "toy", "readme",
+        "cournot", "cubic"])
+def test_oracle_iteration_counts_are_pinned(game, iterations):
+    # cold solves from the box midpoint at the default tolerance; a change to
+    # the extrapolation, its memory or its safeguard moves these counts
+    assert dp.ne_oracle(game, 0).iterations == iterations
+
+
 def _sampled_lipschitz_ratios(game, t, samples=64, seed=0):
     """||F_t(u) - F_t(w)|| / ||u - w|| over random pairs of profiles in the box."""
     rng = np.random.default_rng(seed)
@@ -199,7 +283,8 @@ def _sampled_lipschitz_ratios(game, t, samples=64, seed=0):
     (small_linear_game(20), 0),  # perfbench's scaling game
     (dp.linear_demand_game([-20.0, -25.0, -30.0], [-5.0] * 3, [5.0] * 3), 0),  # README's game
     (nonsymmetric_game(1.0)[0], 3),
-], ids=["cournot-0", "cournot-7", "cournot-4999", "scale", "readme", "nonsymmetric"])
+    (cubic_game(), 0),
+], ids=["cournot-0", "cournot-7", "cournot-4999", "scale", "readme", "nonsymmetric", "cubic"])
 def test_declared_lipschitz_constant_bounds_every_sampled_ratio(game, t):
     # the oracle's step and its KKT bound rest on grad_lipschitz being a true bound
     ratios = _sampled_lipschitz_ratios(game, t)

@@ -63,7 +63,7 @@ def test_verify_augments_once_per_edge_set_the_horizon_reaches(name, calls, monk
 def test_scale_oracle_iteration_count_is_pinned():
     # a change to the oracle's step or stopping rule moves this count
     sol = metrics.ne_oracle(workloads.scale_game(), 0)
-    assert sol.iterations == 226
+    assert sol.iterations == 14
 
 
 def test_oracle_makes_one_pseudogradient_call_per_iteration(monkeypatch):
@@ -81,7 +81,7 @@ def test_oracle_makes_one_pseudogradient_call_per_iteration(monkeypatch):
                         lambda self, t, x: calls.append(t) or pseudogradient(self, t, x))
     monkeypatch.setattr(metrics, "ne_oracle", counting)
     metrics.solve_equilibria(workloads.scale_game(), range(21))
-    assert calls.count(0) == iterations[0] == 226
+    assert calls.count(0) == iterations[0] == 14
     assert len(calls) == sum(iterations)
 
 
