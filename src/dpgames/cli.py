@@ -14,6 +14,7 @@ import json
 import math
 import reprlib
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -23,7 +24,7 @@ import numpy as np
 from . import engine, metrics
 from .engine import NonFiniteStateError, RunConfig, RunResult
 from .game import GAME_REGISTRY
-from .graph import DelaySchedule, GraphSchedule, augment, validate_b_connectivity
+from .graph import DelaySchedule, GraphSchedule, ScheduleError, augment, validate_b_connectivity
 from .privacy import NoiseConfig
 
 SWEEP_AXES = ("gamma", "epsilon", "tau_max", "seed", "T", "horizon")
@@ -81,10 +82,17 @@ _matrix = _parser("a list of rows of finite numbers", lambda v: isinstance(v, li
     isinstance(row, list) and all(map(_finite, row)) for row in v), lambda v: np.array(v, float))
 
 
+def _entries(rows: list) -> dict:
+    """Fixed-rule rows keyed by all but their last integer; a key listed twice is an error."""
+    keys = [r[0] if len(r) == 2 else tuple(r[:2]) for r in rows]
+    if twice := sorted(k for k, n in Counter(keys).items() if n > 1):
+        raise ValueError(f"key {', '.join(map(str, twice))} listed more than once")
+    return dict(zip(keys, (r[-1] for r in rows)))
+
+
 def _rule(width: int) -> tuple:
     """A delay rule's block: fixed entries are ``width``-integer rows, keyed by all but the last."""
-    entries = _parser(f"a list of rows of {width} integers", lambda v: _rows(width, v),
-                      lambda v: {(r[0] if width == 2 else tuple(r[:2])): r[-1] for r in v})
+    entries = _parser(f"a list of rows of {width} integers", lambda v: _rows(width, v), _entries)
     return (("type", {"none": (), "fixed": (("entries", entries, REQUIRED),),
                       "uniform": (("low", _integer, 0), ("high", _integer, REQUIRED))},
              REQUIRED),)
@@ -412,10 +420,13 @@ def verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                    "all agents have self-loops" if not missing
                    else f"missing self-loop, first at (agent, t) = {missing[0]}"))
 
-    rep = validate_b_connectivity(graph, cfg.b_window, horizon)
-    checks.append((f"connectivity(B={cfg.b_window})", rep.ok,
-                   "strongly connected on every window" if rep.ok
-                   else f"first violating window {rep.first_violation}"))
+    try:
+        rep = validate_b_connectivity(graph, cfg.b_window, horizon)
+        ok, detail = rep.ok, ("strongly connected on every window" if rep.ok
+                              else f"first violating window {rep.first_violation}")
+    except ScheduleError as e:  # a window longer than the run
+        ok, detail = False, str(e)
+    checks.append((f"connectivity(B={cfg.b_window})", ok, detail))
 
     bad_delay = None  # first round with a delay out of bounds
     worst_w = worst_aug = 0.0

@@ -14,14 +14,15 @@ holds the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
 
 Each round draws its randomness as one block per purpose: the (V, m) noise
 block at the Laplace scale fixed when the ``World`` is built, the (V, V)
-communication-delay matrix and the (V,) feedback delays.
-The weights, message list and self-weights of each edge set
-(``GraphSchedule.phase_at``) and the delays of a ``none`` or ``fixed`` rule
-are built once and shared read-only. The rest of what a round needs that
-does not depend on the state comes from a round plan, built when a round
-leaves the last one: for a chunk of at most CHUNK_ROUNDS rounds, never past
-the horizon, it holds the chunk's weights and delays (a ``uniform`` rule's
-drawn in one batched pass, ``DelaySchedule._draw``), every message's arrival
+communication-delay matrix and the (V,) feedback delays. The weights and
+message list of each edge set (``GraphSchedule.phase_at``) are built once
+and shared read-only. The rest of what a round needs that does not depend
+on the state comes from a round plan, built when a round leaves the last
+one: for a chunk of at most CHUNK_ROUNDS rounds, never past the horizon, it
+holds the chunk's weights with their diagonals, the self-weights, and its
+delays from one ``DelaySchedule._delays`` call per purpose (a ``uniform``
+rule's drawn in one batched pass, a ``none`` or ``fixed`` rule's built once
+per plan and shared read-only by its rounds), every message's arrival
 slot, the rounds and state-ring rows of the delayed gradients, the negated
 step sizes -eta(t + 1) that the projection multiplies by, and the products
 Y(t) with the (V, 1) column of their diagonals y_ii(t) that divides the
@@ -260,8 +261,8 @@ class World:
         V, T, slots = self.V, self.cfg.horizon, len(self.states)
         K = min(CHUNK_ROUNDS, max(CHUNK_DELAYS // (slots * V * V + V), 1), max(T - start, 1))
         t = np.arange(start, start + K)
-        D = self.delays._comm_matrices(start, start + K, V)
-        tau = self.delays._feedback_delays(start, start + K, V)
+        D = self.delays._delays("comm", start, start + K, V)
+        tau = self.delays._delays("feedback", start, start + K, V)
         s = np.maximum(t[:, None] - tau, 0)
 
         # each edge set's weights and messages, for all the chunk's rounds that

@@ -36,15 +36,10 @@ class DiagnosticsError(RuntimeError):
 
 
 def _normalize_edges(num_agents: int, edges: Iterable[Edge], self_loops: bool) -> frozenset[Edge]:
-    out = set()
-    for e in edges:
-        src, dst = int(e[0]), int(e[1])
-        if not (0 <= src < num_agents and 0 <= dst < num_agents):
-            raise ScheduleError(f"edge ({src}, {dst}) outside agent range [0, {num_agents})")
-        out.add((src, dst))
-    if self_loops:
-        out.update((i, i) for i in range(num_agents))
-    return frozenset(out)
+    out = {(int(e[0]), int(e[1])) for e in edges}
+    if bad := [e for e in out if not (0 <= e[0] < num_agents and 0 <= e[1] < num_agents)]:
+        raise ScheduleError(f"edge {min(bad)} outside agent range [0, {num_agents})")
+    return frozenset(out.union((i, i) for i in range(num_agents if self_loops else 0)))
 
 
 class Phase(NamedTuple):
@@ -52,7 +47,7 @@ class Phase(NamedTuple):
 
     ``sender`` and ``receiver`` list the off-diagonal messages sender by
     sender, receivers ascending; ``w_msg`` is their (n, 1) weight column
-    ``W[receiver, sender]`` and ``w_self`` the (V, 1) self-weight column.
+    ``W[receiver, sender]``. The self-weights are the diagonal of ``weights``.
     """
 
     edges: frozenset[Edge]
@@ -60,7 +55,6 @@ class Phase(NamedTuple):
     sender: np.ndarray
     receiver: np.ndarray
     w_msg: np.ndarray
-    w_self: np.ndarray
 
 
 def _phase(num_agents: int, edges: frozenset[Edge], k: int) -> Phase:
@@ -78,8 +72,7 @@ def _phase(num_agents: int, edges: frozenset[Edge], k: int) -> Phase:
     off_diagonal = W.copy()
     np.fill_diagonal(off_diagonal, 0.0)
     sender, receiver = np.nonzero(off_diagonal.T)
-    phase = Phase(edges, W, sender, receiver, W[receiver, sender, None],
-                  W.diagonal()[:, None].copy())
+    phase = Phase(edges, W, sender, receiver, W[receiver, sender, None])
     for a in phase[1:]:
         a.flags.writeable = False
     return phase
@@ -91,10 +84,14 @@ class GraphSchedule:
     ``edge_sets[t % period]``. A static schedule is a cycle of one, which is
     what a config file (``cli.SCHEMA``) calls ``static`` when written.
 
-    Construction builds and checks one read-only ``Phase`` per distinct edge
-    set, so an edge set that leaves an agent with no in-neighbors raises
-    ScheduleError here, not when a round reaches it. A rule ``t -> edges``
-    over a T-round run is ``GraphSchedule.periodic(V, [rule(t) for t in range(T)])``.
+    Every constructor normalizes ``edge_sets`` to frozensets of in-range
+    integer edges, with the self-loops that ``require_self_loops`` asks for,
+    and builds and checks one read-only ``Phase`` per distinct edge set, so
+    an out-of-range edge or an edge set that leaves an agent with no
+    in-neighbors raises ScheduleError here, not when a round reaches it.
+    ``static`` and ``periodic`` are its wrappers for one or many edge sets.
+    A rule ``t -> edges`` over a T-round run is
+    ``GraphSchedule.periodic(V, [rule(t) for t in range(T)])``.
     """
 
     num_agents: int
@@ -103,6 +100,8 @@ class GraphSchedule:
     _phases: tuple[Phase, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "edge_sets", tuple(
+            _normalize_edges(self.num_agents, es, self.require_self_loops) for es in self.edge_sets))
         if not self.edge_sets:
             raise ScheduleError("a schedule needs at least one edge set")
         built = {}
@@ -113,13 +112,12 @@ class GraphSchedule:
 
     @staticmethod
     def static(num_agents: int, edges: Iterable[Edge], require_self_loops: bool = True) -> "GraphSchedule":
-        return GraphSchedule.periodic(num_agents, [edges], require_self_loops)
+        return GraphSchedule(num_agents, (edges,), require_self_loops)
 
     @staticmethod
     def periodic(num_agents: int, edge_sets: Iterable[Iterable[Edge]],
                  require_self_loops: bool = True) -> "GraphSchedule":
-        sets = tuple(_normalize_edges(num_agents, es, require_self_loops) for es in edge_sets)
-        return GraphSchedule(num_agents, sets, require_self_loops)
+        return GraphSchedule(num_agents, edge_sets, require_self_loops)
 
     def phase_at(self, t: int) -> Phase:
         """Round t's ``Phase``, built once per edge set and read-only."""
@@ -154,11 +152,12 @@ class DelaySchedule:
 
     A ``seed`` of None is resolved to the run's master seed by the engine.
     Random delays are drawn as one block per (purpose, round), so the delay
-    of a given (i, j, t) is independent of query order and of V; the engine
-    draws the blocks of a chunk of rounds in one ``_draw``, and
-    ``comm_matrix`` and ``feedback_delays`` are its one-round views. A
-    ``none`` or ``fixed`` rule draws nothing: its matrix or vector is built
-    once per V and shared read-only by every round. ``tau_max`` stays below
+    of a given (i, j, t) is independent of query order and of V. One
+    builder, ``_delays``, gives every rule's delays for a chunk of rounds:
+    the engine calls it once per round plan, and ``comm_matrix`` and
+    ``feedback_delays`` are its one-round views. A ``none`` or ``fixed``
+    rule draws nothing: its matrix or vector is built once per call and
+    shared read-only by the rounds of the chunk. ``tau_max`` stays below
     2^31, the largest range the 32-bit draw covers.
     """
 
@@ -166,8 +165,6 @@ class DelaySchedule:
     comm: dict = field(default_factory=lambda: {"type": "none"})
     feedback: dict = field(default_factory=lambda: {"type": "none"})
     seed: Optional[int] = None
-    # read-only delays of a rule that draws nothing, per (rule name, V)
-    _constant: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.tau_max < 2 ** 31:
@@ -220,46 +217,40 @@ class DelaySchedule:
 
     def comm_matrix(self, t: int, num_agents: int) -> np.ndarray:
         """(V, V) integer matrix of the delays tau_ij(t) of messages sent at
-        time t, receiver i by row and sender j by column, zero diagonal.
-
-        A uniform rule draws V^2 integers from the round's keyed stream,
-        laid out shell by shell over max(i, j) (see
-        ``_shell_order``), so every smaller V's matrix is the top-left block
-        of this one; the matrix is round t's entry of ``_comm_matrices``. A
-        ``none`` or ``fixed`` rule returns one read-only matrix per V, built
-        on first use. Fixed entries naming an agent outside [0, V) are left
-        out here and rejected by ``RunConfig.validate``.
-        """
-        if self.comm["type"] != "uniform":
-            return self._constant_delays("comm", num_agents)
-        return self._comm_matrices(t, t + 1, num_agents)[0]
+        time t, receiver i by row and sender j by column, zero diagonal:
+        round t's entry of ``_delays``."""
+        return self._delays("comm", t, t + 1, num_agents)[0]
 
     def feedback_delays(self, t: int, num_agents: int) -> np.ndarray:
-        """(V,) integer vector of the feedback delays tau_i(t); a uniform
-        rule draws from the round's keyed stream, and every smaller V's
-        vector is a prefix of this one. It is round t's entry of
-        ``_feedback_delays``. A ``none`` or ``fixed`` rule returns one
-        read-only vector per V, built on first use.
-        """
-        if self.feedback["type"] != "uniform":
-            return self._constant_delays("feedback", num_agents)
-        return self._feedback_delays(t, t + 1, num_agents)[0]
+        """(V,) integer vector of the feedback delays tau_i(t): round t's
+        entry of ``_delays``."""
+        return self._delays("feedback", t, t + 1, num_agents)[0]
 
-    def _comm_matrices(self, start: int, stop: int, V: int) -> np.ndarray:
-        """(stop - start, V, V): ``comm_matrix`` of each round in [start, stop);
-        a read-only broadcast of the constant matrix when the rule draws nothing.
-        """
-        if self.comm["type"] != "uniform":
-            return np.broadcast_to(self._constant_delays("comm", V), (stop - start, V, V))
-        D = self._draw(self.comm, STREAM_COMM_DELAY, start, stop, V * V)[:, _shell_order(V)]
-        D[:, np.arange(V), np.arange(V)] = 0
-        return D
+    def _delays(self, name: str, start: int, stop: int, V: int) -> np.ndarray:
+        """The rule ``name``'s delays of rounds start .. stop - 1: (K, V, V)
+        comm matrices or (K, V) feedback vectors, K = stop - start.
 
-    def _feedback_delays(self, start: int, stop: int, V: int) -> np.ndarray:
-        """(stop - start, V): ``feedback_delays`` of each round in [start, stop)."""
-        if self.feedback["type"] != "uniform":
-            return np.broadcast_to(self._constant_delays("feedback", V), (stop - start, V))
-        return self._draw(self.feedback, STREAM_FEEDBACK_DELAY, start, stop, V)
+        A uniform rule makes one ``_draw``. A comm matrix takes V^2 draws,
+        laid out shell by shell over max(i, j) (see ``_shell_order``), so
+        every smaller V's matrix is the top-left block of this one, as every
+        smaller V's feedback vector is a prefix. A ``none`` or ``fixed`` rule
+        builds one read-only matrix or vector, broadcast over the rounds;
+        fixed entries naming an agent outside [0, V) are left out here and
+        rejected by ``RunConfig.validate``. Every comm diagonal is zero.
+        """
+        rule, comm = getattr(self, name), name == "comm"
+        if rule["type"] == "uniform":
+            if not comm:
+                return self._draw(rule, STREAM_FEEDBACK_DELAY, start, stop, V)
+            D = self._draw(rule, STREAM_COMM_DELAY, start, stop, V * V)[:, _shell_order(V)]
+            D[:, np.arange(V), np.arange(V)] = 0
+            return D
+        out = np.zeros((V, V) if comm else V, dtype=int)
+        for key, d in rule.get("entries", {}).items():
+            key = key if comm else (key,)
+            if all(0 <= k < V for k in key) and not (comm and key[0] == key[1]):
+                out[key] = d
+        return np.broadcast_to(out, (stop - start, *out.shape))
 
     def _draw(self, rule: dict, purpose: int, start: int, stop: int, n: int) -> np.ndarray:
         """(stop - start, n) integers of the uniform ``rule``: row k equals
@@ -292,22 +283,6 @@ class DelaySchedule:
         out += low
         for k in np.flatnonzero(rejected):
             out[k] = substream(seed, purpose, start + k).integers(low, rule["high"] + 1, size=n)
-        return out
-
-    def _constant_delays(self, name: str, V: int) -> np.ndarray:
-        """The (V, V) matrix or (V,) vector of the rule ``name`` ("comm" or
-        "feedback") when it draws nothing: read-only, built on first use.
-        """
-        out = self._constant.get((name, V))
-        if out is None:
-            out = np.zeros((V, V) if name == "comm" else V, dtype=int)
-            for key, d in getattr(self, name).get("entries", {}).items():
-                if all(0 <= k < V for k in np.atleast_1d(key)):
-                    out[key] = d
-            if name == "comm":
-                np.fill_diagonal(out, 0)
-            out.flags.writeable = False
-            self._constant[(name, V)] = out
         return out
 
     def comm_delay(self, i: int, j: int, t: int) -> int:

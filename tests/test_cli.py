@@ -344,6 +344,21 @@ def test_cmd_verify_flags_missing_self_loop(tmp_path, capsys):
     assert "FAIL self-loops" in out
 
 
+def test_cmd_verify_fails_a_window_longer_than_the_run_and_runs_every_other_check(tmp_path, capsys):
+    d = config_to_dict(preset("fig5-fixed-delay"))
+    d["horizon"], d["graph"]["b_window"] = 2, 3
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(d))
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(p)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS self-loops", "FAIL connectivity(B=3)", "PASS delay-bounds", "PASS row-stochastic",
+        "PASS augmented-row-stochastic", "PASS oracle-equivalence"]
+    assert lines[1] == "FAIL connectivity(B=3): horizon 2 shorter than window 3"
+
+
 def test_cmd_verify_reports_first_violating_window(tmp_path, capsys):
     # alternating one-way links need B=2; declare B=1
     d = {
@@ -658,6 +673,9 @@ _GRAPH = config_to_dict(preset("fig2-baseline"))["graph"]
     # a schedule that fails the connectivity check it asks for
     ("graph", {"type": "periodic", "num_agents": 5, "b_window": 1, "validate_connectivity": True,
                "edge_sets": [[[0, 1], [1, 2], [2, 3], [3, 4]], [[4, 0]]]}),
+    # a fixed rule lists each pair once
+    ("delays", {"tau_max": 3, "comm": {"type": "fixed", "entries": [[3, 1, 2], [3, 1, 1]]}}),
+    ("delays", {"tau_max": 3, "feedback": {"type": "fixed", "entries": [[0, 1], [0, 2]]}}),
 ])
 def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, capsys):
     """A bad config value, a bad ``--option`` override of a good config, or
@@ -678,6 +696,16 @@ def test_non_finite_or_mistyped_value_is_a_config_error(key, value, tmp_path, ca
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_a_fixed_delay_key_listed_twice_is_named_with_its_rule():
+    d = config_to_dict(preset("fig5-fixed-delay"))
+    d["delays"]["comm"]["entries"] = [[3, 1, 2], [0, 2, 1], [3, 1, 1], [0, 2, 1]]
+    d["delays"]["feedback"] = {"type": "fixed", "entries": [[0, 1], [0, 2]]}
+    with pytest.raises(ConfigError) as e:
+        config_from_dict(d)
+    assert e.value.errors == ["delays: comm: entries: key (0, 2), (3, 1) listed more than once",
+                              "delays: feedback: entries: key 0 listed more than once"]
 
 
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -773,6 +773,20 @@ def test_twin_builds_delay_blocks_once_per_chunk(name, horizon, builds, monkeypa
     assert augmented == []
 
 
+def test_delays_come_from_one_builder_call_per_chunk_and_purpose(monkeypatch):
+    # fig7 at T = 131: chunks [0, 64), [64, 128) and [128, 131), each with one
+    # comm and one feedback call, and a one-round view goes through the builder too
+    calls, builder = [], dp.DelaySchedule._delays
+    monkeypatch.setattr(dp.DelaySchedule, "_delays",
+                        lambda self, *args: calls.append(args) or builder(self, *args))
+    dp.run(dataclasses.replace(preset("fig7-random-delays-private"), horizon=131))
+    chunks = [(0, 64), (64, 128), (128, 131)]
+    assert calls == [(name, *chunk, 5) for chunk in chunks for name in ("comm", "feedback")]
+    calls.clear()
+    dp.DelaySchedule.uniform(10, seed=3).comm_matrix(7, 5)
+    assert calls == [("comm", 7, 8, 5)]
+
+
 def test_a_chunks_delay_blocks_stay_within_the_cap():
     # 40 agents, tau_max 10: 11 * 40^2 + 40 = 17640 floats a round, so a
     # chunk plans 59 rounds and its blocks stay within CHUNK_DELAYS floats

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dpgames as dp
+from dpgames import privacy
 from dpgames.cli import config_from_dict, config_to_dict
 from dpgames.graph import DelayRangeError, DiagnosticsError, ScheduleError
 
@@ -61,7 +62,6 @@ def test_phase_lists_messages_sender_by_sender_once_per_edge_set(bench_graph):
         messages = [(j, i) for j in range(5) for i in range(5) if i != j and W[i, j] > 0]
         assert list(zip(phase.sender.tolist(), phase.receiver.tolist())) == messages
         assert phase.w_msg.tolist() == [[W[i, j]] for j, i in messages]
-        assert phase.w_self.tolist() == [[w] for w in np.diag(W)]
     assert len(bench_graph.phase_at(0).sender) == len(bench_graph.phase_at(1).sender) + 1
 
 
@@ -415,6 +415,46 @@ def test_fixed_delay_blocks_and_entries_a_run_would_ignore():
     assert dp.DelaySchedule.uniform(3).entry_errors(5) == []
 
 
+def _hand_built(delays, t, V):
+    """Round t's comm matrix and feedback vector, built entry by entry: a
+    uniform rule's comm draws fill the shells max(i, j) = 0, 1, .. in turn,
+    each with (k, 0) .. (k, k - 1) and then (0, k) .. (k, k)."""
+    D, tau = np.zeros((V, V), dtype=int), np.zeros(V, dtype=int)
+    if delays.comm["type"] == "uniform":
+        rule = delays.comm
+        draws = privacy.substream(delays.seed, privacy.STREAM_COMM_DELAY, t).integers(
+            rule["low"], rule["high"] + 1, size=V * V)
+        cells = [c for k in range(V) for c in [(k, j) for j in range(k)] + [(i, k) for i in range(k + 1)]]
+        for (i, j), d in zip(cells, draws):
+            D[i, j] = d if i != j else 0
+    for (i, j), d in delays.comm.get("entries", {}).items():
+        if i < V and j < V and i != j:
+            D[i, j] = d
+    if delays.feedback["type"] == "uniform":
+        rule = delays.feedback
+        tau = privacy.substream(delays.seed, privacy.STREAM_FEEDBACK_DELAY, t).integers(
+            rule["low"], rule["high"] + 1, size=V)
+    for i, d in delays.feedback.get("entries", {}).items():
+        if i < V:
+            tau[i] = d
+    return D, tau
+
+
+def _assert_one_round_views_are_chunk_entries(delays, V):
+    """``comm_matrix`` and ``feedback_delays`` hold the hand-built delays and
+    equal entry t - s of ``_delays`` over the chunks [0, 64) and [t, t + 3)."""
+    for t in (0, 1, 2, 7, 63):
+        D, tau = delays.comm_matrix(t, V), delays.feedback_delays(t, V)
+        expect_D, expect_tau = _hand_built(delays, t, V)
+        assert D.dtype == expect_D.dtype and np.array_equal(D, expect_D)
+        assert tau.dtype == expect_tau.dtype and np.array_equal(tau, expect_tau)
+        for s, stop in ((0, 64), (t, t + 3)):
+            chunk_D, chunk_tau = (delays._delays(name, s, stop, V) for name in ("comm", "feedback"))
+            assert chunk_D.shape == (stop - s, V, V) and chunk_tau.shape == (stop - s, V)
+            assert np.array_equal(chunk_D[t - s], D) and np.array_equal(chunk_tau[t - s], tau)
+    return D, tau
+
+
 @pytest.mark.parametrize("delays", [
     dp.DelaySchedule.none(),
     dp.DelaySchedule(3),
@@ -422,30 +462,41 @@ def test_fixed_delay_blocks_and_entries_a_run_would_ignore():
     dp.DelaySchedule(3, {"type": "fixed", "entries": {(2, 0): 1}}, {"type": "none"}),
 ], ids=["none", "tau_max-3", "fixed", "fixed-comm-only"])
 def test_constant_delay_rule_returns_one_read_only_array_per_agent_count(delays):
-    # the matrix and vector a rule that draws nothing would build afresh,
-    # entry by entry, for each agent count
-    def built(V):
-        D, tau = np.zeros((V, V), dtype=int), np.zeros(V, dtype=int)
-        for (i, j), d in delays.comm.get("entries", {}).items():
-            if i < V and j < V and i != j:
-                D[i, j] = d
-        for i, d in delays.feedback.get("entries", {}).items():
-            if i < V:
-                tau[i] = d
-        return D, tau
-
+    # the one builder broadcasts one read-only matrix and vector over the
+    # rounds of a chunk; a one-round view is its entry 0
     for V in (5, 9):
-        D, tau = delays.comm_matrix(0, V), delays.feedback_delays(0, V)
-        expect_D, expect_tau = built(V)
-        assert D.dtype == expect_D.dtype and np.array_equal(D, expect_D)
-        assert tau.dtype == expect_tau.dtype and np.array_equal(tau, expect_tau)
+        D, tau = _assert_one_round_views_are_chunk_entries(delays, V)
         assert not D.flags.writeable and not tau.flags.writeable
-        for t in (1, 2, 7, 10 ** 6):
-            assert delays.comm_matrix(t, V) is D and delays.feedback_delays(t, V) is tau
-    assert delays.comm_matrix(3, 5) is not delays.comm_matrix(3, 9)
-    # a schedule that draws rebuilds every round
-    drawn = dp.DelaySchedule.uniform(3, seed=1)
-    assert drawn.comm_matrix(2, 5) is not drawn.comm_matrix(2, 5)
+        for name in ("comm", "feedback"):
+            assert not delays._delays(name, 0, 64, V).flags.writeable
+        assert np.array_equal(delays.comm_matrix(10 ** 6, V), D)
+
+
+@pytest.mark.parametrize("V", [5, 9])
+def test_uniform_delay_rule_views_are_entries_of_the_drawn_chunk(V):
+    delays = dp.DelaySchedule.uniform(6, low=1, seed=19)
+    D, tau = _assert_one_round_views_are_chunk_entries(delays, V)
+    assert (D[~np.eye(V, dtype=bool)] >= 1).all() and tau.min() >= 1
+    # comm only: the feedback rule builds zeros
+    comm_only = dp.DelaySchedule(6, delays.comm, {"type": "none"}, seed=19)
+    assert np.array_equal(_assert_one_round_views_are_chunk_entries(comm_only, V)[0], D)
+
+
+def test_every_schedule_constructor_normalizes_and_checks_its_edge_sets():
+    ring = [(0, 1), (1, 2), (2, 0)]
+    sets = (ring, [(0, 1), (1, 2), (2, 0), (0, 2)])
+    assert dp.GraphSchedule(3, sets) == dp.GraphSchedule.periodic(3, sets)
+    assert dp.GraphSchedule(3, [ring]) == dp.GraphSchedule.static(3, ring)
+    # the self-loops require_self_loops asks for are added by the constructor itself
+    direct = dp.GraphSchedule(3, (frozenset(ring),))
+    assert all((i, i) in direct.edges_at(0) for i in range(3))
+    assert np.diag(direct.weights_at(0)).tolist() == [0.5] * 3
+    for make in (lambda e: dp.GraphSchedule(3, (frozenset(e),)),
+                 lambda e: dp.GraphSchedule.static(3, e),
+                 lambda e: dp.GraphSchedule.periodic(3, [ring, e])):
+        for bad in ([(0, 5)], [(-1, 0)]):
+            with pytest.raises(ScheduleError, match="outside agent range"):
+                make(bad)
 
 
 def test_procedural_schedule_rule():

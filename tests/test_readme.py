@@ -1,16 +1,22 @@
-"""README's entry points keep working: its Python code runs, and every
-public name it can refer to resolves.
+"""README's entry points keep working: its Python code runs, every command
+of its command-line block exits 0, and every public name it can refer to
+resolves.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import dpgames
+from dpgames import cli
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.M | re.S)
+COMMAND_BLOCK = re.search(r"^## Command line\n\n```sh\n(.*?)^```", README, flags=re.M | re.S)[1]
+COMMANDS = [line.split("#")[0].strip() for line in COMMAND_BLOCK.splitlines()
+            if line.startswith("dpgames ")]
 
 
 def test_readme_has_python_code():
@@ -21,6 +27,18 @@ def test_readme_has_python_code():
 def test_readme_python_block_runs(code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # whatever a block writes stays out of the checkout
     exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+
+
+def test_readme_has_every_subcommand():
+    assert {shlex.split(c)[1] for c in COMMANDS} == {"run", "verify", "sweep", "presets", "ne-oracle"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_line_runs(command, tmp_path, monkeypatch):
+    # ``my.json`` is the config the block's ``--config`` line reads
+    monkeypatch.chdir(tmp_path)
+    cli.write_config(cli.preset("fig2-baseline"), tmp_path / "my.json")
+    assert cli.main(shlex.split(command)[1:]) == 0
 
 
 def test_every_public_name_resolves():
