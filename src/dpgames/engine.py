@@ -23,17 +23,17 @@ holds the chunk's weights with their diagonals, the self-weights, and its
 delays from one ``DelaySchedule._delays`` call per purpose (a ``uniform``
 rule's drawn in one batched pass, a ``none`` or ``fixed`` rule's built once
 per plan and shared read-only by its rounds), every message's arrival
-slot, the rounds and state-ring rows of the delayed gradients, the negated
-step sizes -eta(t + 1) that the projection multiplies by, and the products
+slot, the gradient-ring slots of the delayed gradients, the negated step
+sizes -eta(t + 1) that the projection multiplies by, and the products
 Y(t) with the (V, 1) column of their diagonals y_ii(t) that divides the
 delayed gradients. The arrival ring and the twin share the plan and the
 round kernel ``_apply_updates``. ``World.__init__`` builds no plan, and a
 world stepped by hand past its horizon plans one round at a time.
 
-A state ring of the same shape holds round s's (x, v) in slot s mod
-(tau_max + 1), so the delayed gradients of round t are one gather at
-s_i = max(t - tau_i(t), 0) and one batched gradient call at the times s_i.
-Records fill preallocated arrays; losses are computed after the loop.
+The delay falls on the gradient, not the state: round t's gradients, one
+batched call at time t before the round changes (x, v), go to slot t mod
+(tau_max + 1) of a gradient ring, and agent i reads its row of the slot of
+max(t - tau_i(t), 0). Records are preallocated; losses follow the loop.
 
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
@@ -53,7 +53,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .game import GameSpec, _sum_in_order, clip_to_box, resolve_game
-from .graph import (DelaySchedule, GraphSchedule, _delay_blocks, eigenvector_floor,
+from .graph import (DelaySchedule, GraphSchedule, _delay_blocks, _integer, eigenvector_floor,
                     validate_b_connectivity)
 from .metrics import average_loss, stabilization_stat
 from .privacy import (NoiseConfig, PrivacyLedger, _positive_finite, sample_noise,
@@ -87,11 +87,6 @@ def step_size(gamma: float, k):
     """eta(k) = gamma / sqrt(k + 1); the projection producing x(t+1) uses eta(t+1).
     ``k`` may be an integer array, giving one step size per entry."""
     return gamma / np.sqrt(k + 1.0)
-
-
-def _integer(value, low: int) -> bool:
-    """True for an integer (not a bool) >= low."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 @dataclass
@@ -184,9 +179,8 @@ class _RoundPlan(NamedTuple):
     W: np.ndarray          # (K, V, V) weights
     w_self: np.ndarray     # (K, V, 1) their diagonals, the self-weights
     D: np.ndarray          # (K, V, V) comm delays
-    skip: np.ndarray       # (K, V) tau_i(t) > t: no state of round t - tau_i(t) yet
-    s: np.ndarray          # (K, V) gradient rounds max(t - tau_i(t), 0)
-    rows: np.ndarray       # (K, V) their slots in the state ring
+    skip: np.ndarray       # (K, V) tau_i(t) > t: no gradient of round t - tau_i(t) yet
+    rows: np.ndarray       # (K, V) gradient-ring slots of the rounds max(t - tau_i(t), 0)
     slots: list            # K arrays: each message's arrival slot, in send order
     counts: np.ndarray     # (K, tau_max + 1) messages per arrival slot
     neg_eta: np.ndarray    # (K,) -eta(t + 1), the signed step of the projection to x(t + 1)
@@ -219,8 +213,7 @@ class World:
         self.Y = np.eye(V)
         slots = self.delays.tau_max + 1
         self.ring = np.zeros((slots, V, 2 * m))
-        self.states = np.zeros((slots, V, 2 * m))  # (x, v) of round s in slot s mod slots
-        self.states[0] = np.concatenate((self.x, self.v), axis=1)
+        self.grad_ring = np.zeros((slots, V, m))  # gradients of round s in slot s mod slots
         self._agents = np.arange(V)
         self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
         self.ledger = PrivacyLedger()
@@ -258,12 +251,11 @@ class World:
         or fewer so that its delay blocks take about CHUNK_DELAYS floats and
         it ends at the horizon. A round at or past the horizon is planned alone.
         """
-        V, T, slots = self.V, self.cfg.horizon, len(self.states)
+        V, T, slots = self.V, self.cfg.horizon, len(self.ring)
         K = min(CHUNK_ROUNDS, max(CHUNK_DELAYS // (slots * V * V + V), 1), max(T - start, 1))
         t = np.arange(start, start + K)
         D = self.delays._delays("comm", start, start + K, V)
         tau = self.delays._delays("feedback", start, start + K, V)
-        s = np.maximum(t[:, None] - tau, 0)
 
         # each edge set's weights and messages, for all the chunk's rounds that
         # have it at once; the eigenvector recursion, which reads no state either
@@ -285,14 +277,16 @@ class World:
         counts = np.bincount(np.concatenate(flat), minlength=K * slots).reshape(K, slots)
         # contiguous columns: the kernel reads a strided view of a diagonal slower
         w, y = (A.diagonal(axis1=1, axis2=2)[..., None].copy() for A in (W, Y[:K]))
-        return _RoundPlan(start, start + K, W, w, D, tau > t[:, None], s, s % slots, arrival,
+        rows = np.maximum(t[:, None] - tau, 0) % slots
+        return _RoundPlan(start, start + K, W, w, D, tau > t[:, None], rows, arrival,
                           counts, -step_size(self.cfg.gamma, t + 1), Y, y, y.min(axis=(1, 2)))
 
     def _delayed_gradients(self, plan: _RoundPlan, k: int) -> np.ndarray:
-        """(V, m): agent i's gradient at its stored state of round t - tau_i(t),
-        for the round t of entry k of ``plan``."""
-        xv = self.states[plan.rows[k], self._agents]
-        g = self.game.gradients(plan.s[k], xv[:, :self.m], xv[:, self.m:])
+        """Put round t = plan.start + k's gradients, at time t and its starting
+        state, in the ring; return (V, m), agent i's of round t - tau_i(t)."""
+        t, ring = plan.start + k, self.grad_ring
+        ring[t % len(ring)] = self.game.gradients(t, self.x, self.v)
+        g = ring[plan.rows[k], self._agents]
         if self.cfg.cold_start == "zero":
             g[plan.skip[k]] = 0.0
         return g
@@ -349,9 +343,6 @@ class World:
         self.b, self.x, self.x_hat, self.v = b_new, x_new, x_hat_new, v_new
         self.psi_x_hat = psi_x_hat_new
         self.t = t + 1
-        row = self.states[self.t % len(self.states)]
-        row[:, :self.m] = x_new
-        row[:, self.m:] = v_new
 
     def messages_pending(self) -> int:
         return int(self.ring_count.sum())
@@ -484,7 +475,7 @@ class _AugmentedWorld(World):
 
     def __init__(self, config: RunConfig):
         super().__init__(config)
-        self.carried = np.zeros((len(self.states), *self.states.shape))  # [s, r]: W^r(s) @ (b~, v~)(s)
+        self.carried = np.zeros((len(self.ring), *self.ring.shape))  # [s, r]: W^r(s) @ (b~, v~)(s)
 
     def _build_plan(self, start: int) -> _RoundPlan:
         plan = super()._build_plan(start)

@@ -27,8 +27,13 @@ class ScheduleError(ValueError):
 
 
 class DelayRangeError(ValueError):
-    """Raised when a delay falls outside [0, tau_max], tau_ii != 0, a uniform
-    rule's low exceeds its high, or tau_max leaves [0, 2^31)."""
+    """Raised for a delay outside [0, tau_max], tau_ii != 0, a uniform rule's
+    low above its high, a malformed fixed-rule key, or tau_max outside [0, 2^31)."""
+
+
+def _integer(value, low=-np.inf) -> bool:
+    """True for an integer (not a bool) >= low."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 class DiagnosticsError(RuntimeError):
@@ -174,7 +179,12 @@ class DelaySchedule:
         for name, desc in (("comm", self.comm), ("feedback", self.feedback)):
             kind = desc.get("type")
             if kind == "fixed":
+                # a comm key is a (receiver, sender) pair, a feedback key one agent
                 for key, d in desc["entries"].items():
+                    if not (isinstance(key, tuple) and len(key) == 2 and all(map(_integer, key))
+                            if name == "comm" else _integer(key)):
+                        raise DelayRangeError(f"{name} entry key {key!r} is not " + (
+                            "a pair of integers" if name == "comm" else "an integer"))
                     self._check(d, f"{name} entry {key}")
             elif kind == "uniform":
                 if "low" not in desc:  # a uniform rule without low starts at 0
@@ -189,7 +199,7 @@ class DelaySchedule:
                 raise DelayRangeError(f"unknown delay rule type {kind!r}")
 
     def _check(self, d: int, what: str) -> None:
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 0 <= d <= self.tau_max:
+        if not (_integer(d, 0) and d <= self.tau_max):
             raise DelayRangeError(f"{what} {d!r} is not an integer in [0, {self.tau_max}]")
 
     @staticmethod

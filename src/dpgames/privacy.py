@@ -30,10 +30,12 @@ STREAM_NOISE_AGGREGATE = 4  # independent-draw mode only
 @functools.lru_cache(maxsize=256)
 def _keyed_stream(seed: int, purpose: int) -> tuple[np.random.Generator, dict]:
     """(seed, purpose)'s Philox generator and the state ``substream`` sets."""
+    # Python-int lists, not uint64 arrays: the state setter converts an array
+    # one numpy scalar at a time, about three times slower than a list
     key = np.random.SeedSequence([seed, purpose]).generate_state(2, np.uint64)
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, np.uint64), "key": key},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": key.tolist()},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     return np.random.Generator(np.random.Philox(key=key)), state
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import re
@@ -524,6 +525,29 @@ def test_worlds_stepped_alternately_match_each_run_alone(pair):
         assert np.array_equal(states, _stepped_states([cls(c)], 30)[0])
 
 
+@pytest.mark.parametrize("cls", [World, _AugmentedWorld])
+@pytest.mark.parametrize("cfg", [
+    dataclasses.replace(preset("fig5-fixed-delay"), horizon=60),
+    dataclasses.replace(preset("fig7-random-delays-private"), horizon=60),
+    bench_cfg(horizon=60, cold_start="zero", seed=5,
+              delays=dp.DelaySchedule(3, {"type": "uniform", "high": 2}, {"type": "uniform", "high": 3})),
+], ids=["fig5", "fig7", "cold-start-zero"])
+def test_a_deep_copy_steps_exactly_like_the_original(cfg, cls):
+    # A7 steps deep copies of a world; every ring must survive the copy
+    # with its own storage
+    world = cls(cfg)
+    for _ in range(7):
+        world.step()
+    twin = copy.deepcopy(world)
+    names = ("b", "x", "v", "ring", "grad_ring") + (("carried",) if cls is _AugmentedWorld else ())
+    for _ in range(30):
+        world.step()
+        twin.step()
+        for name in names:
+            assert np.array_equal(getattr(world, name), getattr(twin, name)), (world.t, name)
+    assert world.ring is not twin.ring and world.grad_ring is not twin.grad_ring
+
+
 def test_noise_stream_determinism_across_runs():
     cfg = bench_cfg(horizon=60, noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))
     a, b = dp.run(cfg), dp.run(cfg)
@@ -666,6 +690,25 @@ def test_one_batched_gradient_call_per_round(monkeypatch):
     assert calls == [(5,)] * 25
 
 
+@pytest.mark.parametrize("cold_start", ["clamp", "zero"])
+def test_each_round_evaluates_its_own_gradient_once_at_its_scalar_time(cold_start):
+    # the delay falls on the gradient, not on the state: round t's gradient is
+    # computed at time t and read tau_i(t) rounds later from the gradient ring
+    times = []
+    game = dp.nash_cournot()
+
+    def counting_grad_own(i, t, x, psi_val):
+        times.append(t)
+        return game.grad_own(i, t, x, psi_val)
+
+    cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=40, cold_start=cold_start,
+                              game=dataclasses.replace(game, grad_own=counting_grad_own))
+    World(cfg)
+    assert times == []  # building a world evaluates no gradient
+    dp.run(cfg)
+    assert times == list(range(40)) and all(np.ndim(t) == 0 for t in times)
+
+
 def test_one_aggregate_map_call_per_round():
     # psi(x_hat) of the previous round is carried, not evaluated again
     calls = []
@@ -684,9 +727,12 @@ def test_one_aggregate_map_call_per_round():
     assert calls == [(5,)] * 26
 
 
-def test_zero_cold_start_with_uniform_feedback_delays_matches_hand_reference(cournot):
+@pytest.mark.parametrize("cold_start", ["zero", "clamp"])
+def test_cold_start_with_uniform_feedback_delays_matches_hand_reference(cournot, cold_start):
+    # tau_i(t) reaches tau_max = 3, so a gradient ring one slot short, or a
+    # slot read at t - tau_i(t) without the clamp to round 0, reads the wrong round
     delays = dp.DelaySchedule(3, {"type": "none"}, {"type": "uniform", "low": 0, "high": 3})
-    cfg = bench_cfg(horizon=30, delays=delays, cold_start="zero", seed=5)
+    cfg = bench_cfg(horizon=30, delays=delays, cold_start=cold_start, seed=5)
     res = dp.run(cfg)
     feedback = cfg.delays.with_seed(cfg.seed)
     skipped = used = 0
@@ -696,8 +742,9 @@ def test_zero_cold_start_with_uniform_feedback_delays_matches_hand_reference(cou
         for i in range(5):
             s = t - int(tau[i])
             if s < 0:
-                skipped += 1  # zero gradient before the state exists
-            else:
+                skipped += 1  # before round 0: a zero gradient, or round 0's under clamp
+            if s >= 0 or cold_start == "clamp":
+                s = max(s, 0)
                 g[i] = cournot.local_gradient(i, s, res.x[s, i], res.v[s, i])
                 used += 1
         # no comm delays and no noise: the arrivals are the in-neighbors' b(t)

@@ -342,6 +342,23 @@ def test_delay_schedule_rejects_out_of_range():
         dp.DelaySchedule(2 ** 31)
 
 
+@pytest.mark.parametrize("comm, feedback, message", [
+    ({3: 1}, {}, "comm entry key 3 is not a pair of integers"),
+    ({(1, 2, 3): 1}, {}, r"comm entry key \(1, 2, 3\) is not a pair of integers"),
+    ({}, {(1, 2): 1}, r"feedback entry key \(1, 2\) is not an integer"),
+    ({(True, 1): 1}, {}, r"comm entry key \(True, 1\) is not a pair of integers"),
+    ({}, {True: 1}, "feedback entry key True is not an integer"),
+], ids=["int-comm-key", "triple-comm-key", "pair-feedback-key", "bool-comm-key", "bool-feedback-key"])
+def test_malformed_fixed_key_is_a_delay_range_error_naming_rule_and_key(comm, feedback, message):
+    rule = lambda entries: {"type": "fixed", "entries": entries} if entries else {"type": "none"}
+    with pytest.raises(DelayRangeError, match=f"^{message}$"):
+        dp.DelaySchedule(3, rule(comm), rule(feedback))
+    # well-formed keys naming agents outside [0, V) still build, and validation itemizes them
+    delays = dp.DelaySchedule(3, rule({(7, 1): 1}), rule({9: 2}))
+    assert delays.entry_errors(5) == ["comm delay entry [7, 1, 1] names an agent outside [0, 5)",
+                                      "feedback delay entry [9, 2] names an agent outside [0, 5)"]
+
+
 def test_random_delays_are_order_independent():
     a = dp.DelaySchedule.uniform(5, seed=123)
     b = dp.DelaySchedule.uniform(5, seed=123)

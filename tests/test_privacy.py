@@ -58,9 +58,11 @@ def test_noise_streams_are_deterministic_and_disjoint():
 
 def _philox_reference(seed, purpose, t):
     """Round t of (seed, purpose), built from scratch: Philox keyed by the
-    (seed, purpose) seed sequence, counter [0, t, 0, 0]."""
+    (seed, purpose) seed sequence, counter [0, t, 0, 0]. The counter is a
+    uint64 array: numpy reads a list holding t >= 2^63 as float64 and rounds it."""
     key = np.random.SeedSequence([seed, purpose]).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, t, 0, 0]))
+    counter = np.array([0, t, 0, 0], np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _block(rng):
@@ -75,6 +77,22 @@ def test_substream_is_philox_keyed_by_seed_and_purpose_with_the_round_as_counter
         for t in (0, 1, 7, 199, 2 ** 33):
             assert np.array_equal(_block(substream(seed, purpose, t)),
                                   _block(_philox_reference(seed, purpose, t)))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63 - 1])
+def test_substream_raw_words_match_a_fresh_philox_over_the_whole_counter_range(seed):
+    # the state substream sets holds Python ints; the words must be a fresh
+    # generator's up to the last round the 64-bit counter word can name
+    for purpose in PURPOSES:
+        for t in (0, 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1):
+            words = substream(seed, purpose, t).bit_generator.random_raw(9)
+            fresh = _philox_reference(seed, purpose, t).bit_generator.random_raw(9)
+            assert np.array_equal(words, fresh), (purpose, t)
+    with pytest.raises(OverflowError):
+        substream(seed, STREAM_NOISE, -1)
+    # a rejected round leaves the stream usable
+    assert np.array_equal(substream(seed, STREAM_NOISE, 3).bit_generator.random_raw(4),
+                          _philox_reference(seed, STREAM_NOISE, 3).bit_generator.random_raw(4))
 
 
 def test_substream_blocks_do_not_depend_on_call_order():
