@@ -448,10 +448,8 @@ def verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     short = replace(cfg, horizon=min(horizon, EQUIVALENCE_HORIZON))
     try:
-        a = engine.run(short)
-        b = engine.run_augmented_reference(short)
-        diff = max(float(np.abs(a.b - b.b).max()), float(np.abs(a.x - b.x).max()),
-                   float(np.abs(a.v - b.v).max()))
+        a, b = engine._run_pair(short)  # the two routes in lockstep
+        diff = max(float(np.abs(getattr(a, k) - getattr(b, k)).max()) for k in "bxv")
         # the two routes differ only in summation order, so agreement is
         # machine precision relative to the state magnitude
         scale = max(1.0, float(np.abs(a.b).max()), float(np.abs(a.v).max()))

@@ -20,15 +20,12 @@ and shared read-only. The rest of what a round needs that does not depend
 on the state comes from a round plan, built when a round leaves the last
 one: for a chunk of at most CHUNK_ROUNDS rounds, never past the horizon, it
 holds the chunk's weights with their diagonals, the self-weights, and its
-delays from one ``DelaySchedule._delays`` call per purpose (a ``uniform``
-rule's drawn in one batched pass, a ``none`` or ``fixed`` rule's built once
-per plan and shared read-only by its rounds), every message's arrival
-slot, the gradient-ring slots of the delayed gradients, the negated step
-sizes -eta(t + 1) that the projection multiplies by, and the products
+delays from one ``DelaySchedule._delays`` call per purpose, every message's
+arrival slot, the gradient-ring slots of the delayed gradients, the negated
+step sizes -eta(t + 1) that the projection multiplies by, and the products
 Y(t) with the (V, 1) column of their diagonals y_ii(t) that divides the
-delayed gradients. The arrival ring and the twin share the plan and the
-round kernel ``_apply_updates``. ``World.__init__`` builds no plan, and a
-world stepped by hand past its horizon plans one round at a time.
+delayed gradients. ``World.__init__`` builds no plan, and a world stepped by
+hand past its horizon plans one round at a time.
 
 The delay falls on the gradient, not the state: round t's gradients, one
 batched call at time t before the round changes (x, v), go to slot t mod
@@ -37,17 +34,18 @@ max(t - tau_i(t), 0). Records are preallocated; losses follow the loop.
 
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
-snapshots: each round's snapshot is contracted once, when it is sent, with
-the round's delay blocks, built with the whole chunk's from the plan's (W, D)
-under every delay rule, and every relay stage of the result is kept by send
-round. It reads neither the arrival ring nor the message list, and serves as
-an independent oracle for the arrival ring.
+snapshots (``_AugmentedWorld``). It reads neither the arrival ring nor the
+message list, and serves as an independent oracle for the arrival ring. Both
+routes share the round plan and the round kernel ``_apply_updates``, and
+differ only in how arrival sums are formed (``_ring_arrivals``,
+``_relay_arrivals``). ``verify`` steps both in lockstep on a 2-member
+(2, V, m) state that shares each round's plan, noise, gradients and update.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -215,11 +213,10 @@ class World:
         self.ring = np.zeros((slots, V, 2 * m))
         self.grad_ring = np.zeros((slots, V, m))  # gradients of round s in slot s mod slots
         self._agents = np.arange(V)
+        self._grad_rows = self._agents  # each agent's row of a grad_ring slot
         self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
-        self.ledger = PrivacyLedger()
         self.min_y_diag = 1.0
-        self.messages_enqueued = 0
-        self.messages_delivered = 0
+        self.messages_enqueued = self.messages_delivered = 0
         self.last_arrivals: Optional[tuple[np.ndarray, np.ndarray]] = None
         if self.noise.enabled:  # the sensitivity and Laplace scale of every round
             delta = self.noise.delta if self.noise.sensitivity_mode == "manual" else sensitivity_bound(
@@ -230,7 +227,7 @@ class World:
     def _noised(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Every agent's noised (b, v) snapshot at round t: ``b`` and ``v``
         themselves when noise is off, else plus round t's (V, m) Laplace
-        blocks, one draw for both when it is shared."""
+        blocks, one draw for both when it is shared, added to every member."""
         if not self.noise.enabled:
             return self.b, self.v
         shape, seed = (self.V, self.m), self.cfg.seed
@@ -283,46 +280,48 @@ class World:
 
     def _delayed_gradients(self, plan: _RoundPlan, k: int) -> np.ndarray:
         """Put round t = plan.start + k's gradients, at time t and its starting
-        state, in the ring; return (V, m), agent i's of round t - tau_i(t)."""
+        state, in the ring; return (..., V, m), agent i's of round t - tau_i(t)."""
         t, ring = plan.start + k, self.grad_ring
         ring[t % len(ring)] = self.game.gradients(t, self.x, self.v)
-        g = ring[plan.rows[k], self._agents]
+        g = ring[plan.rows[k], self._grad_rows]
         if self.cfg.cold_start == "zero":
-            g[plan.skip[k]] = 0.0
+            g[..., plan.skip[k], :] = 0.0
         return g
 
     def step(self) -> None:
-        t = self.t
-        plan, k = self._plan_at(t)
-        phase = self.graph.phase_at(t)
+        plan, k = self._plan_at(self.t)
+        snapshot = np.concatenate(self._noised(self.t), axis=-1)
+        self._apply_updates(plan, k, self._ring_arrivals(plan, k, snapshot))
 
-        # phase 1: every message j -> i, weighted at send time, goes into the
-        # slot of its arrival round t + tau_ij(t). Messages are listed sender
-        # by sender and np.add.at applies them one at a time in that order,
-        # so each receiver's slot sums in send order.
+    def _ring_arrivals(self, plan: _RoundPlan, k: int, snapshot: np.ndarray) -> np.ndarray:
+        """Arrival-ring route: send round t's (V, 2m) snapshot; pop t's slot, its arrival sums."""
+        t = plan.start + k
+        phase = self.graph.phase_at(t)
+        # every message j -> i, weighted at send time, goes into the slot of
+        # its arrival round t + tau_ij(t). Messages are listed sender by
+        # sender and np.add.at applies them one at a time in that order, so
+        # each receiver's slot sums in send order.
         slot = plan.slots[k]
-        snapshot = np.concatenate(self._noised(t), axis=1)
         np.add.at(self.ring, (slot, phase.receiver), phase.w_msg * snapshot[phase.sender])
         self.ring_count += plan.counts[k]
         self.messages_enqueued += len(slot)
 
-        # phase 2: this round's slot holds everything arriving now
+        # this round's slot holds everything arriving now
         now = t % len(self.ring)
         arrived = self.ring[now].copy()
         self.ring[now] = 0.0
         self.messages_delivered += int(self.ring_count[now])
         self.ring_count[now] = 0
+        return arrived
 
-        self._apply_updates(plan, k, arrived[:, :self.m], arrived[:, self.m:])
-
-    def _apply_updates(self, plan: _RoundPlan, k: int, sum_b: np.ndarray, sum_v: np.ndarray) -> None:
-        """Local part of round t, entry k of ``plan``: dual update with
-        compensated delayed gradient, eigenvector recursion, projection,
-        running average, aggregate-estimate tracking. Shared by the arrival
-        ring and virtual-relay routes, which differ only in how the arrival
-        sums are formed."""
-        game, t = self.game, plan.start + k
-        self.last_arrivals = (sum_b, sum_v)
+    def _apply_updates(self, plan: _RoundPlan, k: int, arrived: np.ndarray) -> None:
+        """Local part of round t, entry k of ``plan``, on (..., V, m) state:
+        dual update with compensated delayed gradient, eigenvector recursion,
+        projection, running average, aggregate-estimate tracking. Shared by
+        the arrival ring and virtual-relay routes, which differ only in how
+        the (..., V, 2m) arrival sums are formed."""
+        game, t, m = self.game, plan.start + k, self.m
+        sum_b, sum_v = self.last_arrivals = arrived[..., :m], arrived[..., m:]
 
         if plan.y_min[k] < Y_FLOOR:
             raise DegeneracyError(
@@ -428,25 +427,35 @@ def _check_finite(rec: dict) -> None:
                                   f"x = {rec['x'][t, i]}, v = {rec['v'][t, i]}")
 
 
-def _execute(world: World, start: float) -> RunResult:
-    T, V, m = world.cfg.horizon, world.V, world.m
-    rec = {k: np.empty((T + 1, V, m)) for k in ("x", "x_hat", "v", "b")}
-    rec["y_diag"] = np.empty((T + 1, V))
+def _records(world: World) -> dict:
+    """Step ``world`` through its horizon; each state's rows of rounds 0..T."""
+    T = world.cfg.horizon
+    rec = {k: np.empty((T + 1, *world.x.shape)) for k in ("x", "x_hat", "v", "b")}
+    rec["y_diag"] = np.empty((T + 1, world.V))
     _collect(world, rec, 0)
     for t in range(1, T + 1):
         world.step()
         _collect(world, rec, t)
+    return rec
+
+
+def _result(world: World, rec: dict, start: float) -> RunResult:
+    ledger = PrivacyLedger()
     if world.noise.enabled:  # every round spent Delta / sigma
-        world.ledger.record(T, world._delta, world._sigma)
+        ledger.record(world.cfg.horizon, world._delta, world._sigma)
     _check_finite(rec)
     loss_local, loss_true = _losses(world.game, rec["x"], rec["v"])
     return RunResult(
         config=world.cfg, **rec, loss_local=loss_local, loss_true=loss_true,
-        ledger=world.ledger, min_y_diag=world.min_y_diag,
+        ledger=ledger, min_y_diag=world.min_y_diag,
         messages_enqueued=world.messages_enqueued,
         messages_delivered=world.messages_delivered,
         messages_pending=world.messages_pending(),
         wall_time=time.perf_counter() - start)
+
+
+def _execute(world: World, start: float) -> RunResult:
+    return _result(world, _records(world), start)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -470,12 +479,19 @@ class _AugmentedWorld(World):
     term by term without reading the arrival ring or the message list.
 
     Under every delay rule, the blocks of a plan's whole chunk are built
-    from its (W, D) in one pass when the plan is built.
+    from its (W, D) in one pass when the plan is built. ``verify`` steps
+    this route in lockstep with the arrival ring on a 2-member state.
     """
 
     def __init__(self, config: RunConfig):
         super().__init__(config)
-        self.carried = np.zeros((len(self.ring), *self.ring.shape))  # [s, r]: W^r(s) @ (b~, v~)(s)
+        slots = len(self.ring)
+        self.carried = np.zeros((slots, *self.ring.shape))  # [s, r]: W^r(s) @ (b~, v~)(s)
+        # round t sums stages r = 0..min(t, slots - 1), each from slot (t - r) mod
+        # slots: the (slot, stage) pairs of entry t, or of slots + t mod slots from t = slots on
+        r = np.arange(slots)
+        sent = (np.arange(2 * slots)[:, None] - r) % slots
+        self._stages = [(sent[t, :t + 1], r[:t + 1]) for t in range(2 * slots)]
 
     def _build_plan(self, start: int) -> _RoundPlan:
         plan = super()._build_plan(start)
@@ -484,14 +500,15 @@ class _AugmentedWorld(World):
         return plan
 
     def step(self) -> None:
-        t, m, slots = self.t, self.m, len(self.carried)
-        plan, k = self._plan_at(t)
-        snapshot = np.concatenate(self._noised(t), axis=1)
-        np.matmul(self._blocks[k], snapshot, out=self.carried[t % slots])
+        plan, k = self._plan_at(self.t)
+        snapshot = np.concatenate(self._noised(self.t), axis=-1)
+        self._apply_updates(plan, k, self._relay_arrivals(plan, k, snapshot))
 
-        r = np.arange(min(t, slots - 1) + 1)  # stages that have carried a snapshot
-        arrived = self.carried[(t - r) % slots, r].sum(axis=0)
-        self._apply_updates(plan, k, arrived[:, :m], arrived[:, m:])
+    def _relay_arrivals(self, plan: _RoundPlan, k: int, snapshot: np.ndarray) -> np.ndarray:
+        """Relay route: stage round t's (V, 2m) snapshot; the (V, 2m) arrival sums."""
+        t, slots = plan.start + k, len(self.carried)
+        np.matmul(self._blocks[k], snapshot, out=self.carried[t % slots])
+        return self.carried[self._stages[t if t < slots else slots + t % slots]].sum(axis=0)
 
 
 def run_augmented_reference(config: RunConfig) -> RunResult:
@@ -504,3 +521,42 @@ def run_augmented_reference(config: RunConfig) -> RunResult:
     """
     start = time.perf_counter()
     return _execute(_AugmentedWorld(config), start)
+
+
+class _MemberRows(GameSpec):
+    """A game whose row-form calls take (2, V, m) member-stacked state as its 2V rows."""
+
+    def psi_values(self, x: np.ndarray) -> np.ndarray:
+        return super().psi_values(x.reshape(-1, self.dim)).reshape(x.shape)
+
+    def gradients(self, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
+        # the (2V, m) rows themselves, as the pair's gradient ring holds them
+        return super().gradients(t, x.reshape(-1, self.dim), psi_val.reshape(-1, self.dim))
+
+
+class _PairWorld(_AugmentedWorld):
+    """Both routes in lockstep on (2, V, m) state: member 0 forms its arrival
+    sums with the arrival ring, member 1 with the relay stack."""
+
+    def __init__(self, config: RunConfig):
+        super().__init__(config)
+        for name in ("b", "x", "x_hat", "v", "psi_x_hat"):
+            setattr(self, name, np.stack((getattr(self, name),) * 2))
+        self.grad_ring = np.zeros((len(self.ring), 2 * self.V, self.m))
+        self._grad_rows = np.arange(2 * self.V).reshape(2, self.V)  # member 1's rows follow member 0's
+        self.game = _MemberRows(**{f.name: getattr(self.game, f.name) for f in fields(GameSpec) if f.init})
+
+    def step(self) -> None:
+        plan, k = self._plan_at(self.t)
+        snapshot = np.concatenate(self._noised(self.t), axis=-1)
+        self._apply_updates(plan, k, np.array((self._ring_arrivals(plan, k, snapshot[0]),
+                                                self._relay_arrivals(plan, k, snapshot[1]))))
+
+
+def _run_pair(config: RunConfig) -> tuple[RunResult, RunResult]:
+    """``run(config)`` and ``run_augmented_reference(config)``, stepped in lockstep."""
+    start = time.perf_counter()
+    rec = _records(world := _PairWorld(config))
+    ring, relay = ({k: a if k == "y_diag" else a[:, i] for k, a in rec.items()} for i in (0, 1))
+    return _result(world, ring, start), replace(  # the relay route has no message counters
+        _result(world, relay, start), messages_enqueued=0, messages_delivered=0, messages_pending=0)

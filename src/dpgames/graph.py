@@ -179,13 +179,18 @@ class DelaySchedule:
         for name, desc in (("comm", self.comm), ("feedback", self.feedback)):
             kind = desc.get("type")
             if kind == "fixed":
-                # a comm key is a (receiver, sender) pair, a feedback key one agent
+                # a comm key is a (receiver, sender) pair, a feedback key one
+                # agent; both are kept as Python ints, as are the delays
+                entries = {}
                 for key, d in desc["entries"].items():
                     if not (isinstance(key, tuple) and len(key) == 2 and all(map(_integer, key))
                             if name == "comm" else _integer(key)):
                         raise DelayRangeError(f"{name} entry key {key!r} is not " + (
                             "a pair of integers" if name == "comm" else "an integer"))
+                    key = tuple(map(int, key)) if name == "comm" else int(key)
                     self._check(d, f"{name} entry {key}")
+                    entries[key] = int(d)
+                object.__setattr__(self, name, {**desc, "entries": entries})
             elif kind == "uniform":
                 if "low" not in desc:  # a uniform rule without low starts at 0
                     desc = {**desc, "low": 0}
@@ -210,10 +215,8 @@ class DelaySchedule:
     def fixed(tau_max: int, comm: Optional[dict] = None,
               feedback: Optional[dict] = None) -> "DelaySchedule":
         """Constant delays: comm maps (receiver, sender) -> delay, feedback maps agent -> delay."""
-        c = {"type": "fixed", "entries": {(int(i), int(j)): int(d) for (i, j), d in (comm or {}).items()}}
-        f = {"type": "fixed", "entries": {int(i): int(d) for i, d in (feedback or {}).items()}}
-        return DelaySchedule(tau_max, c if comm else {"type": "none"},
-                             f if feedback else {"type": "none"})
+        rule = lambda entries: {"type": "fixed", "entries": dict(entries)} if entries else {"type": "none"}
+        return DelaySchedule(tau_max, rule(comm), rule(feedback))
 
     @staticmethod
     def uniform(tau_max: int, low: int = 0, high: Optional[int] = None,

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def diverging_cournot():
     """The benchmark game with an own-gradient that overflows at t = 1."""
     return dataclasses.replace(
         dp.nash_cournot(), grad_own=lambda i, t, x, p: np.multiply(1e308, t + 1.0)[..., None])
+
+
+def dropping_first_message(ring_arrivals):
+    """``World._ring_arrivals`` losing one message a round: the first
+    message of every round weighs nothing on the ring route alone."""
+    def dropping(self, plan, k, snapshot):
+        graph, phase = self.graph, self.graph.phase_at(plan.start + k)
+        w_msg = phase.w_msg.copy()
+        w_msg[0] = 0.0
+        self.graph = types.SimpleNamespace(phase_at=lambda t: phase._replace(w_msg=w_msg))
+        try:
+            return ring_arrivals(self, plan, k, snapshot)
+        finally:
+            self.graph = graph
+    return dropping
 
 
 def density_ratio_check(b, b_prime, sigma, probes):

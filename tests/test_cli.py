@@ -16,7 +16,7 @@ from dpgames.cli import (ConfigError, config_from_dict, config_to_dict, derive_s
                          load_config, preset, write_config)
 from dpgames.engine import NonFiniteStateError
 
-from conftest import diverging_cournot, ring_graph, toy_2d_game
+from conftest import diverging_cournot, dropping_first_message, ring_graph, toy_2d_game
 
 
 def test_config_round_trip(tmp_path):
@@ -329,6 +329,31 @@ def test_cmd_verify_benchmark_passes(capsys):
     for check in ("self-loops", "connectivity", "delay-bounds", "row-stochastic",
                   "oracle-equivalence"):
         assert check in out
+
+
+def test_verify_fails_when_the_arrival_ring_drops_a_message(monkeypatch):
+    # verify steps both routes in one pair; a ring route that drops the
+    # first message of every round must still fail the oracle check
+    from dpgames.engine import World
+    cfg = preset("fig7-random-delays-private")
+    assert dict((name, ok) for name, ok, _ in cli.verify_checks(cfg))["oracle-equivalence"]
+    monkeypatch.setattr(World, "_ring_arrivals", dropping_first_message(World._ring_arrivals))
+    checks = {name: (ok, detail) for name, ok, detail in cli.verify_checks(cfg)}
+    ok, detail = checks["oracle-equivalence"]
+    assert not ok and detail.startswith("max |run - augmented reference| = ")
+    assert all(ok for name, (ok, _) in checks.items() if name != "oracle-equivalence")
+
+
+def test_verify_draws_each_rounds_noise_once_for_both_routes(monkeypatch):
+    # the lockstep pair shares one noise draw a round: 50 rounds, 50 calls
+    from dpgames import engine, privacy
+    calls = []
+    monkeypatch.setattr(engine, "substream", lambda *key: calls.append(key) or privacy.substream(*key))
+    cfg = preset("fig7-random-delays-private")
+    assert cfg.horizon > cli.EQUIVALENCE_HORIZON == 50 and cfg.noise.shared_draw
+    cli.verify_checks(cfg)
+    assert sorted(t for _, purpose, t in calls if purpose == privacy.STREAM_NOISE) == list(range(50))
+    assert len(calls) == 50
 
 
 def test_cmd_verify_flags_missing_self_loop(tmp_path, capsys):

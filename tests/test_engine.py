@@ -2,18 +2,20 @@ import copy
 import dataclasses
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dpgames as dp
-from dpgames.cli import preset
+from dpgames.cli import PRESETS, preset
 from dpgames.engine import (CHUNK_ROUNDS, DegeneracyError, NonFiniteStateError, World,
                             _AugmentedWorld, step_size)
 from dpgames.privacy import STREAM_NOISE, STREAM_NOISE_AGGREGATE, substream
 
-from conftest import (bench_init, complete_graph, diverging_cournot, ring_graph,
-                      small_linear_game, toy_2d_game)
+from conftest import (bench_init, complete_graph, diverging_cournot, dropping_first_message,
+                      per_agent_copy, ring_graph, small_linear_game, toy_2d_game)
 
 
 def bench_cfg(**kw):
@@ -668,6 +670,60 @@ def test_two_dimensional_actions_full_loop():
     assert dp.kkt_max_violation(game, 0, sol.x_star) <= 1e-8
 
 
+def _pair_configs():
+    """Every preset at T = 300 in both cold-start modes, the benchmark's
+    workloads at seeds 7 and 1, independent noise draws, a game of
+    one-agent-at-a-time callables, and m = 2."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    for name in PRESETS:
+        for cold_start in ("clamp", "zero"):
+            yield f"{name}-{cold_start}", dataclasses.replace(
+                preset(name), horizon=300, cold_start=cold_start)
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        for seed in (7, 1):
+            yield f"{name}-seed{seed}", workload.config(seed)
+    fig7 = preset("fig7-random-delays-private")
+    yield "fig7-independent-draws", dataclasses.replace(
+        fig7, horizon=300, noise=dataclasses.replace(fig7.noise, shared_draw=False))
+    yield "per-agent-callables", bench_cfg(game=per_agent_copy(dp.nash_cournot()), horizon=60,
+                                           delays=fig7.delays, noise=fig7.noise)
+    game = toy_2d_game()
+    yield "two-dimensional", dp.RunConfig(
+        game=game, graph=ring_graph(3), delays=dp.DelaySchedule.uniform(2),
+        noise=dp.NoiseConfig.fixed_epsilon(0.5, delta=1.0), horizon=60,
+        x0=np.zeros((game.num_agents, game.dim)), seed=3)
+
+
+def _assert_same_run(a, b):
+    """Byte-equal records, losses, counters, ledger, y_ii floor and summary."""
+    for name in ("x", "x_hat", "v", "b", "y_diag", "loss_local", "loss_true"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert (a.messages_enqueued, a.messages_delivered, a.messages_pending) == (
+        b.messages_enqueued, b.messages_delivered, b.messages_pending)
+    assert a.ledger.records == b.ledger.records and a.min_y_diag == b.min_y_diag
+    assert a.summary() | {"wall_time_s": 0} == b.summary() | {"wall_time_s": 0}
+
+
+@pytest.mark.parametrize("cfg", [pytest.param(c, id=n) for n, c in _pair_configs()])
+def test_the_lockstep_pair_equals_each_route_run_alone(cfg):
+    ring, relay = dp.engine._run_pair(cfg)
+    _assert_same_run(ring, dp.run(cfg))
+    _assert_same_run(relay, dp.run_augmented_reference(cfg))
+    assert relay.messages_enqueued == relay.messages_pending == 0  # the relay route has no ring
+
+
+def test_a_message_the_ring_drops_leaves_the_pairs_relay_member_alone(monkeypatch):
+    # the routes share only what both read: a fault in the ring route moves
+    # member 0 and leaves member 1 equal to the twin run alone
+    cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=50)
+    monkeypatch.setattr(World, "_ring_arrivals", dropping_first_message(World._ring_arrivals))
+    ring, relay = dp.engine._run_pair(cfg)
+    _assert_same_run(relay, dp.run_augmented_reference(cfg))
+    assert np.abs(ring.b - relay.b).max() > 1.0
+
+
 # ---------------------------------------------------------------------------
 # batched delayed gradients, post-loop losses, finite-state check
 
@@ -771,7 +827,7 @@ def test_losses_after_the_loop_equal_per_round_costs(cfg):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
-@pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference])
+@pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference, dp.engine._run_pair])
 def test_non_finite_state_raises_naming_round_and_agent(execute):
     cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=6, game=diverging_cournot())
     with pytest.raises(NonFiniteStateError, match="round 2, agent 0"):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 import dpgames as dp
 from dpgames import privacy
-from dpgames.cli import config_from_dict, config_to_dict
+from dpgames.cli import config_from_dict, config_to_dict, preset
 from dpgames.graph import DelayRangeError, DiagnosticsError, ScheduleError
 
 from conftest import complete_graph, ring_graph
@@ -357,6 +359,33 @@ def test_malformed_fixed_key_is_a_delay_range_error_naming_rule_and_key(comm, fe
     delays = dp.DelaySchedule(3, rule({(7, 1): 1}), rule({9: 2}))
     assert delays.entry_errors(5) == ["comm delay entry [7, 1, 1] names an agent outside [0, 5)",
                                       "feedback delay entry [9, 2] names an agent outside [0, 5)"]
+
+
+@pytest.mark.parametrize("comm, feedback, message", [
+    ({(0, 1): 1.5}, None, r"comm entry \(0, 1\) 1.5 is not an integer in \[0, 2\]"),
+    (None, {0: True}, r"feedback entry 0 True is not an integer in \[0, 2\]"),
+    ({3: 1}, None, "comm entry key 3 is not a pair of integers"),
+], ids=["float-comm-delay", "bool-feedback-delay", "int-comm-key"])
+def test_fixed_builds_no_coerced_rule(comm, feedback, message):
+    # the entries reach the rule's checks as given, not through int()
+    with pytest.raises(DelayRangeError, match=f"^{message}$"):
+        dp.DelaySchedule.fixed(2, comm=comm, feedback=feedback)
+
+
+def test_numpy_integer_entries_are_kept_as_python_ints():
+    i = np.int64
+    delays = dp.DelaySchedule(3, {"type": "fixed", "entries": {(i(7), i(1)): i(1), (i(2), i(0)): i(3)}},
+                              {"type": "fixed", "entries": {i(9): i(2)}})
+    assert delays.entry_errors(5) == ["comm delay entry [7, 1, 1] names an agent outside [0, 5)",
+                                      "feedback delay entry [9, 2] names an agent outside [0, 5)"]
+    assert [(type(r), type(s), type(d)) for (r, s), d in delays.comm["entries"].items()] == [(int,) * 3] * 2
+    assert [(type(a), type(d)) for a, d in delays.feedback["entries"].items()] == [(int, int)]
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), delays=dp.DelaySchedule.fixed(
+        2, comm={(i(3), i(1)): i(2)}, feedback={i(0): i(1)}))
+    written = config_to_dict(cfg)["delays"]
+    rows = written["comm"]["entries"] + written["feedback"]["entries"]
+    assert rows == [[3, 1, 2], [0, 1]] and {type(v) for row in rows for v in row} == {int}
+    assert config_to_dict(config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))) == config_to_dict(cfg)
 
 
 def test_random_delays_are_order_independent():
