@@ -448,11 +448,11 @@ def verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     short = replace(cfg, horizon=min(horizon, EQUIVALENCE_HORIZON))
     try:
-        a, b = engine._run_pair(short)  # the two routes in lockstep
-        diff = max(float(np.abs(getattr(a, k) - getattr(b, k)).max()) for k in "bxv")
+        rec = engine._run_pair(short)  # member 0: the arrival ring; member 1: the relay twin
+        diff = max(float(np.abs(rec[k][:, 0] - rec[k][:, 1]).max()) for k in "bxv")
         # the two routes differ only in summation order, so agreement is
         # machine precision relative to the state magnitude
-        scale = max(1.0, float(np.abs(a.b).max()), float(np.abs(a.v).max()))
+        scale = max(1.0, float(np.abs(rec["b"][:, 0]).max()), float(np.abs(rec["v"][:, 0]).max()))
         checks.append(("oracle-equivalence", diff <= 1e-12 * scale,
                        f"max |run - augmented reference| = {diff:.2e} "
                        f"(state scale {scale:.1e}) over T={short.horizon}"))

@@ -38,14 +38,14 @@ snapshots (``_AugmentedWorld``). It reads neither the arrival ring nor the
 message list, and serves as an independent oracle for the arrival ring. Both
 routes share the round plan and the round kernel ``_apply_updates``, and
 differ only in how arrival sums are formed (``_ring_arrivals``,
-``_relay_arrivals``). ``verify`` steps both in lockstep on a 2-member
-(2, V, m) state that shares each round's plan, noise, gradients and update.
+``_relay_arrivals``). ``verify`` steps both in lockstep on the config's own
+game, as one world whose (2, V, m) state leads with a member axis.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -190,6 +190,8 @@ class _RoundPlan(NamedTuple):
 class World:
     """Mutable simulation state; ``step()`` advances one synchronous round."""
 
+    _members: tuple = ()  # leading axes of the (*_members, V, m) state: one member per route
+
     def __init__(self, config: RunConfig):
         errors = config.validate()
         if errors:
@@ -203,17 +205,17 @@ class World:
         self.V, self.m = V, m
 
         self.t = 0
-        self.b = np.zeros((V, m))
-        self.x = config.resolved_x0(self.game).copy()
+        self.b = np.zeros((*self._members, V, m))
+        self.x = np.broadcast_to(config.resolved_x0(self.game), self.b.shape).copy()
         self.x_hat = self.x.copy()
         self.v = self.game.psi_values(self.x)
         self.psi_x_hat = self.v  # psi_values(x_hat), carried from round to round
         self.Y = np.eye(V)
         slots = self.delays.tau_max + 1
         self.ring = np.zeros((slots, V, 2 * m))
-        self.grad_ring = np.zeros((slots, V, m))  # gradients of round s in slot s mod slots
+        self.grad_ring = np.zeros((slots, *self.b.shape))  # gradients of round s in slot s mod slots
         self._agents = np.arange(V)
-        self._grad_rows = self._agents  # each agent's row of a grad_ring slot
+        self._grad_rows = np.indices(self.b.shape[:-1], sparse=True)  # each state row's index in a slot
         self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
         self.min_y_diag = 1.0
         self.messages_enqueued = self.messages_delivered = 0
@@ -283,7 +285,7 @@ class World:
         state, in the ring; return (..., V, m), agent i's of round t - tau_i(t)."""
         t, ring = plan.start + k, self.grad_ring
         ring[t % len(ring)] = self.game.gradients(t, self.x, self.v)
-        g = ring[plan.rows[k], self._grad_rows]
+        g = ring[(plan.rows[k], *self._grad_rows)]
         if self.cfg.cold_start == "zero":
             g[..., plan.skip[k], :] = 0.0
         return g
@@ -405,11 +407,10 @@ def _losses(game: GameSpec, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, n
     """(T + 1, V) costs at each agent's own aggregate estimate and at the
     exact aggregate of every round: two row-form ``costs`` calls.
     """
-    n, V, m = x.shape
-    t, rows = np.repeat(np.arange(n), V), x.reshape(-1, m)
-    exact = np.repeat(_sum_in_order(game.psi_values(rows).reshape(n, V, m)) / V, V, axis=0)
-    return (game.costs(t, rows, v.reshape(-1, m)).reshape(n, V),
-            game.costs(t, rows, exact).reshape(n, V))
+    n, V = x.shape[:2]
+    t = np.repeat(np.arange(n), V)
+    exact = np.repeat(_sum_in_order(game.psi_values(x)) / V, V, axis=0)
+    return game.costs(t, x, v).reshape(n, V), game.costs(t, x, exact).reshape(n, V)
 
 
 def _collect(world: World, rec: dict, t: int) -> None:
@@ -419,16 +420,16 @@ def _collect(world: World, rec: dict, t: int) -> None:
 
 
 def _check_finite(rec: dict) -> None:
-    """Raise on the first round and agent whose b, x or v is not finite."""
-    finite = (np.isfinite(rec["b"]) & np.isfinite(rec["x"]) & np.isfinite(rec["v"])).all(axis=2)
+    """Raise on the first round, [member,] and agent whose b, x or v is not finite."""
+    finite = (np.isfinite(rec["b"]) & np.isfinite(rec["x"]) & np.isfinite(rec["v"])).all(axis=-1)
     if not finite.all():
-        t, i = np.argwhere(~finite)[0]  # earliest round, then lowest agent
-        raise NonFiniteStateError(f"non-finite state at round {t}, agent {i}: b = {rec['b'][t, i]}, "
-                                  f"x = {rec['x'][t, i]}, v = {rec['v'][t, i]}")
+        at = tuple(np.argwhere(~finite)[0])  # earliest round, then member, then lowest agent
+        raise NonFiniteStateError(f"non-finite state at round {at[0]}, agent {at[-1]}: b = {rec['b'][at]}, "
+                                  f"x = {rec['x'][at]}, v = {rec['v'][at]}")
 
 
 def _records(world: World) -> dict:
-    """Step ``world`` through its horizon; each state's rows of rounds 0..T."""
+    """Step ``world`` through its horizon; each state's rows of rounds 0..T, checked finite."""
     T = world.cfg.horizon
     rec = {k: np.empty((T + 1, *world.x.shape)) for k in ("x", "x_hat", "v", "b")}
     rec["y_diag"] = np.empty((T + 1, world.V))
@@ -436,14 +437,15 @@ def _records(world: World) -> dict:
     for t in range(1, T + 1):
         world.step()
         _collect(world, rec, t)
+    _check_finite(rec)
     return rec
 
 
-def _result(world: World, rec: dict, start: float) -> RunResult:
+def _execute(world: World, start: float) -> RunResult:
+    rec = _records(world)
     ledger = PrivacyLedger()
     if world.noise.enabled:  # every round spent Delta / sigma
         ledger.record(world.cfg.horizon, world._delta, world._sigma)
-    _check_finite(rec)
     loss_local, loss_true = _losses(world.game, rec["x"], rec["v"])
     return RunResult(
         config=world.cfg, **rec, loss_local=loss_local, loss_true=loss_true,
@@ -452,10 +454,6 @@ def _result(world: World, rec: dict, start: float) -> RunResult:
         messages_delivered=world.messages_delivered,
         messages_pending=world.messages_pending(),
         wall_time=time.perf_counter() - start)
-
-
-def _execute(world: World, start: float) -> RunResult:
-    return _result(world, _records(world), start)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -479,8 +477,8 @@ class _AugmentedWorld(World):
     term by term without reading the arrival ring or the message list.
 
     Under every delay rule, the blocks of a plan's whole chunk are built
-    from its (W, D) in one pass when the plan is built. ``verify`` steps
-    this route in lockstep with the arrival ring on a 2-member state.
+    from its (W, D) in one pass when the plan is built. In ``verify`` this
+    route forms member 1's arrival sums of ``_PairWorld``'s state.
     """
 
     def __init__(self, config: RunConfig):
@@ -523,28 +521,11 @@ def run_augmented_reference(config: RunConfig) -> RunResult:
     return _execute(_AugmentedWorld(config), start)
 
 
-class _MemberRows(GameSpec):
-    """A game whose row-form calls take (2, V, m) member-stacked state as its 2V rows."""
-
-    def psi_values(self, x: np.ndarray) -> np.ndarray:
-        return super().psi_values(x.reshape(-1, self.dim)).reshape(x.shape)
-
-    def gradients(self, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
-        # the (2V, m) rows themselves, as the pair's gradient ring holds them
-        return super().gradients(t, x.reshape(-1, self.dim), psi_val.reshape(-1, self.dim))
-
-
 class _PairWorld(_AugmentedWorld):
-    """Both routes in lockstep on (2, V, m) state: member 0 forms its arrival
-    sums with the arrival ring, member 1 with the relay stack."""
+    """Both routes in lockstep on (2, V, m) state, one plan, noise draw and update for both:
+    member 0 forms its arrival sums with the arrival ring, member 1 with the relay stack."""
 
-    def __init__(self, config: RunConfig):
-        super().__init__(config)
-        for name in ("b", "x", "x_hat", "v", "psi_x_hat"):
-            setattr(self, name, np.stack((getattr(self, name),) * 2))
-        self.grad_ring = np.zeros((len(self.ring), 2 * self.V, self.m))
-        self._grad_rows = np.arange(2 * self.V).reshape(2, self.V)  # member 1's rows follow member 0's
-        self.game = _MemberRows(**{f.name: getattr(self.game, f.name) for f in fields(GameSpec) if f.init})
+    _members = (2,)
 
     def step(self) -> None:
         plan, k = self._plan_at(self.t)
@@ -553,10 +534,6 @@ class _PairWorld(_AugmentedWorld):
                                                 self._relay_arrivals(plan, k, snapshot[1]))))
 
 
-def _run_pair(config: RunConfig) -> tuple[RunResult, RunResult]:
-    """``run(config)`` and ``run_augmented_reference(config)``, stepped in lockstep."""
-    start = time.perf_counter()
-    rec = _records(world := _PairWorld(config))
-    ring, relay = ({k: a if k == "y_diag" else a[:, i] for k, a in rec.items()} for i in (0, 1))
-    return _result(world, ring, start), replace(  # the relay route has no message counters
-        _result(world, relay, start), messages_enqueued=0, messages_delivered=0, messages_pending=0)
+def _run_pair(config: RunConfig) -> dict:
+    """Records of ``run`` (member 0) and the twin (member 1) stepped in lockstep, (T + 1, 2, V, m)."""
+    return _records(_PairWorld(config))

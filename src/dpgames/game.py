@@ -34,6 +34,9 @@ class GameSpec:
     value, and grad_psi[r, a, b] = d psi_a / d x_b. ``per_agent`` adapts
     callables written for one agent at a time.
 
+    The row forms ``psi_values`` and ``gradients`` also take a (..., k, m)
+    stack of tables, such as ``verify``'s (2, V, m) state, in one call.
+
     L bounds ||grad_own|| on the joint box, mu is the strong-monotonicity
     modulus of the pseudogradient, and grad_lipschitz is its Lipschitz
     constant on the joint box. The equilibrium oracle and the regret pass
@@ -91,8 +94,10 @@ class GameSpec:
         return np.asarray(self.psi_fn(np.array([i]), self._row(x_i)), dtype=float)[0]
 
     def psi_values(self, x: np.ndarray) -> np.ndarray:
-        """psi_j(x_j) for every row of x, a (k, m) table of stacked (V, m) blocks."""
+        """psi_j(x_j) for every row of x, a (..., k, m) stack of tables of stacked (V, m) blocks."""
         x = np.asarray(x, dtype=float)
+        if x.ndim > 2:  # one call on all the stack's rows, not re-entering an override
+            return GameSpec.psi_values(self, x.reshape(-1, self.dim)).reshape(x.shape)
         return np.asarray(self.psi_fn(self._agents(len(x)), x), dtype=float)
 
     def aggregate(self, x: np.ndarray) -> Vec:
@@ -111,7 +116,11 @@ class GameSpec:
         return self._gradients(np.array([i]), t, self._row(x_i), self._row(v_i))[0]
 
     def gradients(self, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
-        """Row form of ``local_gradient``; t is a scalar or a (k,) array of row times."""
+        """Row form of ``local_gradient`` on a (..., k, m) stack of tables; t is
+        a scalar or a flat array of one time per row."""
+        if x.ndim > 2:  # one call on all the stack's rows, not re-entering an override
+            return GameSpec.gradients(self, t, x.reshape(-1, self.dim),
+                                      psi_val.reshape(-1, self.dim)).reshape(x.shape)
         return self._gradients(self._agents(len(x)), t, x, psi_val)
 
     def _gradients(self, i: np.ndarray, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:

@@ -104,6 +104,8 @@ class NoiseConfig:
     shared_draw:      one noise vector n_i(t) added to both the dual variable
                       and the aggregate estimate (the algorithm's literal
                       form); False draws independently for the aggregate.
+                      A shared draw cancels in b~ - v~ = b - v (up to rounding);
+                      Delta / sigma prices the dual update only.
     """
 
     mode: str = "off"
@@ -127,6 +129,7 @@ class NoiseConfig:
         if self.mode != "off" and self.sensitivity_mode == "manual":
             if not _positive_finite(self.delta):
                 raise ValueError(f"manual sensitivity needs a finite delta > 0, got {self.delta!r}")
+            self._sigma(self.delta)
 
     @property
     def enabled(self) -> bool:
@@ -136,9 +139,15 @@ class NoiseConfig:
         """(Delta, sigma) of every step, given the resolved sensitivity Delta."""
         if not self.enabled:
             raise ValueError("noise is disabled")
-        if self.mode == "epsilon":
-            return delta_t, sigma_for(delta_t, self.epsilon)
-        return delta_t, float(self.sigma)
+        return delta_t, self._sigma(delta_t)
+
+    def _sigma(self, delta_t: float) -> float:
+        """The Laplace scale at sensitivity Delta, once it and Delta / sigma are finite and > 0."""
+        sigma = sigma_for(delta_t, self.epsilon) if self.mode == "epsilon" else float(self.sigma)
+        if not (_positive_finite(sigma) and _positive_finite(delta_t / sigma)):
+            raise ValueError(f"Delta = {delta_t:g}, sigma = {sigma:g}: "
+                             "sigma and Delta / sigma must be finite and > 0")
+        return sigma
 
     @staticmethod
     def off() -> "NoiseConfig":

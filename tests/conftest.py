@@ -57,6 +57,21 @@ def diverging_cournot():
         dp.nash_cournot(), grad_own=lambda i, t, x, p: np.multiply(1e308, t + 1.0)[..., None])
 
 
+class HalvedGradients(dp.GameSpec):
+    """A game whose row-form gradients are half its callables'."""
+
+    def gradients(self, t, x, psi_val):
+        return super().gradients(t, x, psi_val) / 2
+
+
+def halved_gradients_config():
+    """A 3-agent run of a ``GameSpec`` subclass that overrides ``gradients``."""
+    game = small_linear_game(3)
+    fields = {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.init}
+    return dp.RunConfig(game=HalvedGradients(**fields), graph=ring_graph(3),
+                        delays=dp.DelaySchedule.uniform(3), horizon=50, seed=1)
+
+
 def dropping_first_message(ring_arrivals):
     """``World._ring_arrivals`` losing one message a round: the first
     message of every round weighs nothing on the ring route alone."""

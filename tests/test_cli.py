@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,8 @@ from dpgames.cli import (ConfigError, config_from_dict, config_to_dict, derive_s
                          load_config, preset, write_config)
 from dpgames.engine import NonFiniteStateError
 
-from conftest import diverging_cournot, dropping_first_message, ring_graph, toy_2d_game
+from conftest import (HalvedGradients, diverging_cournot, dropping_first_message,
+                      halved_gradients_config, ring_graph, toy_2d_game)
 
 
 def test_config_round_trip(tmp_path):
@@ -354,6 +356,40 @@ def test_verify_draws_each_rounds_noise_once_for_both_routes(monkeypatch):
     cli.verify_checks(cfg)
     assert sorted(t for _, purpose, t in calls if purpose == privacy.STREAM_NOISE) == list(range(50))
     assert len(calls) == 50
+
+
+@pytest.mark.parametrize("name, tau_max, diff, scale", [
+    ("fig2-baseline", 0, "5.82e-11", "1.7e+05"),
+    ("fig3-high-lr", 0, "5.82e-11", "1.7e+05"),
+    ("fig4-tight-privacy", 0, "5.82e-11", "1.6e+05"),
+    ("fig5-fixed-delay", 2, "2.91e-11", "1.6e+05"),
+    ("fig6-random-delays", 10, "2.18e-11", "1.6e+05"),
+    ("fig7-random-delays-private", 10, "1.46e-11", "1.6e+05"),
+])
+def test_verify_lines_of_every_preset_are_pinned(name, tau_max, diff, scale):
+    assert cli.verify_checks(preset(name)) == [
+        ("self-loops", True, "all agents have self-loops"),
+        ("connectivity(B=1)", True, "strongly connected on every window"),
+        ("delay-bounds", True, f"delays within [0, {tau_max}], tau_ii = 0"),
+        ("row-stochastic", True, "max row-sum error 0.00e+00"),
+        ("augmented-row-stochastic", True, "max row-sum error 0.00e+00"),
+        ("oracle-equivalence", True,
+         f"max |run - augmented reference| = {diff} (state scale {scale}) over T=50"),
+    ]
+
+
+def test_verify_certifies_the_configs_own_game(monkeypatch):
+    # a GameSpec subclass overriding the row-form gradients: verify steps that
+    # game, once a round, and a ring route that drops messages still fails
+    from dpgames.engine import World
+    cfg, halved, times = halved_gradients_config(), HalvedGradients.gradients, []
+    monkeypatch.setattr(HalvedGradients, "gradients",
+                        lambda self, t, x, p: times.append(t) or halved(self, t, x, p))
+    assert all(ok for _, ok, _ in cli.verify_checks(cfg))
+    assert times == list(range(cfg.horizon))
+    monkeypatch.setattr(World, "_ring_arrivals", dropping_first_message(World._ring_arrivals))
+    checks = {name: ok for name, ok, _ in cli.verify_checks(cfg)}
+    assert not checks.pop("oracle-equivalence") and all(checks.values())
 
 
 def test_cmd_verify_flags_missing_self_loop(tmp_path, capsys):
@@ -772,6 +808,42 @@ def test_each_bad_graph_key_is_itemized(bad, expected):
     assert len(exc.value.errors) == len(expected)
     for error, key in zip(exc.value.errors, expected):
         assert error.startswith("graph: ") and key in error
+
+
+def _private_fig2_run(privacy, tmp_path):
+    """``dpgames run`` of a 5-round fig2 copy with the given privacy block,
+    every warning raised as an error; its exit code and the records path."""
+    d = {**config_to_dict(preset("fig2-baseline")), "horizon": 5, "privacy": privacy}
+    p, out = tmp_path / "private.json", tmp_path / "r.csv"
+    p.write_text(json.dumps(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(["run", "--config", str(p), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("privacy", [
+    {"mode": "sigma", "sigma": 1e-300, "delta": 1e300},    # Delta / sigma overflows
+    {"mode": "epsilon", "epsilon": 1e-300, "delta": 1e10},  # sigma = Delta / epsilon overflows
+], ids=["loss", "scale"])
+def test_manual_privacy_scales_that_overflow_are_a_config_error(privacy, tmp_path, capsys):
+    rc, out = _private_fig2_run({**privacy, "sensitivity": "manual"}, tmp_path)
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists() and err.count("\n") == 1
+    assert err.startswith("config error: privacy: Delta = ")
+    assert err.endswith(": sigma and Delta / sigma must be finite and > 0\n")
+
+
+@pytest.mark.parametrize("privacy", [
+    {"mode": "sigma", "sigma": 1e-306},    # Delta / sigma overflows
+    {"mode": "epsilon", "epsilon": 1e-306},  # sigma = Delta / epsilon overflows
+], ids=["loss", "scale"])
+def test_analytic_privacy_scales_that_overflow_fail_before_round_0(privacy, tmp_path, capsys):
+    rc, out = _private_fig2_run({**privacy, "sensitivity": "analytic"}, tmp_path)
+    err = capsys.readouterr().err
+    assert rc == 1 and not out.exists() and not Path(f"{out}.summary.json").exists()
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"error: Delta = 44550, sigma = (1e-306|inf): sigma and Delta / sigma "
+                        r"must be finite and > 0\n", err)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -279,6 +280,28 @@ def test_row_form_costs_and_psi_values_match_per_round_calls(cournot):
         rows = slice(5 * k, 5 * k + 5)
         assert np.array_equal(costs[rows], cournot.costs(s, x[rows], psi_val[rows]))
         assert np.array_equal(psi[rows], cournot.psi_values(x[rows]))
+
+
+@pytest.mark.parametrize("game", [small_linear_game(4), curved_game(per_agent=True)],
+                         ids=["linear", "curved-per-agent"])
+def test_row_forms_take_a_stack_of_tables_in_one_call(game):
+    # a (2, 3, V, m) stack gives each table's values in the stack's shape, from
+    # one call of each callable on all its rows
+    rng = np.random.default_rng(53)
+    x, psi_val = (a.reshape(2, 3, game.num_agents, game.dim) for a in stacked_profiles(game, rng, 6))
+    grads, psi = game.gradients(5, x, psi_val), game.psi_values(x)
+    assert grads.shape == psi.shape == x.shape
+    for k in np.ndindex(2, 3):
+        assert np.array_equal(grads[k], game.gradients(5, x[k], psi_val[k]))
+        assert np.array_equal(psi[k], game.psi_values(x[k]))
+    rows = []
+
+    def counting(fn):
+        return lambda i, *args: rows.append(len(i)) or fn(i, *args)
+
+    counted = dataclasses.replace(game, grad_own=counting(game.grad_own), psi_fn=counting(game.psi_fn))
+    counted.gradients(5, x, psi_val), counted.psi_values(x)
+    assert rows == [6 * game.num_agents] * 2
 
 
 def test_row_form_box_error_names_round_and_agent(cournot):

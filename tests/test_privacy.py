@@ -192,6 +192,21 @@ def test_noise_config_validation():
     assert not NoiseConfig.off().enabled
 
 
+@pytest.mark.parametrize("mode, scale, delta", [
+    ("sigma", 1e-300, 1e300),    # Delta / sigma overflows
+    ("epsilon", 1e-300, 1e10),   # sigma = Delta / epsilon overflows
+    ("sigma", 1e300, 1e-300),    # Delta / sigma underflows: a noised run that spends nothing
+    ("epsilon", 1e300, 1e-300),  # sigma underflows to 0
+])
+def test_manual_noise_config_rejects_scales_outside_the_floats(mode, scale, delta):
+    with pytest.raises(ValueError, match=r"sigma and Delta / sigma must be finite and > 0"):
+        NoiseConfig(mode, delta=delta, **{mode: scale})
+    # analytic sensitivity resolves Delta, and checks it, when a World is built
+    noise = NoiseConfig(mode, sensitivity_mode="analytic", **{mode: scale})
+    with pytest.raises(ValueError, match=r"sigma and Delta / sigma must be finite and > 0"):
+        noise.resolve(delta)
+
+
 def test_noise_config_round_trips_through_the_config_file():
     for noise in (NoiseConfig.off(),
                   NoiseConfig.fixed_epsilon(0.2, delta=1.0),
