@@ -21,16 +21,19 @@ on the state comes from a round plan, built when a round leaves the last
 one: for a chunk of at most CHUNK_ROUNDS rounds, never past the horizon, it
 holds the chunk's weights with their diagonals, the self-weights, and its
 delays from one ``DelaySchedule._delays`` call per purpose, every message's
-arrival slot, the gradient-ring slots of the delayed gradients, the negated
-step sizes -eta(t + 1) that the projection multiplies by, and the products
-Y(t) with the (V, 1) column of their diagonals y_ii(t) that divides the
-delayed gradients. ``World.__init__`` builds no plan, and a world stepped by
-hand past its horizon plans one round at a time.
+arrival slot, the gradient-ring slots of the delayed gradients, whether a
+round delays no agent's feedback, the negated step sizes -eta(t + 1) that
+the projection multiplies by, and the products Y(t) with the (V, 1) column
+of their diagonals y_ii(t) that divides the delayed gradients, and their
+minima min_i y_ii(t) as Python floats. ``World.__init__`` builds no plan,
+and a world stepped by hand past its horizon plans one round at a time.
 
 The delay falls on the gradient, not the state: round t's gradients, one
 batched call at time t before the round changes (x, v), go to slot t mod
 (tau_max + 1) of a gradient ring, and agent i reads its row of the slot of
-max(t - tau_i(t), 0). Records are preallocated; losses follow the loop.
+max(t - tau_i(t), 0). A round whose feedback delays are all 0 reads the
+block the call returned, without gathering from the ring. Records are
+preallocated; losses follow the loop.
 
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
@@ -184,7 +187,8 @@ class _RoundPlan(NamedTuple):
     neg_eta: np.ndarray    # (K,) -eta(t + 1), the signed step of the projection to x(t + 1)
     Y: np.ndarray          # (K + 1, V, V) Y(t) = W(t - 1) ... W(0), to Y(stop)
     y: np.ndarray          # (K, V, 1) y_ii(t), the column dividing the delayed gradients
-    y_min: np.ndarray      # (K,) min_i y_ii(t)
+    y_min: list            # K floats min_i y_ii(t)
+    current: list          # K bools: every tau_i(t) = 0, so each agent reads round t's gradient
 
 
 class World:
@@ -261,10 +265,10 @@ class World:
         rounds = {}  # id of a phase -> (phase, its entries in the chunk)
         W, Y = np.empty((K, V, V)), np.empty((K + 1, V, V))
         Y[0] = self.Y
-        for k in range(K):
-            phase = self.graph.phase_at(start + k)
+        phases = [self.graph.phase_at(s) for s in range(start, start + K)]
+        for k, (phase, Y_k, Y_next) in enumerate(zip(phases, Y, Y[1:])):
             rounds.setdefault(id(phase), (phase, []))[1].append(k)
-            np.matmul(phase.weights, Y[k], out=Y[k + 1])
+            np.matmul(phase.weights, Y_k, out=Y_next)
         arrival, flat = [None] * K, []
         for phase, ks in rounds.values():
             ks = np.array(ks)
@@ -278,13 +282,17 @@ class World:
         w, y = (A.diagonal(axis1=1, axis2=2)[..., None].copy() for A in (W, Y[:K]))
         rows = np.maximum(t[:, None] - tau, 0) % slots
         return _RoundPlan(start, start + K, W, w, D, tau > t[:, None], rows, arrival,
-                          counts, -step_size(self.cfg.gamma, t + 1), Y, y, y.min(axis=(1, 2)))
+                          counts, -step_size(self.cfg.gamma, t + 1), Y, y, y.min(axis=(1, 2)).tolist(),
+                          (~tau.any(axis=1)).tolist())
 
     def _delayed_gradients(self, plan: _RoundPlan, k: int) -> np.ndarray:
         """Put round t = plan.start + k's gradients, at time t and its starting
-        state, in the ring; return (..., V, m), agent i's of round t - tau_i(t)."""
+        state, in the ring; return (..., V, m), agent i's of round t - tau_i(t):
+        the game's own block when every tau_i(t) is 0."""
         t, ring = plan.start + k, self.grad_ring
-        ring[t % len(ring)] = self.game.gradients(t, self.x, self.v)
+        g = ring[t % len(ring)] = self.game.gradients(t, self.x, self.v)
+        if plan.current[k]:  # no feedback delayed, so no agent skipped either
+            return g
         g = ring[(plan.rows[k], *self._grad_rows)]
         if self.cfg.cold_start == "zero":
             g[..., plan.skip[k], :] = 0.0
@@ -304,7 +312,7 @@ class World:
         # sender and np.add.at applies them one at a time in that order, so
         # each receiver's slot sums in send order.
         slot = plan.slots[k]
-        np.add.at(self.ring, (slot, phase.receiver), phase.w_msg * snapshot[phase.sender])
+        np.add.at(self.ring, (slot, phase.receiver), phase.w_msg * snapshot.take(phase.sender, axis=0))
         self.ring_count += plan.counts[k]
         self.messages_enqueued += len(slot)
 
@@ -325,10 +333,10 @@ class World:
         game, t, m = self.game, plan.start + k, self.m
         sum_b, sum_v = self.last_arrivals = arrived[..., :m], arrived[..., m:]
 
-        if plan.y_min[k] < Y_FLOOR:
-            raise DegeneracyError(
-                f"y_ii = {plan.y_min[k]:.3e} at t={t}; self-loop structure violated")
-        self.min_y_diag = min(self.min_y_diag, float(plan.y_min[k]))
+        y_min = plan.y_min[k]
+        if y_min < Y_FLOOR:
+            raise DegeneracyError(f"y_ii = {y_min:.3e} at t={t}; self-loop structure violated")
+        self.min_y_diag = min(self.min_y_diag, y_min)
 
         g = self._delayed_gradients(plan, k)
         w_self = plan.w_self[k]
@@ -530,8 +538,10 @@ class _PairWorld(_AugmentedWorld):
     def step(self) -> None:
         plan, k = self._plan_at(self.t)
         snapshot = np.concatenate(self._noised(self.t), axis=-1)
-        self._apply_updates(plan, k, np.array((self._ring_arrivals(plan, k, snapshot[0]),
-                                                self._relay_arrivals(plan, k, snapshot[1]))))
+        arrived = np.empty(snapshot.shape)
+        arrived[0] = self._ring_arrivals(plan, k, snapshot[0])
+        arrived[1] = self._relay_arrivals(plan, k, snapshot[1])
+        self._apply_updates(plan, k, arrived)
 
 
 def _run_pair(config: RunConfig) -> dict:

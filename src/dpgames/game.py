@@ -56,11 +56,10 @@ class GameSpec:
     L: float = 1.0
     mu: float = 1.0
     grad_lipschitz: float | None = None
-    _index: np.ndarray = field(init=False, repr=False)
+    _index: dict = field(init=False, repr=False)
 
-    def __post_init__(self):  # arange(V), shared read-only by the batched calls
-        object.__setattr__(self, "_index", np.arange(self.num_agents))
-        self._index.flags.writeable = False
+    def __post_init__(self):  # k -> arange(k) % V, shared read-only by the batched calls
+        object.__setattr__(self, "_index", {})
 
     @classmethod
     def per_agent(cls, *, cost_fn, grad_own, grad_agg, psi_fn, grad_psi, **fields) -> "GameSpec":
@@ -80,7 +79,11 @@ class GameSpec:
 
     def _agents(self, k: int) -> np.ndarray:
         """Agent of each row of a (k, m) table of stacked (V, m) blocks."""
-        return self._index if k == self.num_agents else np.arange(k) % self.num_agents
+        index = self._index.get(k)
+        if index is None:
+            index = self._index[k] = np.arange(k) % self.num_agents
+            index.flags.writeable = False
+        return index
 
     def _row(self, a) -> np.ndarray:
         """One (m,) vector as a (1, m) table."""

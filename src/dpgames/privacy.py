@@ -81,8 +81,8 @@ def sample_noise(sigma: float, shape, rng: np.random.Generator) -> np.ndarray:
     """An array of the given shape (an int or a tuple) of iid draws from the
     zero-mean Laplace density (1/2s) exp(-|z|/s).
     """
-    if sigma <= 0:
-        raise ValueError(f"Laplace scale must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:  # one comparison: this runs every noised round
+        raise ValueError(f"Laplace scale must be finite and > 0, got {sigma}")
     return rng.laplace(0.0, sigma, size=shape)
 
 
@@ -177,8 +177,8 @@ class PrivacyLedger:
     sigma: float = 0.0
 
     def record(self, rounds: int, delta: float, sigma: float) -> None:
-        if delta <= 0 or sigma <= 0:
-            raise ValueError("ledger entries need positive delta and sigma")
+        if not (_positive_finite(delta) and _positive_finite(sigma)):
+            raise ValueError(f"ledger entries need finite delta and sigma > 0, got {delta} and {sigma}")
         self.rounds, self.delta, self.sigma = int(rounds), float(delta), float(sigma)
 
     @property

@@ -819,6 +819,63 @@ def test_cold_start_with_uniform_feedback_delays_matches_hand_reference(cournot,
     assert skipped > 0 and used > 100
 
 
+class _KeepsGradients(dp.GameSpec):
+    """A game that keeps, in ``blocks``, every block its row-form gradients return."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "blocks", [])
+
+    def gradients(self, t, x, psi_val):
+        self.blocks.append(super().gradients(t, x, psi_val))
+        return self.blocks[-1]
+
+
+@pytest.mark.parametrize("world", [World, _AugmentedWorld, dp.engine._PairWorld])
+def test_a_round_without_delayed_feedback_reads_the_game_gradient_block_itself(monkeypatch, world):
+    # fig5 has no feedback rule: every agent reads round t's own gradients,
+    # so the round needs no gather from the gradient ring
+    game = dp.nash_cournot()
+    fields = {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.init}
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=70, game=_KeepsGradients(**fields),
+                              cold_start="zero")
+    read, delayed = [], world._delayed_gradients
+    monkeypatch.setattr(world, "_delayed_gradients",
+                        lambda self, plan, k: read.append(delayed(self, plan, k)) or read[-1])
+    dp.engine._records(world(cfg))
+    assert len(read) == len(cfg.game.blocks) == 70
+    assert all(g is block for g, block in zip(read, cfg.game.blocks))
+
+
+@pytest.mark.parametrize("cold_start", ["zero", "clamp"])
+def test_rounds_with_and_without_delayed_feedback_equal_the_hand_reference_exactly(cold_start):
+    # tau_i(t) in {0, 1} on two agents: some rounds delay no agent's
+    # feedback, others delay one or both, and both kinds share the gradient ring
+    delays = dp.DelaySchedule(1, {"type": "none"}, {"type": "uniform", "low": 0, "high": 1})
+    cfg = dp.RunConfig(game=small_linear_game(2, box=50.0), graph=complete_graph(2), delays=delays,
+                       horizon=40, seed=3, cold_start=cold_start, x0=np.array([[-7.0], [11.0]]))
+    game, feedback = cfg.resolved_game(), cfg.delays.with_seed(cfg.seed)
+    res, twin = dp.run(cfg), dp.run_augmented_reference(cfg)
+    pair = dp.engine._run_pair(cfg)
+    current = 0
+    for t in range(cfg.horizon):
+        tau = feedback.feedback_delays(t, 2)
+        current += not tau.any()
+        W, b, y = cfg.graph.weights_at(t), res.b[t], res.y_diag[t]
+        g = np.zeros((2, 1))
+        for i in range(2):
+            if t >= tau[i] or cold_start == "clamp":
+                s = max(t - int(tau[i]), 0)
+                g[i] = game.local_gradient(i, s, res.x[s, i], res.v[s, i])
+        # no comm delays and no noise: agent i's one arrival is W_ij b_j(t)
+        expected = W.diagonal()[:, None] * b + (W[[0, 1], [1, 0]][:, None] * b[::-1]) + g / y[:, None]
+        assert np.array_equal(res.b[t + 1], expected), t
+    assert 0 < current < cfg.horizon
+    for name in ("b", "x", "v"):
+        for route in (getattr(twin, name), pair[name][:, 0], pair[name][:, 1]):
+            assert np.array_equal(route, getattr(res, name))
+
+
 @pytest.mark.parametrize("cfg", [
     dataclasses.replace(preset("fig7-random-delays-private"), horizon=40),
     # 20 agents: an exact aggregate summed pairwise would round differently

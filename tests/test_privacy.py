@@ -38,9 +38,23 @@ def test_laplace_moments():
     assert draws.var() == pytest.approx(2 * 5.0 ** 2, rel=0.02)
 
 
+_NOT_POSITIVE_FINITE = [math.inf, -math.inf, math.nan, 0.0, -1.0]
+
+
 def test_sample_noise_needs_positive_scale():
-    with pytest.raises(ValueError):
-        dp.sample_noise(0.0, 3, np.random.default_rng(0))
+    for sigma in _NOT_POSITIVE_FINITE:
+        with pytest.raises(ValueError, match=f"Laplace scale must be finite and > 0, got {sigma}"):
+            dp.sample_noise(sigma, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("value", _NOT_POSITIVE_FINITE)
+@pytest.mark.parametrize("which", ["delta", "sigma"])
+def test_ledger_rejects_a_delta_or_sigma_that_is_not_finite_and_positive(which, value):
+    ledger, fields = PrivacyLedger(), {"delta": 2.0, "sigma": 4.0, which: value}
+    with pytest.raises(ValueError, match=f"need finite delta and sigma > 0, got {fields['delta']} "
+                                         f"and {fields['sigma']}"):
+        ledger.record(3, **fields)
+    assert (ledger.rounds, ledger.epsilon_hat) == (0, 0.0)  # nothing recorded
 
 
 def test_noise_streams_are_deterministic_and_disjoint():
