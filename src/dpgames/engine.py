@@ -29,8 +29,9 @@ minima min_i y_ii(t) as Python floats. ``World.__init__`` builds no plan,
 and a world stepped by hand past its horizon plans one round at a time.
 
 The delay falls on the gradient, not the state: round t's gradients, one
-batched call at time t before the round changes (x, v), go to slot t mod
-(tau_max + 1) of a gradient ring, and agent i reads its row of the slot of
+``game.gradients`` call (one ``gradient_fn`` call on all rows) at time t
+before the round changes (x, v), go to slot t mod (tau_max + 1) of a
+gradient ring, and agent i reads its row of the slot of
 max(t - tau_i(t), 0). A round whose feedback delays are all 0 reads the
 block the call returned, without gathering from the ring. Records are
 preallocated; losses follow the loop.

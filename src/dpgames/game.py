@@ -24,23 +24,25 @@ class ActionDomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """An aggregative game: boxes, costs, analytic gradients, aggregate maps.
+    """An aggregative game: boxes, costs, the local gradient, aggregate maps.
 
     Callables take an index array i of shape (k,), a time t that is a scalar
     or a (k,) array aligned with i, and (k, m) tables of actions and
-    aggregate values; they return (k,) costs, (k, m) gradients and psi
-    values and (k, m, m) Jacobians. ``grad_own`` is the partial in x_i
-    holding the aggregate fixed, ``grad_agg`` the partial in the aggregate
-    value, and grad_psi[r, a, b] = d psi_a / d x_b. ``per_agent`` adapts
-    callables written for one agent at a time.
+    aggregate values; they return (k,) costs and (k, m) gradients and psi
+    values. ``gradient_fn`` is the derivative in x_i of agent i's cost, x_i's
+    share of the aggregate included, at the aggregate value psi_val.
+    ``aggregative`` builds it from partials; ``per_agent`` adapts callables
+    written for one agent at a time.
 
     The row forms ``psi_values`` and ``gradients`` also take a (..., k, m)
-    stack of tables, such as ``verify``'s (2, V, m) state, in one call.
+    stack of tables, such as ``verify``'s (2, V, m) state, in one call, and
+    check each result against the rows' shape.
 
-    L bounds ||grad_own|| on the joint box, mu is the strong-monotonicity
-    modulus of the pseudogradient, and grad_lipschitz is its Lipschitz
-    constant on the joint box. The equilibrium oracle and the regret pass
-    require it (their step size and KKT bound rest on it); runs do not.
+    L bounds the own-action partial (the aggregate held fixed) on the joint
+    box, mu is the strong-monotonicity modulus of the pseudogradient, and
+    grad_lipschitz is its Lipschitz constant on the joint box. The
+    equilibrium oracle and the regret pass require it (their step size and
+    KKT bound rest on it); runs do not.
     """
 
     name: str
@@ -49,10 +51,8 @@ class GameSpec:
     box_lo: np.ndarray  # (V, m)
     box_hi: np.ndarray  # (V, m)
     cost_fn: Callable[[np.ndarray, Times, Vec, Vec], np.ndarray]
-    grad_own: Callable[[np.ndarray, Times, Vec, Vec], Vec]
-    grad_agg: Callable[[np.ndarray, Times, Vec, Vec], Vec]
+    gradient_fn: Callable[[np.ndarray, Times, Vec, Vec], Vec]
     psi_fn: Callable[[np.ndarray, Vec], Vec]
-    grad_psi: Callable[[np.ndarray, Vec], np.ndarray]
     L: float = 1.0
     mu: float = 1.0
     grad_lipschitz: float | None = None
@@ -62,9 +62,26 @@ class GameSpec:
         object.__setattr__(self, "_index", {})
 
     @classmethod
-    def per_agent(cls, *, cost_fn, grad_own, grad_agg, psi_fn, grad_psi, **fields) -> "GameSpec":
+    def aggregative(cls, *, grad_own, grad_agg, grad_psi, **fields) -> "GameSpec":
+        """A game given by row-form partials: ``grad_own`` in x_i holding the
+        aggregate fixed, ``grad_agg`` in the aggregate value, and (k, m, m)
+        grad_psi[r, a, b] = d psi_a / d x_b; gradient_fn is their composition."""
+        V = fields["num_agents"]
+
+        def gradient_fn(i, t, x, psi_val):
+            g1 = np.asarray(grad_own(i, t, x, psi_val), dtype=float)
+            g2 = np.asarray(grad_agg(i, t, x, psi_val), dtype=float)
+            J = np.asarray(grad_psi(i, x), dtype=float)
+            return g1 + (g2[:, None] @ J)[:, 0] / V  # row k: J_k^T g2_k
+
+        return cls(gradient_fn=gradient_fn, **fields)
+
+    @classmethod
+    def per_agent(cls, *, cost_fn, psi_fn, gradient_fn=None, grad_own=None, grad_agg=None,
+                  grad_psi=None, **fields) -> "GameSpec":
         """A game whose callables take one agent at a time: an integer i and
-        t and (m,) arrays. Each is wrapped in a loop over the rows.
+        t and (m,) arrays. Each is wrapped in a loop over the rows. It takes
+        either ``gradient_fn`` or the partials of ``aggregative``.
         """
         def timed(fn, out=np.asarray):  # row r: fn(i[r], t or t[r], x[r], psi_val[r])
             return lambda i, t, x, psi_val: np.stack([out(fn(*row)) for row in zip(
@@ -73,9 +90,14 @@ class GameSpec:
         def untimed(fn):
             return lambda i, x: np.stack([np.asarray(fn(j, x_j)) for j, x_j in zip(i.tolist(), x)])
 
-        return cls(cost_fn=timed(cost_fn, float), grad_own=timed(grad_own),
-                   grad_agg=timed(grad_agg), psi_fn=untimed(psi_fn),
-                   grad_psi=untimed(grad_psi), **fields)
+        partials = [fn for fn in (grad_own, grad_agg, grad_psi) if fn is not None]
+        if len(partials) not in (0, 3) or (gradient_fn is None) == (not partials):
+            raise TypeError("per_agent takes gradient_fn, or grad_own, grad_agg and grad_psi")
+        fields.update(cost_fn=timed(cost_fn, float), psi_fn=untimed(psi_fn))
+        if gradient_fn is not None:
+            return cls(gradient_fn=timed(gradient_fn), **fields)
+        return cls.aggregative(grad_own=timed(grad_own), grad_agg=timed(grad_agg),
+                               grad_psi=untimed(grad_psi), **fields)
 
     def _agents(self, k: int) -> np.ndarray:
         """Agent of each row of a (k, m) table of stacked (V, m) blocks."""
@@ -101,16 +123,18 @@ class GameSpec:
         x = np.asarray(x, dtype=float)
         if x.ndim > 2:  # one call on all the stack's rows, not re-entering an override
             return GameSpec.psi_values(self, x.reshape(-1, self.dim)).reshape(x.shape)
-        return np.asarray(self.psi_fn(self._agents(len(x)), x), dtype=float)
+        values = np.asarray(self.psi_fn(self._agents(len(x)), x), dtype=float)
+        if values.shape != x.shape:
+            raise self._misshaped("psi_fn", values, x)
+        return values
 
     def aggregate(self, x: np.ndarray) -> Vec:
         """Exact aggregate Psi(x) = (1/V) sum_j psi_j(x_j); x has shape (V, m)."""
         return _sum_in_order(self.psi_values(x)) / self.num_agents
 
     def local_gradient(self, i: int, t: int, x_i, v_i) -> Vec:
-        """Full aggregative gradient with the agent's aggregate estimate v_i
-        substituted for the true aggregate:
-        grad_own + grad_psi(x_i)^T grad_agg / V.
+        """``gradient_fn`` of agent i, its aggregate estimate v_i substituted
+        for the true aggregate.
 
         Defined for any finite x_i (gradients are analytic formulas); the box
         domain is enforced on costs, not gradients, so probes at or beyond
@@ -127,11 +151,15 @@ class GameSpec:
         return self._gradients(self._agents(len(x)), t, x, psi_val)
 
     def _gradients(self, i: np.ndarray, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
-        """``local_gradient`` of agents i at the rows of x and psi_val."""
-        g1 = np.asarray(self.grad_own(i, t, x, psi_val), dtype=float)
-        g2 = np.asarray(self.grad_agg(i, t, x, psi_val), dtype=float)
-        J = np.asarray(self.grad_psi(i, x), dtype=float)
-        return g1 + (g2[:, None] @ J)[:, 0] / self.num_agents  # row k: J_k^T g2_k
+        """``gradient_fn`` of agents i at the rows of x and psi_val."""
+        values = np.asarray(self.gradient_fn(i, t, x, psi_val), dtype=float)
+        if values.shape != x.shape:
+            raise self._misshaped("gradient_fn", values, x)
+        return values
+
+    def _misshaped(self, name: str, values: np.ndarray, x: np.ndarray) -> ValueError:
+        return ValueError(f"game {self.name!r}: {name} returned shape {values.shape} "
+                          f"for rows of shape {x.shape}")
 
     def pseudogradient(self, t: int, x: np.ndarray) -> np.ndarray:
         """Stacked local gradients at the exact aggregate; x and result are (V, m)."""
@@ -211,16 +239,13 @@ def nash_cournot() -> GameSpec:
         market = 850.0 - 10.0 * s - V * psi_val.T[0]
         return (slope[i] * s + level[i] - market) * x_i.T[0]
 
-    def grad_own(i, t, x_i, psi_val):
+    # p_i - m(t) + (V x_i) / V: the own partial, then psi's identity Jacobian
+    # times the partial in the aggregate, V x_i, over V
+    def gradient_fn(i, t, x_i, psi_val):
         s = sin6(t)
-        return (slope[i] * s + level[i] - 850.0 + 10.0 * s + V * psi_val.T[0])[..., None]
+        return (slope[i] * s + level[i] - 850.0 + 10.0 * s + V * psi_val.T[0])[..., None] + V * x_i / V
 
-    def grad_agg(i, t, x_i, psi_val):
-        return V * x_i
-
-    identities = np.broadcast_to(np.eye(m), (V, m, m))
-
-    # |grad_own| = |(4(i+1)+10) s + 50 i - 850 + S|, affine in s in [-1, 1]
+    # |own partial| = |(4(i+1)+10) s + 50 i - 850 + S|, affine in s in [-1, 1]
     # and S = sum_j x_j in [sum lo, sum hi]: extremes at the corners.
     s_lo, s_hi = float(lo.sum()), float(hi.sum())
     L = max(abs((4.0 * (i + 2) + 10.0) * s + 50.0 * (i + 1) - 850.0 + S)
@@ -228,8 +253,7 @@ def nash_cournot() -> GameSpec:
 
     return GameSpec(
         name="nash-cournot", num_agents=V, dim=m, box_lo=lo, box_hi=hi,
-        cost_fn=cost_fn, grad_own=grad_own, grad_agg=grad_agg,
-        psi_fn=lambda i, x: x, grad_psi=lambda i, x: identities[i],
+        cost_fn=cost_fn, gradient_fn=gradient_fn, psi_fn=lambda i, x: x,
         L=L, mu=1.0, grad_lipschitz=float(V + 1))
 
 
@@ -251,16 +275,15 @@ def linear_demand_game(c, box_lo, box_hi, name: str = "linear-demand") -> GameSp
     def cost_fn(i, t, x_i, psi_val):
         return (c[i] + V * psi_val.T[0]) * x_i.T[0]
 
-    identities = np.broadcast_to(np.eye(m), (V, m, m))
+    def gradient_fn(i, t, x_i, psi_val):  # c_i + V psi, plus (V x_i) / V as in nash_cournot
+        return (c[i] + V * psi_val.T[0])[..., None] + V * x_i / V
+
     s_lo, s_hi = float(lo.sum()), float(hi.sum())
     L = max(abs(ci + S) for ci in c for S in (s_lo, s_hi))
 
     return GameSpec(
         name=name, num_agents=V, dim=m, box_lo=lo, box_hi=hi,
-        cost_fn=cost_fn,
-        grad_own=lambda i, t, x_i, psi_val: (c[i] + V * psi_val.T[0])[..., None],
-        grad_agg=lambda i, t, x_i, psi_val: V * x_i,
-        psi_fn=lambda i, x: x, grad_psi=lambda i, x: identities[i],
+        cost_fn=cost_fn, gradient_fn=gradient_fn, psi_fn=lambda i, x: x,
         L=L, mu=1.0, grad_lipschitz=float(V + 1))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -43,18 +44,61 @@ def toy_2d_game():
         grad_lipschitz=float(V + 1))
 
 
+def game_fields(game, *drop):
+    """The constructor fields of ``game``, less those named in ``drop``."""
+    return {f.name: getattr(game, f.name) for f in dataclasses.fields(game)
+            if f.init and f.name not in drop}
+
+
+def cournot_partials():
+    """``nash_cournot``'s published partials in the row form of
+    ``GameSpec.aggregative`` (with an integer i and (m,) vectors they give one
+    agent's): the own partial p_i(t) - m(t) = 4(i+1) sin(t/6) + 50 i - 850 +
+    10 sin(t/6) + V psi, the partial V x_i in the aggregate, and psi's
+    identity Jacobian.
+    """
+    V = 5
+    firm = np.arange(1, V + 1)
+    slope, level = 4.0 * (firm + 1), 50.0 * firm
+
+    def grad_own(i, t, x, p):
+        s = np.sin(t / 6.0) if isinstance(t, np.ndarray) else math.sin(t / 6.0)
+        return (slope[i] * s + level[i] - 850.0 + 10.0 * s + V * p.T[0])[..., None]
+
+    identities = np.broadcast_to(np.eye(1), (V, 1, 1))
+    return dict(grad_own=grad_own, grad_agg=lambda i, t, x, p: V * x,
+                grad_psi=lambda i, x: identities[i])
+
+
+def linear_demand_partials(c):
+    """``linear_demand_game(c, ...)``'s published partials, as ``cournot_partials``:
+    the own partial c_i + V psi, V x_i in the aggregate, identity Jacobian."""
+    c = np.asarray(c, dtype=float)
+    V = c.size
+    identities = np.broadcast_to(np.eye(1), (V, 1, 1))
+    return dict(grad_own=lambda i, t, x, p: (c[i] + V * p.T[0])[..., None],
+                grad_agg=lambda i, t, x, p: V * x, grad_psi=lambda i, x: identities[i])
+
+
+def aggregative_copy(game, partials, **replaced):
+    """``game`` rebuilt with ``GameSpec.aggregative`` from ``partials``, any of
+    them replaced by ``replaced``."""
+    return dp.GameSpec.aggregative(**{**partials, **replaced}, **game_fields(game, "gradient_fn"))
+
+
 def per_agent_copy(game, **callables):
     """``game`` rebuilt with ``GameSpec.per_agent`` from its own callables,
     any of them replaced by ``callables``: every row evaluated on its own.
+    Partials among ``callables`` take the place of ``gradient_fn``.
     """
-    fields = {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.init}
-    return dp.GameSpec.per_agent(**{**fields, **callables})
+    drop = ("gradient_fn",) if "grad_own" in callables else ()
+    return dp.GameSpec.per_agent(**{**game_fields(game, *drop), **callables})
 
 
 def diverging_cournot():
-    """The benchmark game with an own-gradient that overflows at t = 1."""
-    return dataclasses.replace(
-        dp.nash_cournot(), grad_own=lambda i, t, x, p: np.multiply(1e308, t + 1.0)[..., None])
+    """The benchmark game with an own partial that overflows at t = 1."""
+    return aggregative_copy(dp.nash_cournot(), cournot_partials(),
+                            grad_own=lambda i, t, x, p: np.multiply(1e308, t + 1.0)[..., None])
 
 
 class HalvedGradients(dp.GameSpec):
@@ -66,9 +110,7 @@ class HalvedGradients(dp.GameSpec):
 
 def halved_gradients_config():
     """A 3-agent run of a ``GameSpec`` subclass that overrides ``gradients``."""
-    game = small_linear_game(3)
-    fields = {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.init}
-    return dp.RunConfig(game=HalvedGradients(**fields), graph=ring_graph(3),
+    return dp.RunConfig(game=HalvedGradients(**game_fields(small_linear_game(3))), graph=ring_graph(3),
                         delays=dp.DelaySchedule.uniform(3), horizon=50, seed=1)
 
 

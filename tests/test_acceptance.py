@@ -24,8 +24,8 @@ import dpgames as dp
 from dpgames.cli import benchmark_graph, preset
 from dpgames.engine import World
 
-from conftest import (avg_series, bench_init, complete_graph, density_ratio_check, per_agent_copy,
-                      small_linear_game)
+from conftest import (avg_series, bench_init, complete_graph, cournot_partials, density_ratio_check,
+                      per_agent_copy, small_linear_game)
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -204,7 +204,8 @@ def test_a7_sensitivity_bound(cournot):
 
 def _perturbed_price_game(game, agent, t_hat, g_prime):
     """Adjacent cost sequence: agent's private price term replaced at one round."""
-    original = game.grad_own
+    partials = cournot_partials()
+    original = partials["grad_own"]
 
     def grad_own(i, t, x_i, psi_val):
         if i == agent and t == t_hat:
@@ -212,7 +213,7 @@ def _perturbed_price_game(game, agent, t_hat, g_prime):
         return original(i, t, x_i, psi_val)
 
     # grad_own takes one agent at a time, so the game is built per agent
-    return per_agent_copy(game, grad_own=grad_own)
+    return per_agent_copy(game, **{**partials, "grad_own": grad_own})
 
 
 def test_a8_structural_invariants():

@@ -14,7 +14,7 @@ from dpgames.engine import (CHUNK_ROUNDS, DegeneracyError, NonFiniteStateError, 
                             _AugmentedWorld, step_size)
 from dpgames.privacy import STREAM_NOISE, STREAM_NOISE_AGGREGATE, substream
 
-from conftest import (bench_init, complete_graph, diverging_cournot, dropping_first_message,
+from conftest import (bench_init, complete_graph, diverging_cournot, dropping_first_message, game_fields,
                       halved_gradients_config, per_agent_copy, ring_graph, small_linear_game,
                       toy_2d_game)
 
@@ -738,41 +738,48 @@ def test_the_lockstep_pair_steps_the_configs_own_game():
 # batched delayed gradients, post-loop losses, finite-state check
 
 
-def test_one_batched_gradient_call_per_round(monkeypatch):
+@pytest.mark.parametrize("runner, rows", [(dp.run, 5), (dp.run_augmented_reference, 5),
+                                          (dp.engine._run_pair, 10)],
+                         ids=["run", "run_augmented_reference", "_run_pair"])
+def test_one_batched_gradient_call_per_round(monkeypatch, runner, rows):
+    # the verify pair makes its one call on both members' 2V rows
     calls = []
     game = dp.nash_cournot()
 
-    def counting_grad_own(i, t, x, psi_val):
+    def counting_gradient_fn(i, t, x, psi_val):
         calls.append(np.shape(i))
-        return game.grad_own(i, t, x, psi_val)
+        return game.gradient_fn(i, t, x, psi_val)
 
     def no_local_gradient(*args):
         raise AssertionError("the engine must not evaluate agents one at a time")
 
     monkeypatch.setattr(dp.GameSpec, "local_gradient", no_local_gradient)
     cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=25,
-                              game=dataclasses.replace(game, grad_own=counting_grad_own))
-    dp.run(cfg)
-    assert calls == [(5,)] * 25
+                              game=dataclasses.replace(game, gradient_fn=counting_gradient_fn))
+    runner(cfg)
+    assert calls == [(rows,)] * 25
 
 
 @pytest.mark.parametrize("cold_start", ["clamp", "zero"])
 def test_each_round_evaluates_its_own_gradient_once_at_its_scalar_time(cold_start):
     # the delay falls on the gradient, not on the state: round t's gradient is
-    # computed at time t and read tau_i(t) rounds later from the gradient ring
+    # computed at time t and read tau_i(t) rounds later from the gradient ring,
+    # in run, in the twin and in verify's lockstep pair alike
     times = []
     game = dp.nash_cournot()
 
-    def counting_grad_own(i, t, x, psi_val):
+    def counting_gradient_fn(i, t, x, psi_val):
         times.append(t)
-        return game.grad_own(i, t, x, psi_val)
+        return game.gradient_fn(i, t, x, psi_val)
 
     cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=40, cold_start=cold_start,
-                              game=dataclasses.replace(game, grad_own=counting_grad_own))
+                              game=dataclasses.replace(game, gradient_fn=counting_gradient_fn))
     World(cfg)
     assert times == []  # building a world evaluates no gradient
-    dp.run(cfg)
-    assert times == list(range(40)) and all(np.ndim(t) == 0 for t in times)
+    for runner in (dp.run, dp.run_augmented_reference, dp.engine._run_pair):
+        runner(cfg)
+        assert times == list(range(40)) and all(np.ndim(t) == 0 for t in times)
+        times.clear()
 
 
 def test_one_aggregate_map_call_per_round():
@@ -835,9 +842,8 @@ class _KeepsGradients(dp.GameSpec):
 def test_a_round_without_delayed_feedback_reads_the_game_gradient_block_itself(monkeypatch, world):
     # fig5 has no feedback rule: every agent reads round t's own gradients,
     # so the round needs no gather from the gradient ring
-    game = dp.nash_cournot()
-    fields = {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.init}
-    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=70, game=_KeepsGradients(**fields),
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=70,
+                              game=_KeepsGradients(**game_fields(dp.nash_cournot())),
                               cold_start="zero")
     read, delayed = [], world._delayed_gradients
     monkeypatch.setattr(world, "_delayed_gradients",

@@ -7,7 +7,8 @@ import pytest
 import dpgames as dp
 from dpgames.game import ActionDomainError, clip_to_box
 
-from conftest import per_agent_copy, small_linear_game
+from conftest import (aggregative_copy, cournot_partials, game_fields, linear_demand_partials,
+                      per_agent_copy, ring_graph, small_linear_game)
 
 BENCH_X0 = np.array([-1.0, 2.0, 2.0, 5.0, 1.0])
 
@@ -43,9 +44,11 @@ def test_local_gradient_benchmark_value(cournot):
     assert g == pytest.approx([-792.0], abs=1e-12)
 
 
-def test_grad_psi_is_identity(cournot):
+def test_aggregate_map_is_identity(cournot):
     for i in range(5):
-        assert np.array_equal(cournot.grad_psi(i, np.array([1.7])), np.eye(1))
+        assert np.array_equal(cournot.psi(i, np.array([1.7])), [1.7])
+    x = BENCH_X0[:, None]
+    assert cournot.psi_values(x).tobytes() == x.tobytes()
 
 
 def test_local_gradient_matches_finite_differences(cournot):
@@ -101,13 +104,14 @@ def test_pseudogradient_strong_monotonicity(cournot):
 def test_own_gradient_bounded_by_L(cournot):
     rng = np.random.default_rng(29)
     lo, hi = cournot.box_lo, cournot.box_hi
+    grad_own = cournot_partials()["grad_own"]  # L bounds the own partial
     worst = 0.0
     for _ in range(2000):
         x = lo + rng.random(lo.shape) * (hi - lo)
         t = int(rng.integers(0, 200))
         agg = cournot.aggregate(x)
         for i in range(5):
-            worst = max(worst, abs(cournot.grad_own(i, t, x[i], agg)[0]))
+            worst = max(worst, abs(grad_own(i, t, x[i], agg)[0]))
     assert worst <= cournot.L + 1e-9
     # the bound is tight to within the boxes' reach
     assert cournot.L == pytest.approx(825.0)
@@ -156,29 +160,30 @@ def random_profile(game, rng):
     return lo + rng.random(lo.shape) * (hi - lo), rng.normal(0.0, 5.0, lo.shape)
 
 
+CURVED_C = np.array([[-3.0, 1.0], [2.0, -1.0], [0.5, 0.0], [-1.0, 4.0]])
+CURVED_M = np.array([[1.0, 0.5], [-0.25, 2.0]])
+
+
+def curved_partials():
+    """Partials of ``curved_game``, in broadcasting form: rows, or one agent."""
+    V, m = 4, 2
+    return dict(grad_own=lambda i, t, x, p: CURVED_C[i] + V * p + x,
+                grad_agg=lambda i, t, x, p: V * x,
+                grad_psi=lambda i, x: CURVED_M + 0.2 * x[..., None, :] * np.eye(m))
+
+
 def curved_game(per_agent=False):
     """m = 2 game with a nonlinear aggregate map whose Jacobian is not
     symmetric, so a transposed Jacobian would show. The callables are
     written in broadcasting form, so the same ones serve both paths.
     """
-    build = dp.GameSpec.per_agent if per_agent else dp.GameSpec
+    build = dp.GameSpec.per_agent if per_agent else dp.GameSpec.aggregative
     V, m = 4, 2
-    c = np.array([[-3.0, 1.0], [2.0, -1.0], [0.5, 0.0], [-1.0, 4.0]])
-    M = np.array([[1.0, 0.5], [-0.25, 2.0]])
-
-    def psi_fn(i, x):
-        return x @ M.T + 0.1 * x * x
-
-    def grad_psi(i, x):
-        return M + 0.2 * x[..., None, :] * np.eye(m)
-
     return build(
         name="curved-2d", num_agents=V, dim=m,
         box_lo=np.full((V, m), -2.0), box_hi=np.full((V, m), 3.0),
-        cost_fn=lambda i, t, x, p: np.sum((c[i] + V * p + 0.5 * x) * x, axis=-1),
-        grad_own=lambda i, t, x, p: c[i] + V * p + x,
-        grad_agg=lambda i, t, x, p: V * x,
-        psi_fn=psi_fn, grad_psi=grad_psi)
+        cost_fn=lambda i, t, x, p: np.sum((CURVED_C[i] + V * p + 0.5 * x) * x, axis=-1),
+        psi_fn=lambda i, x: x @ CURVED_M.T + 0.1 * x * x, **curved_partials())
 
 
 @pytest.mark.parametrize("t", [0, 1, 7, 40, 123])
@@ -214,10 +219,11 @@ def test_per_agent_adapter_matches_batched_form_and_closed_form():
         # grad_own + J^T grad_agg / V at the exact aggregate, one agent at a
         # time through the broadcasting callables both games are built from
         agg = np.mean([loop.psi(i, x[i]) for i in range(4)], axis=0)
+        partials = curved_partials()
         for i in range(4):
-            J = batched.grad_psi(i, x[i])
-            expected = (batched.grad_own(i, 2, x[i], agg)
-                        + J.T @ batched.grad_agg(i, 2, x[i], agg) / 4)
+            J = partials["grad_psi"](i, x[i])
+            expected = (partials["grad_own"](i, 2, x[i], agg)
+                        + J.T @ partials["grad_agg"](i, 2, x[i], agg) / 4)
             np.testing.assert_allclose(grad[i], expected, rtol=1e-12)
             assert costs[i] == pytest.approx(loop.cost(i, 2, x[i], psi_val[i]), rel=1e-12)
 
@@ -299,7 +305,7 @@ def test_row_forms_take_a_stack_of_tables_in_one_call(game):
     def counting(fn):
         return lambda i, *args: rows.append(len(i)) or fn(i, *args)
 
-    counted = dataclasses.replace(game, grad_own=counting(game.grad_own), psi_fn=counting(game.psi_fn))
+    counted = dataclasses.replace(game, gradient_fn=counting(game.gradient_fn), psi_fn=counting(game.psi_fn))
     counted.gradients(5, x, psi_val), counted.psi_values(x)
     assert rows == [6 * game.num_agents] * 2
 
@@ -350,6 +356,70 @@ def test_cournot_rows_equal_the_published_formula_bit_for_bit(cournot):
             assert cournot.costs(t, x, psi_val).tobytes() == cost.tobytes()
 
 
+def published_linear_demand(c, x, psi_val):
+    """Gradients and costs of the rows of ``linear_demand_game(c, ...)`` from
+    its published formula, as ``published_cournot``: the gradient c_i + V psi
+    plus (V x) / V through psi's identity Jacobian, and the cost
+    (c_i + V psi) x, for agent i = r mod V.
+    """
+    V = len(c)
+    c_i = np.asarray(c, dtype=float)[np.arange(len(x)) % V]
+    grad = c_i + V * psi_val[:, 0] + V * x[:, 0] / V
+    return grad[:, None], (c_i + V * psi_val[:, 0]) * x[:, 0]
+
+
+@pytest.mark.parametrize("num_agents", [3, 20])
+def test_linear_demand_rows_equal_the_published_formula_bit_for_bit(num_agents):
+    game = small_linear_game(num_agents)
+    c = [-20.0 - 5.0 * i for i in range(num_agents)]
+    rng = np.random.default_rng(61)
+    for blocks in (1, 3):
+        x, psi_val = stacked_profiles(game, rng, blocks)
+        grad, cost = published_linear_demand(c, x, psi_val)
+        for t in (rng.integers(0, 5000, size=len(x)), 0, 4999):
+            assert game.gradients(t, x, psi_val).tobytes() == grad.tobytes()
+            assert game.costs(t, x, psi_val).tobytes() == cost.tobytes()
+
+
+def shipped_games():
+    c = [-20.0 - 5.0 * i for i in range(20)]
+    yield "nash-cournot", dp.nash_cournot(), cournot_partials()
+    yield "linear-demand-20", dp.linear_demand_game(c, [-5.0] * 20, [5.0] * 20), linear_demand_partials(c)
+
+
+@pytest.mark.parametrize("game, partials", [pytest.param(g, p, id=n) for n, g, p in shipped_games()])
+def test_shipped_gradients_equal_the_aggregative_game_of_their_partials_bit_for_bit(game, partials):
+    # each shipped game writes its gradient as one formula; built from its
+    # published partials with GameSpec.aggregative it keeps every bit, on a
+    # (V, m) table and a (2, V, m) stack, at a scalar time and a time per row
+    composed = aggregative_copy(game, partials)
+    rng = np.random.default_rng(67)
+    V, m = game.num_agents, game.dim
+    for blocks in (1, 2):
+        x, psi_val = stacked_profiles(game, rng, blocks)
+        if blocks == 2:
+            x, psi_val = x.reshape(2, V, m), psi_val.reshape(2, V, m)
+        for t in (0, 7, 4999, rng.integers(0, 5000, size=blocks * V)):
+            assert game.gradients(t, x, psi_val).tobytes() == composed.gradients(t, x, psi_val).tobytes()
+        for i in range(V):
+            assert (game.local_gradient(i, 11, x.reshape(-1, m)[i], psi_val.reshape(-1, m)[i]).tobytes()
+                    == composed.local_gradient(i, 11, x.reshape(-1, m)[i], psi_val.reshape(-1, m)[i]).tobytes())
+    x = game.box_lo + rng.random(game.box_lo.shape) * (game.box_hi - game.box_lo)
+    assert game.pseudogradient(3, x).tobytes() == composed.pseudogradient(3, x).tobytes()
+
+
+def test_per_agent_takes_either_gradient_form_and_not_both():
+    game = small_linear_game(3)
+    partials = linear_demand_partials([-20.0, -25.0, -30.0])
+    x = game.box_lo + np.array([[1.0], [2.5], [7.0]])
+    for loop in (per_agent_copy(game), per_agent_copy(game, **partials)):
+        assert loop.pseudogradient(4, x).tobytes() == game.pseudogradient(4, x).tobytes()
+    fields = game_fields(game, "gradient_fn")
+    for callables in ({}, {"grad_own": partials["grad_own"]}, {**partials, "gradient_fn": game.gradient_fn}):
+        with pytest.raises(TypeError, match="takes gradient_fn, or grad_own, grad_agg and grad_psi"):
+            dp.GameSpec.per_agent(**fields, **callables)
+
+
 def test_cournot_evaluates_the_time_term_once_per_call(cournot, monkeypatch):
     calls, np_sin = [], np.sin
 
@@ -364,3 +434,31 @@ def test_cournot_evaluates_the_time_term_once_per_call(cournot, monkeypatch):
     assert calls == [(5,)]
     cournot.costs(t, x, psi_val)
     assert calls == [(5,), (5,)]
+
+
+def misshaped_game(callable_name):
+    """A 3-agent linear-demand game whose ``callable_name`` returns (k,), not
+    (k, m): the own partial drops its trailing axis, or psi returns column 0."""
+    game = small_linear_game(3)
+    if callable_name == "psi_fn":
+        return dataclasses.replace(game, name="misshaped", psi_fn=lambda i, x: x.T[0])
+    c, V = np.array([-20.0, -25.0, -30.0]), 3
+    return aggregative_copy(dataclasses.replace(game, name="misshaped"), linear_demand_partials(c),
+                            grad_own=lambda i, t, x, p: c[i] + V * p.T[0])
+
+
+@pytest.mark.parametrize("callable_name", ["gradient_fn", "psi_fn"])
+@pytest.mark.parametrize("entry, rows", [("run", 3), ("_run_pair", 6), ("ne_oracle", 3)])
+def test_a_misshaped_game_result_is_named_before_it_reaches_the_engine(entry, rows, callable_name):
+    # a (k,) result would broadcast against the (k, 1) rows deep inside a
+    # round; the pair makes one call on both members' rows
+    game = misshaped_game(callable_name)
+    cfg = dp.RunConfig(game=game, graph=ring_graph(3), delays=dp.DelaySchedule.uniform(2),
+                       horizon=10, seed=1)
+    call = {"run": lambda: dp.run(cfg), "_run_pair": lambda: dp.engine._run_pair(cfg),
+            "ne_oracle": lambda: dp.ne_oracle(game, 0)}[entry]
+    returned = (rows, rows) if callable_name == "gradient_fn" else (rows,)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == (f"game 'misshaped': {callable_name} returned shape {returned} "
+                              f"for rows of shape ({rows}, 1)")

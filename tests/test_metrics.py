@@ -17,7 +17,8 @@ def best_response_fixed_point(game, t, tol=1e-12, iters=10000):
     """Independent oracle: iterate exact per-agent best responses.
 
     For the shipped quadratic-in-own-action games the best response is the
-    clamp of -(grad_own at aggregate minus own) / 2 solved in closed form.
+    clamp of -(the private linear term plus the others' actions) / 2, solved
+    in closed form; the private term is the local gradient at zero.
     """
     V = game.num_agents
     x = ((game.box_lo + game.box_hi) / 2.0).copy()
@@ -26,7 +27,7 @@ def best_response_fixed_point(game, t, tol=1e-12, iters=10000):
         for i in range(V):
             others = sum(game.psi(j, x[j]) for j in range(V) if j != i)
             # own cost = (k + others + x_i) x_i with k the private linear term
-            k = game.grad_own(i, t, np.zeros(1), np.zeros(1))[0] + others[0]
+            k = game.local_gradient(i, t, np.zeros(1), np.zeros(1))[0] + others[0]
             x[i] = np.clip(-k / 2.0, game.box_lo[i], game.box_hi[i])
         if np.abs(x - x_old).max() < tol:
             return x
@@ -58,9 +59,7 @@ def constant_gradient_game(g):
         box_lo=np.array([[0.0], [0.0], [0.0], [2.0]]),
         box_hi=np.array([[1.0], [1.0], [1.0], [2.0]]),
         cost_fn=lambda i, t, x, p: g[i] * x[0],
-        grad_own=lambda i, t, x, p: np.array([g[i]]),
-        grad_agg=lambda i, t, x, p: np.zeros(1),
-        psi_fn=lambda i, x: x, grad_psi=lambda i, x: np.eye(1))
+        gradient_fn=lambda i, t, x, p: np.array([g[i]]), psi_fn=lambda i, x: x)
 
 
 def test_kkt_violation_hand_values():
@@ -130,8 +129,7 @@ def flipping_gradient_game():
     c = np.array([[4.0], [-1.0], [2.5]])
     signs = itertools.cycle([1.0, -1.0])
     return dataclasses.replace(small_linear_game(3, box=10.0), name="flipping-gradient",
-                               grad_own=lambda i, t, x, p: next(signs) * c[i],
-                               grad_agg=lambda i, t, x, p: np.zeros_like(x))
+                               gradient_fn=lambda i, t, x, p: next(signs) * c[i])
 
 
 def test_oracle_detects_non_contraction():
@@ -152,8 +150,8 @@ def test_oracle_stops_at_a_non_finite_residual(cournot):
     with pytest.raises(OracleError, match="non-finite residual at round 0, iteration 1"):
         dp.ne_oracle(cournot, 0, x0=np.full((5, 1), np.nan))
     # a gradient that is NaN at round 4 only
-    game = dataclasses.replace(cournot, grad_own=lambda i, t, x, p: np.where(
-        (np.asarray(t) == 4)[..., None], np.nan, cournot.grad_own(i, t, x, p)))
+    game = dataclasses.replace(cournot, gradient_fn=lambda i, t, x, p: np.where(
+        (np.asarray(t) == 4)[..., None], np.nan, cournot.gradient_fn(i, t, x, p)))
     assert dp.ne_oracle(game, 3).iterations == 2
     with pytest.raises(OracleError, match="non-finite residual at round 4, iteration 1"):
         dp.ne_oracle(game, 4)
@@ -358,7 +356,7 @@ def switching_corner_game():
     return dataclasses.replace(
         small_linear_game(V), name="switching-corner",
         cost_fn=lambda i, t, x, p: (c(i, t) + V * p.T[0]) * x.T[0],
-        grad_own=lambda i, t, x, p: (c(i, t) + V * p.T[0])[..., None])
+        gradient_fn=lambda i, t, x, p: (c(i, t) + V * p.T[0])[..., None] + V * x / V)
 
 
 @pytest.mark.parametrize("game, times", [
