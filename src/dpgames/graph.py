@@ -282,17 +282,14 @@ class DelaySchedule:
         """
         seed, low = self._need_seed(), rule["low"]
         span = rule["high"] - low + 1
-        words = np.empty((stop - start, (n + 1) // 2), np.uint64)
+        words = np.empty((stop - start, (n + 1) // 2), "<u8")
         for k, t in enumerate(range(start, stop)):
             words[k] = substream(seed, purpose, t).bit_generator.random_raw(words.shape[1])
-        halves = np.empty((len(words), 2 * words.shape[1]), np.uint64)
-        np.bitwise_and(words, _LOW32, out=halves[:, 0::2])
-        np.right_shift(words, np.uint64(32), out=halves[:, 1::2])
-        scaled = halves[:, :n]
-        scaled *= np.uint64(span)
+        # little-endian, so each word's low half comes first on any host
+        scaled = words.view("<u4")[:, :n] * np.uint64(span)
         rejected = ((scaled & _LOW32) < np.uint64((2 ** 32 - span) % span)).any(axis=1)
         scaled >>= np.uint64(32)
-        out = halves.view(np.int64)[:, :n]  # every value is now below 2^32
+        out = scaled.view(np.int64)  # every value is now below 2^32
         out += low
         for k in np.flatnonzero(rejected):
             out[k] = substream(seed, purpose, start + k).integers(low, rule["high"] + 1, size=n)

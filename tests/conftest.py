@@ -115,8 +115,9 @@ def halved_gradients_config():
 
 
 def dropping_first_message(ring_arrivals):
-    """``World._ring_arrivals`` losing one message a round: the first
-    message of every round weighs nothing on the ring route alone."""
+    """``World._arrivals`` losing one message a round: the first message of
+    every round weighs nothing on the ring route alone, which in ``verify``
+    is the pair's member 0."""
     def dropping(self, plan, k, snapshot):
         graph, phase = self.graph, self.graph.phase_at(plan.start + k)
         w_msg = phase.w_msg.copy()

@@ -339,7 +339,7 @@ def test_verify_fails_when_the_arrival_ring_drops_a_message(monkeypatch):
     from dpgames.engine import World
     cfg = preset("fig7-random-delays-private")
     assert dict((name, ok) for name, ok, _ in cli.verify_checks(cfg))["oracle-equivalence"]
-    monkeypatch.setattr(World, "_ring_arrivals", dropping_first_message(World._ring_arrivals))
+    monkeypatch.setattr(World, "_arrivals", dropping_first_message(World._arrivals))
     checks = {name: (ok, detail) for name, ok, detail in cli.verify_checks(cfg)}
     ok, detail = checks["oracle-equivalence"]
     assert not ok and detail.startswith("max |run - augmented reference| = ")
@@ -387,7 +387,7 @@ def test_verify_certifies_the_configs_own_game(monkeypatch):
                         lambda self, t, x, p: times.append(t) or halved(self, t, x, p))
     assert all(ok for _, ok, _ in cli.verify_checks(cfg))
     assert times == list(range(cfg.horizon))
-    monkeypatch.setattr(World, "_ring_arrivals", dropping_first_message(World._ring_arrivals))
+    monkeypatch.setattr(World, "_arrivals", dropping_first_message(World._arrivals))
     checks = {name: ok for name, ok, _ in cli.verify_checks(cfg)}
     assert not checks.pop("oracle-equivalence") and all(checks.values())
 

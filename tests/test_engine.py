@@ -191,11 +191,21 @@ def test_delivery_accounting_exactly_once():
     assert res.messages_delivered == expected_delivered
 
 
-def test_arrival_sums_match_indicator_enumeration():
-    # brute-force the double sum over senders and delay levels r
+def capturing_arrivals(world):
+    """The list to which ``world`` appends each round's (V, 2m) arrival sums."""
+    sums, arrivals = [], world._arrivals
+    world._arrivals = lambda plan, k, snapshot: sums.append(arrivals(plan, k, snapshot)) or sums[-1]
+    return sums
+
+
+@pytest.mark.parametrize("cls", [World, _AugmentedWorld])
+def test_arrival_sums_match_indicator_enumeration(cls):
+    # brute-force the double sum over senders and delay levels r; the twin's
+    # first tau_max + 1 rounds also sum the zeros of slots not yet sent
     cfg = bench_cfg(horizon=40, delays=dp.DelaySchedule.uniform(3), seed=11,
                     noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))
-    world = World(cfg)
+    world = cls(cfg)
+    arrived = capturing_arrivals(world)
     delays = world.delays
     tau = delays.tau_max
     snapshots = {}
@@ -203,7 +213,7 @@ def test_arrival_sums_match_indicator_enumeration():
         n = dp.sample_noise(5.0, (5, 1), substream(11, STREAM_NOISE, t))  # shared draw
         snapshots[t] = (world.b + n, world.v + n)
         world.step()
-        sum_b, sum_v = world.last_arrivals
+        sum_b, sum_v = arrived[t][:, :1], arrived[t][:, 1:]
         expect_b = np.zeros_like(sum_b)
         expect_v = np.zeros_like(sum_v)
         for r in range(0, min(t, tau) + 1):
@@ -717,7 +727,7 @@ def test_a_message_the_ring_drops_leaves_the_pairs_relay_member_alone(monkeypatc
     # the routes share only what both read: a fault in the ring route moves
     # member 0 and leaves member 1 equal to the twin run alone
     cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=50)
-    monkeypatch.setattr(World, "_ring_arrivals", dropping_first_message(World._ring_arrivals))
+    monkeypatch.setattr(World, "_arrivals", dropping_first_message(World._arrivals))
     rec = dp.engine._run_pair(cfg)
     _assert_member(rec, 1, dp.run_augmented_reference(cfg))
     assert np.abs(rec["b"][:, 0] - rec["b"][:, 1]).max() > 1.0
@@ -1028,19 +1038,21 @@ def test_procedural_schedule_alternating_edge_sets_matches_hand_reference(courno
     assert res.messages_enqueued == sum(len(sets[t % 2]) for t in range(T))
 
 
+@pytest.mark.parametrize("cls", [World, _AugmentedWorld])
 @pytest.mark.parametrize("name, blocks_repeat", [("fig5-fixed-delay", True),
                                                  ("fig6-random-delays", False)])
-def test_arrivals_use_the_send_rounds_delay_blocks(name, blocks_repeat):
+def test_arrivals_use_the_send_rounds_delay_blocks(name, blocks_repeat, cls):
     """The engine weights a message with the delay blocks of the round it
     was sent in: round t's arrivals are sum_r W^r(t - r) b(t - r), not the
     sum_r W^r(t) b(t - r) of a chain of ``augment(W(t), D(t))``. The two
     agree when each round's blocks equal those of r rounds earlier, as under
     fig5's fixed delay on its period-2 schedule, and not under fig6's
-    uniform delays.
+    uniform delays. The arrival ring and the twin alike.
     """
     cfg = dataclasses.replace(preset(name), horizon=60)
     assert not cfg.noise.enabled  # the sent snapshot is b itself
-    world = World(cfg)
+    world = cls(cfg)
+    sums = capturing_arrivals(world)
     V, S = world.V, world.delays.tau_max + 1
 
     def blocks(s):  # (S, V, V) delay blocks of round s, read from augment's top block row
@@ -1054,7 +1066,7 @@ def test_arrivals_use_the_send_rounds_delay_blocks(name, blocks_repeat):
         sent.append(world.b.copy())
         block.append(blocks(t))
         world.step()
-        arrived = world.last_arrivals[0]
+        arrived = sums[t][:, :world.m]
         stages = range(min(t, S - 1) + 1)
         at_send = sum(block[t - r][r] @ sent[t - r] for r in stages)
         at_receive = sum(block[t][r] @ sent[t - r] for r in stages)
