@@ -8,8 +8,6 @@ with a header row or as one JSON object per line, UTF-8 with LF line endings.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import math
 import reprlib
@@ -471,6 +469,8 @@ def cmd_verify(args) -> int:
 
 def derive_seed(master: int, axis: str, value) -> int:
     """Stable per-run sub-seed: first 8 bytes of sha256('{master}:{axis}:{value!r}')."""
+    import hashlib  # here, not at the top: importing the package need not load it
+
     digest = hashlib.sha256(f"{master}:{axis}:{value!r}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -579,6 +579,8 @@ def _add_config_args(p, with_overrides=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: importing the package need not load it
+
     parser = argparse.ArgumentParser(prog="dpgames",
                                      description="private, delay-tolerant distributed "
                                                  "aggregative game simulator")

@@ -24,17 +24,20 @@ delays from one ``DelaySchedule._delays`` call per purpose, every message's
 arrival slot, the gradient-ring slots of the delayed gradients, whether a
 round delays no agent's feedback, the negated step sizes -eta(t + 1) that
 the projection multiplies by, and the products Y(t) with the (V, 1) column
-of their diagonals y_ii(t) that divides the delayed gradients, and their
-minima min_i y_ii(t) as Python floats. ``World.__init__`` builds no plan,
-and a world stepped by hand past its horizon plans one round at a time.
+of their diagonals y_ii(t) that divides the delayed gradients. A plan is
+refused (``DegeneracyError``) at its first round with min_i y_ii(t) below
+Y_FLOOR, so the round kernel makes no schedule decision, and a run reads its
+y floor from the records. ``World.__init__`` builds no plan, and a world
+stepped by hand past its horizon plans one round at a time.
 
 The delay falls on the gradient, not the state: round t's gradients, one
 ``game.gradients`` call (one ``gradient_fn`` call on all rows) at time t
 before the round changes (x, v), go to slot t mod (tau_max + 1) of a
-gradient ring, and agent i reads its row of the slot of
-max(t - tau_i(t), 0). A round whose feedback delays are all 0 reads the
-block the call returned, without gathering from the ring. Records are
-preallocated; losses follow the loop.
+gradient ring of tau_max + 2 slots, and agent i reads its row of the slot of
+max(t - tau_i(t), 0), or under ``cold_start="zero"``, when tau_i(t) > t, of
+the last slot, never written and so zero. A round whose feedback delays are
+all 0 reads the block the call returned, without gathering from the ring.
+Records are preallocated; losses follow the loop.
 
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
@@ -182,14 +185,13 @@ class _RoundPlan(NamedTuple):
     W: np.ndarray          # (K, V, V) weights
     w_self: np.ndarray     # (K, V, 1) their diagonals, the self-weights
     D: np.ndarray          # (K, V, V) comm delays
-    skip: np.ndarray       # (K, V) tau_i(t) > t: no gradient of round t - tau_i(t) yet
-    rows: np.ndarray       # (K, V) gradient-ring slots of the rounds max(t - tau_i(t), 0)
+    rows: np.ndarray       # (K, V) gradient-ring slots of the rounds max(t - tau_i(t), 0), or
+                           # under cold_start "zero" the zero slot where tau_i(t) > t
     slots: list            # K arrays: each message's arrival slot, in send order
     counts: np.ndarray     # (K, tau_max + 1) messages per arrival slot
     neg_eta: np.ndarray    # (K,) -eta(t + 1), the signed step of the projection to x(t + 1)
     Y: np.ndarray          # (K + 1, V, V) Y(t) = W(t - 1) ... W(0), to Y(stop)
     y: np.ndarray          # (K, V, 1) y_ii(t), the column dividing the delayed gradients
-    y_min: list            # K floats min_i y_ii(t)
     current: list          # K bools: every tau_i(t) = 0, so each agent reads round t's gradient
 
 
@@ -219,11 +221,12 @@ class World:
         self.Y = np.eye(V)
         slots = self.delays.tau_max + 1
         self.ring = np.zeros((slots, V, 2 * m))
-        self.grad_ring = np.zeros((slots, *self.b.shape))  # gradients of round s in slot s mod slots
+        # gradients of round s in slot s mod slots; the last slot is never written, so it stays
+        # zero, the gradient an agent reads before round 0 under cold_start "zero"
+        self.grad_ring = np.zeros((slots + 1, *self.b.shape))
         self._agents = np.arange(V)
         self._grad_rows = np.indices(self.b.shape[:-1], sparse=True)  # each state row's index in a slot
         self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
-        self.min_y_diag = 1.0
         self.messages_enqueued = self.messages_delivered = 0
         if self.noise.enabled:  # the sensitivity and Laplace scale of every round
             delta = self.noise.delta if self.noise.sensitivity_mode == "manual" else sensitivity_bound(
@@ -254,6 +257,7 @@ class World:
         """The plan of the chunk of rounds from ``start``: CHUNK_ROUNDS rounds,
         or fewer so that its delay blocks take about CHUNK_DELAYS floats and
         it ends at the horizon. A round at or past the horizon is planned alone.
+        Raises DegeneracyError for its first round with min_i y_ii(t) < Y_FLOOR.
         """
         V, T, slots = self.V, self.cfg.horizon, len(self.ring)
         K = min(CHUNK_ROUNDS, max(CHUNK_DELAYS // (slots * V * V + V), 1), max(T - start, 1))
@@ -281,23 +285,21 @@ class World:
         counts = np.bincount(np.concatenate(flat), minlength=K * slots).reshape(K, slots)
         # contiguous columns: the kernel reads a strided view of a diagonal slower
         w, y = (A.diagonal(axis1=1, axis2=2)[..., None].copy() for A in (W, Y[:K]))
+        for k in np.flatnonzero(y.min(axis=(1, 2)) < Y_FLOOR)[:1]:  # the first degenerate round
+            raise DegeneracyError(f"y_ii = {y[k].min():.3e} at t={start + k}; self-loop structure violated")
         rows = np.maximum(t[:, None] - tau, 0) % slots
-        return _RoundPlan(start, start + K, W, w, D, tau > t[:, None], rows, arrival,
-                          counts, -step_size(self.cfg.gamma, t + 1), Y, y, y.min(axis=(1, 2)).tolist(),
-                          (~tau.any(axis=1)).tolist())
+        if self.cfg.cold_start == "zero":  # no gradient of round t - tau_i(t) < 0: read the zero slot
+            rows[tau > t[:, None]] = slots
+        return _RoundPlan(start, start + K, W, w, D, rows, arrival, counts,
+                          -step_size(self.cfg.gamma, t + 1), Y, y, (~tau.any(axis=1)).tolist())
 
     def _delayed_gradients(self, plan: _RoundPlan, k: int) -> np.ndarray:
         """Put round t = plan.start + k's gradients, at time t and its starting
         state, in the ring; return (..., V, m), agent i's of round t - tau_i(t):
         the game's own block when every tau_i(t) is 0."""
         t, ring = plan.start + k, self.grad_ring
-        g = ring[t % len(ring)] = self.game.gradients(t, self.x, self.v)
-        if plan.current[k]:  # no feedback delayed, so no agent skipped either
-            return g
-        g = ring[(plan.rows[k], *self._grad_rows)]
-        if self.cfg.cold_start == "zero":
-            g[..., plan.skip[k], :] = 0.0
-        return g
+        g = ring[t % len(self.ring)] = self.game.gradients(t, self.x, self.v)
+        return g if plan.current[k] else ring[(plan.rows[k], *self._grad_rows)]
 
     def step(self) -> None:
         """One round of every world: plan, noise and send, fold in what arrives, update."""
@@ -334,12 +336,6 @@ class World:
         the (..., V, 2m) arrival sums are formed."""
         game, t, m = self.game, plan.start + k, self.m
         sum_b, sum_v = arrived[..., :m], arrived[..., m:]
-
-        y_min = plan.y_min[k]
-        if y_min < Y_FLOOR:
-            raise DegeneracyError(f"y_ii = {y_min:.3e} at t={t}; self-loop structure violated")
-        self.min_y_diag = min(self.min_y_diag, y_min)
-
         g = self._delayed_gradients(plan, k)
         w_self = plan.w_self[k]
         b_new = w_self * self.b + sum_b + g / plan.y[k]
@@ -407,7 +403,7 @@ class RunResult:
             "messages_delivered": self.messages_delivered,
             "messages_pending": self.messages_pending,
             "wall_time_s": self.wall_time,
-            "empirical_theta": float("inf") if self.min_y_diag == 0 else 1.0 / self.min_y_diag,
+            "empirical_theta": 1.0 / self.min_y_diag,
             "stabilization": stabilization,
             "ledger": self.ledger.entries(),
         }
@@ -459,7 +455,8 @@ def _execute(world: World, start: float) -> RunResult:
     loss_local, loss_true = _losses(world.game, rec["x"], rec["v"])
     return RunResult(
         config=world.cfg, **rec, loss_local=loss_local, loss_true=loss_true,
-        ledger=ledger, min_y_diag=world.min_y_diag,
+        # row t is diag Y(t), which every round t < T checked against Y_FLOOR when planned
+        ledger=ledger, min_y_diag=float(rec["y_diag"][:-1].min(initial=1.0)),
         messages_enqueued=world.messages_enqueued,
         messages_delivered=world.messages_delivered,
         messages_pending=world.messages_pending(),

@@ -35,8 +35,8 @@ class GameSpec:
     written for one agent at a time.
 
     The row forms ``psi_values`` and ``gradients`` also take a (..., k, m)
-    stack of tables, such as ``verify``'s (2, V, m) state, in one call, and
-    check each result against the rows' shape.
+    stack of tables, such as ``verify``'s (2, V, m) state, in one call. Every
+    callable's result is checked against the rows' shape.
 
     L bounds the own-action partial (the aggregate held fixed) on the joint
     box, mu is the strong-monotonicity modulus of the pseudogradient, and
@@ -116,17 +116,15 @@ class GameSpec:
         return float(self._costs(np.array([i]), t, self._row(x_i), self._row(psi_val))[0])
 
     def psi(self, i: int, x_i) -> Vec:
-        return np.asarray(self.psi_fn(np.array([i]), self._row(x_i)), dtype=float)[0]
+        x = self._row(x_i)
+        return self._checked("psi_fn", self.psi_fn(np.array([i]), x), x)[0]
 
     def psi_values(self, x: np.ndarray) -> np.ndarray:
         """psi_j(x_j) for every row of x, a (..., k, m) stack of tables of stacked (V, m) blocks."""
         x = np.asarray(x, dtype=float)
         if x.ndim > 2:  # one call on all the stack's rows, not re-entering an override
             return GameSpec.psi_values(self, x.reshape(-1, self.dim)).reshape(x.shape)
-        values = np.asarray(self.psi_fn(self._agents(len(x)), x), dtype=float)
-        if values.shape != x.shape:
-            raise self._misshaped("psi_fn", values, x)
-        return values
+        return self._checked("psi_fn", self.psi_fn(self._agents(len(x)), x), x)
 
     def aggregate(self, x: np.ndarray) -> Vec:
         """Exact aggregate Psi(x) = (1/V) sum_j psi_j(x_j); x has shape (V, m)."""
@@ -152,14 +150,16 @@ class GameSpec:
 
     def _gradients(self, i: np.ndarray, t, x: np.ndarray, psi_val: np.ndarray) -> np.ndarray:
         """``gradient_fn`` of agents i at the rows of x and psi_val."""
-        values = np.asarray(self.gradient_fn(i, t, x, psi_val), dtype=float)
-        if values.shape != x.shape:
-            raise self._misshaped("gradient_fn", values, x)
-        return values
+        return self._checked("gradient_fn", self.gradient_fn(i, t, x, psi_val), x)
 
-    def _misshaped(self, name: str, values: np.ndarray, x: np.ndarray) -> ValueError:
-        return ValueError(f"game {self.name!r}: {name} returned shape {values.shape} "
-                          f"for rows of shape {x.shape}")
+    def _checked(self, name: str, values, x: np.ndarray, shape=None) -> np.ndarray:
+        """``values``, what the callable ``name`` returned for the rows of x, as
+        floats; ValueError unless they have the rows' shape, or ``shape``."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (x.shape if shape is None else shape):
+            raise ValueError(f"game {self.name!r}: {name} returned shape {values.shape} for rows of "
+                             f"shape {x.shape}" + ("" if shape is None else f", not {shape}"))
+        return values
 
     def pseudogradient(self, t: int, x: np.ndarray) -> np.ndarray:
         """Stacked local gradients at the exact aggregate; x and result are (V, m)."""
@@ -183,7 +183,7 @@ class GameSpec:
             raise ActionDomainError(
                 f"action {x[r]} of agent {i[r]} at round {np.broadcast_to(t, len(x))[r]} "
                 f"outside box [{self.box_lo[i[r]]}, {self.box_hi[i[r]]}]")
-        return np.asarray(self.cost_fn(i, t, x, psi_val), dtype=float)
+        return self._checked("cost_fn", self.cost_fn(i, t, x, psi_val), x, i.shape)
 
 
 def clip_to_box(x: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -315,6 +318,23 @@ def test_summary_contents(tmp_path):
     assert summary["ledger"] == [{"rounds": 150, "delta": 1.0, "sigma": 5.0, "epsilon": 0.2}]
     assert summary["messages_enqueued"] == summary["messages_delivered"]
     assert set(summary["stabilization"]) == {"0", "1", "2", "3", "4"}
+
+
+@pytest.mark.parametrize("fmt", ["tabular", "object-lines"])
+def test_a_horizon_0_run_writes_round_0_alone(fmt, tmp_path):
+    out = tmp_path / "r.out"
+    assert cli.main(["run", "--preset", "fig5-fixed-delay", "--horizon", "0",
+                     "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    rows = (list(csv.DictReader(io.StringIO(text))) if fmt == "tabular"
+            else [json.loads(line) for line in text.splitlines()])
+    assert [(int(r["t"]), int(r["agent"])) for r in rows] == [(0, i) for i in range(5)]
+    # a one-row series is its own running average
+    assert all(r["avg_loss"] == r["loss"] and r["avg_loss_true"] == r["loss_true"] for r in rows)
+    summary = json.loads(Path(f"{out}.summary.json").read_text())
+    assert summary["horizon"] == 0 and summary["stabilization"] == {} and summary["ledger"] == []
+    # no round ran, so the y floor is Y(0) = I's
+    assert summary["empirical_y_floor"] == 1.0 and summary["empirical_theta"] == 1.0
 
 
 def test_unwritable_out_path_fails_nonzero(tmp_path):
@@ -654,6 +674,58 @@ def test_config_error_exit_code(tmp_path, capsys):
     p.write_text("{}")
     assert cli.main(["run", "--config", str(p)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _fig5_file(tmp_path, graph=None, root=None) -> str:
+    """A fig5 config file, its graph block or its whole root replaced."""
+    d = config_to_dict(preset("fig5-fixed-delay"))
+    if graph is not None:
+        d["graph"] = graph
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(d if root is None else root))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda p: ["run", "--config", _fig5_file(p, graph={"type": "grid"})],
+     "graph: type: must be one of ['static', 'periodic'], got 'grid'"),
+    (lambda p: ["run", "--config", _fig5_file(p, root=[1])], "config root must be an object, got [1]"),
+    (lambda p: ["run", "--preset", "fig9"], "unknown preset 'fig9'; available: ["),
+    (lambda p: ["run", "--preset", "fig5-fixed-delay", "--config", _fig5_file(p)],
+     "pass either --preset or --config, not both"),
+    (lambda p: ["run"], "one of --preset or --config is required"),
+    (lambda p: ["sweep", "--preset", "fig5-fixed-delay", "--axis", "tau_max", "--values", "3"],
+     "--values '3': cannot sweep tau_max over a fixed-entry delay schedule"),
+    (lambda p: ["sweep", "--preset", "fig5-fixed-delay", "--axis", "gamma", "--values", ","],
+     "--values must be a non-empty comma-separated list"),
+], ids=["unknown-selector", "root-not-object", "unknown-preset", "preset-and-config",
+        "no-config", "sweep-fixed-tau-max", "empty-values"])
+def test_each_rejected_invocation_names_its_fault(argv, message, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}") and captured.out == ""
+    assert not out.exists()
+
+
+def test_write_records_rejects_an_unknown_format(tmp_path):
+    result = dp.run(replace(preset("fig5-fixed-delay"), horizon=1))
+    with pytest.raises(ConfigError, match=r"^unknown output format 'xml'$"):
+        cli.write_records(result, tmp_path / "r", "xml")
+    assert not (tmp_path / "r").exists()
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_hashlib():
+    # each is imported where it is used, so the library's import time pays for neither
+    code = ("import sys; import dpgames.cli as cli; "
+            "print(sorted({'argparse', 'hashlib'} & set(sys.modules))); "
+            "print(cli.main(['presets']))")
+    src = str(Path(dp.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "0"
+    assert lines[1:-1] == [f"{name}: {note}" for name, (note, _) in cli.PRESETS.items()]
 
 
 _PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta": 1.0}

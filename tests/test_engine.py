@@ -46,6 +46,12 @@ def test_project_nonexpansive():
         assert d <= eta * np.linalg.norm(u - v) + 1e-12
 
 
+@pytest.mark.parametrize("eta", [0.0, -1.0])
+def test_project_rejects_a_step_size_that_is_not_positive(eta):
+    with pytest.raises(ValueError, match=f"^step size must be positive, got {eta}$"):
+        dp.project(np.array([1.0]), eta, [-5.0], [5.0])
+
+
 def test_step_size_indexing():
     # producing x(1) uses gamma / sqrt(2)
     assert step_size(1.0, 1) == pytest.approx(1.0 / math.sqrt(2.0))
@@ -122,6 +128,20 @@ def test_wrongly_typed_fields_are_config_errors(field, value, message):
     cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, **{field: value})
     message = f"{field} must be {message}, got {value!r}"
     assert cfg.validate() == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        World(cfg)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("game", "cournot", "unknown game 'cournot'; registered: ['nash-cournot']"),
+    ("graph", ring_graph(4), "graph has 4 agents, game has 5"),
+    ("cold_start", "warm", "cold_start must be 'clamp' or 'zero', got 'warm'"),
+    ("x0", np.zeros((4, 1)), "bad initial actions: cannot reshape"),
+])
+def test_fields_that_do_not_fit_the_game_are_config_errors(field, value, message):
+    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, **{field: value})
+    errors = cfg.validate()
+    assert len(errors) == 1 and errors[0].startswith(message)
     with pytest.raises(ValueError, match=re.escape(message)):
         World(cfg)
 
@@ -344,7 +364,10 @@ def test_y_rows_mix_and_diagonal_floor():
         world.step()
     assert world.Y.min() >= 0.0 and world.Y.max() <= 1.0
     assert np.abs(world.Y.sum(axis=1) - 1.0).max() < 1e-12
-    assert world.min_y_diag > 0
+    # the floor is read from the records: row t is diag Y(t), checked by round t < T
+    res = dp.run(cfg)
+    assert res.min_y_diag > 0
+    assert res.min_y_diag == res.y_diag[:-1].min()
     # rows approach a common vector
     spread = world.Y.max(axis=0) - world.Y.min(axis=0)
     assert spread.max() < 1e-6
@@ -368,6 +391,29 @@ def test_y_ii_decays_exponentially_in_the_diameter_until_degeneracy():
     cfg = dp.RunConfig(game=small_linear_game(V), graph=sched, horizon=40, seed=0)
     with pytest.raises(DegeneracyError, match=r"y_ii = 5\.397e-16 at t=32;"):
         dp.run(cfg)
+    # the plan of rounds 0 .. 39 refuses round 32 when it is built, before round 0 runs
+    world = World(cfg)
+    with pytest.raises(DegeneracyError, match=r"y_ii = 5\.397e-16 at t=32; self-loop structure violated"):
+        world.step()
+    assert world.t == 0
+
+
+def test_cold_start_zero_reads_a_zero_slot_of_the_gradient_ring():
+    # agents whose feedback reaches before round 0 read the ring's last slot,
+    # which no round writes
+    cfg = dataclasses.replace(preset("fig7-random-delays-private"), horizon=300, cold_start="zero")
+    world = World(cfg)
+    slots = len(world.ring)
+    assert world.grad_ring.shape[0] == slots + 1
+    zero_reads = 0
+    for t in range(cfg.horizon):
+        world.step()
+        plan = world._plan
+        skipped = plan.rows[t - plan.start] == slots
+        assert np.array_equal(skipped, world.delays.feedback_delays(t, world.V) > t), t
+        zero_reads += int(skipped.sum())
+        assert not world.grad_ring[slots].any(), t
+    assert zero_reads > 0
 
 
 def test_update_does_not_approach_an_equilibrium_off_the_box_corners():

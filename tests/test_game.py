@@ -462,3 +462,26 @@ def test_a_misshaped_game_result_is_named_before_it_reaches_the_engine(entry, ro
         call()
     assert str(err.value) == (f"game 'misshaped': {callable_name} returned shape {returned} "
                               f"for rows of shape ({rows}, 1)")
+
+
+def test_a_misshaped_cost_is_named_at_every_entry():
+    # (k,) + (k, 1) broadcasts to (k, k): the cost would reach the records misshaped
+    game = small_linear_game(3)
+    c, V = np.array([-20.0, -25.0, -30.0]), 3
+    game = dataclasses.replace(game, name="misshaped", cost_fn=lambda i, t, x, p: (c[i] + V * p) * x)
+    cfg = dp.RunConfig(game=game, graph=ring_graph(3), horizon=5, seed=1)
+    sols = dp.solve_equilibria(game, range(6))
+    x_traj = np.stack([s.x_star for s in sols])
+    for call, k in [(lambda: dp.run(cfg), 18), (lambda: game.cost(0, 0, [1.0], [1.0]), 1),
+                    (lambda: dp.dynamic_regret(game, x_traj, sols), 18)]:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == (f"game 'misshaped': cost_fn returned shape ({k}, {k}) "
+                                  f"for rows of shape ({k}, 1), not ({k},)")
+
+
+def test_psi_of_one_agent_is_checked_like_the_row_form():
+    assert misshaped_game("gradient_fn").psi(0, [1.0]).shape == (1,)
+    with pytest.raises(ValueError) as err:
+        misshaped_game("psi_fn").psi(0, [1.0])
+    assert str(err.value) == "game 'misshaped': psi_fn returned shape (1,) for rows of shape (1, 1)"

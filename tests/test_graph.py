@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,6 +66,26 @@ def test_phase_lists_messages_sender_by_sender_once_per_edge_set(bench_graph):
         assert list(zip(phase.sender.tolist(), phase.receiver.tolist())) == messages
         assert phase.w_msg.tolist() == [[W[i, j]] for j, i in messages]
     assert len(bench_graph.phase_at(0).sender) == len(bench_graph.phase_at(1).sender) + 1
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: dp.GraphSchedule.periodic(2, []), ScheduleError, "a schedule needs at least one edge set"),
+    (lambda: ring_graph(3).phase_at(-1), ScheduleError, "time index -1 < 0"),
+    (lambda: dp.DelaySchedule(2, comm={"type": "poisson"}), DelayRangeError,
+     "unknown delay rule type 'poisson'"),
+    (lambda: dp.DelaySchedule.uniform(2).comm_matrix(0, 3), DelayRangeError,
+     "randomized delay schedule used before its seed was resolved"),
+    (lambda: dp.validate_b_connectivity(ring_graph(3), 0, 5), ScheduleError,
+     "connectivity window must be >= 1, got 0"),
+    (lambda: dp.mixing_diagnostics(ring_graph(3), dp.DelaySchedule.none(), 4), DiagnosticsError,
+     "horizon 4 too short for mixing diagnostics"),
+    (lambda: dp.eigenvector_floor(dp.GraphSchedule.static(2, [(0, 1), (1, 0)], require_self_loops=False),
+                                  3), ScheduleError, "y_ii reached zero; schedule lacks self-loops"),
+], ids=["no-edge-sets", "negative-round", "unknown-rule", "unseeded-draw", "window-0",
+        "short-mixing-horizon", "no-self-loops"])
+def test_each_schedule_fault_raises_its_own_error(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_empty_in_neighborhood_raises_at_its_phase_every_time():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -446,6 +447,22 @@ def test_regret_horizon_mismatch():
 
 # ---------------------------------------------------------------------------
 # loss series and stabilization
+
+
+@pytest.mark.parametrize("A", [[[0.0, 0.0]], [[np.nan, 1.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                         ids=["zero-row", "nan-row", "zero-second-row"])
+def test_anderson_weights_give_up_on_a_zero_or_nan_row(A):
+    assert metrics._anderson_weights(np.array(A), np.array([1.0, 2.0])) is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dp.average_loss([]), "empty loss series"),
+    (lambda: dp.stabilization_stat(np.ones(200), tail_fraction=0), "tail fraction must be in (0, 1], got 0"),
+    (lambda: dp.stabilization_stat(np.ones((200, 2))), "stabilization_stat expects a 1-d series"),
+])
+def test_series_that_cannot_be_summarized_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_average_loss_trivial_series():

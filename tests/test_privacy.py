@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,21 @@ def test_noise_config_validation():
     cfg = NoiseConfig.fixed_epsilon(0.2, delta=1.0)
     assert cfg.resolve(1.0) == (1.0, 5.0)
     assert not NoiseConfig.off().enabled
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dp.sensitivity_bound(1.0, 1.0, 0), ValueError, "dimension m must be >= 1, got 0"),
+    (lambda: dp.sigma_for(0, 1), ValueError, "sensitivity must be positive, got 0"),
+    (lambda: NoiseConfig("laplace"), ValueError, "unknown noise mode 'laplace'"),
+    (lambda: NoiseConfig("epsilon", epsilon=0.2, delta=1.0, sensitivity_mode="exact"), ValueError,
+     "unknown sensitivity mode 'exact'"),
+    (lambda: NoiseConfig("epsilon", epsilon=0.2, delta=1.0, shared_draw=1), TypeError,
+     "shared_draw must be true or false, got 1"),
+    (lambda: NoiseConfig.off().resolve(1.0), ValueError, "noise is disabled"),
+], ids=["m-0", "delta-0", "unknown-mode", "unknown-sensitivity", "shared-draw-int", "resolve-off"])
+def test_each_privacy_fault_names_itself(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("mode, scale, delta", [
