@@ -12,9 +12,6 @@ from .game import GameSpec, linear_demand_game, nash_cournot, resolve_game
 from .graph import (ConnectivityReport, DelaySchedule, GraphSchedule,
                     MixingDiagnostics, augment, eigenvector_floor,
                     mixing_diagnostics, validate_b_connectivity)
-from .metrics import (EquilibriumSolution, RegretReport, StabilizationStat,
-                      average_loss, dynamic_regret, kkt_max_violation, ne_oracle,
-                      solve_equilibria, stabilization_stat, stabilization_time)
 from .privacy import (NoiseConfig, PrivacyLedger, sample_noise, sensitivity_bound,
                       sigma_for, substream)
 
@@ -31,3 +28,12 @@ __all__ = [
     "solve_equilibria", "stabilization_stat", "stabilization_time", "step_size",
     "substream", "validate_b_connectivity",
 ]
+
+
+# The names of __all__ not imported above are the oracle and regret module's,
+# loaded on first use (PEP 562): importing the package need not load it.
+def __getattr__(name):
+    if name in __all__:
+        from . import metrics
+        return getattr(metrics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

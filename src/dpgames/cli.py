@@ -8,7 +8,6 @@ with a header row or as one JSON object per line, UTF-8 with LF line endings.
 
 from __future__ import annotations
 
-import json
 import math
 import reprlib
 import sys
@@ -19,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import engine, metrics
+from . import engine
 from .engine import NonFiniteStateError, RunConfig, RunResult
 from .game import GAME_REGISTRY
 from .graph import DelaySchedule, GraphSchedule, ScheduleError, augment, validate_b_connectivity
@@ -235,6 +234,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def load_config(path) -> RunConfig:
     """The config in the file ``path``; an empty file reads as ``{}``."""
+    import json  # here and in each writer: importing the cli need not load json
+
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8").strip() or "{}")
     except ValueError as e:  # what decoding UTF-8 or JSON raises
@@ -245,6 +246,8 @@ def load_config(path) -> RunConfig:
 
 
 def write_config(cfg: RunConfig, path) -> None:
+    import json
+
     Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")
 
 
@@ -297,9 +300,11 @@ def _vec_columns(stem: str, m: int) -> list[str]:
 def _running_average(loss: np.ndarray) -> np.ndarray:
     """Row 0 keeps the round-0 losses; row t >= 1 averages rounds 1..t,
     matching the benchmark figures' series."""
+    from .metrics import average_loss
+
     if len(loss) == 1:
         return loss
-    return np.concatenate([loss[:1], metrics.average_loss(loss[1:])])
+    return np.concatenate([loss[:1], average_loss(loss[1:])])
 
 
 def _record_table(result: RunResult) -> np.ndarray:
@@ -345,6 +350,8 @@ def write_records(result: RunResult, path, fmt: str) -> None:
         head = ",".join(["run_id", "seed", "t", "agent"] + columns) + "\n"
         fixed, cells = f"{_csv_field(str(run_id))},{seed}", ",%d,%d" + ",%r" * len(columns) + "\n"
     else:  # JSON's item spelling: ", " between items, ": " after keys
+        import json
+
         vec = "[" + ", ".join(["%r"] * m) + "]"
         head, fixed = "", json.dumps({"run_id": run_id, "seed": seed})[:-1]  # no closing brace
         items = zip(["t", "agent", "x", "x_hat", "v"] + columns[3 * m:],
@@ -358,6 +365,8 @@ def write_records(result: RunResult, path, fmt: str) -> None:
 
 
 def write_summary(result: RunResult, path) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(result.summary(), fh, indent=2)
         fh.write("\n")
@@ -561,6 +570,8 @@ def cmd_ne_oracle(args) -> int:
         errors.append(f"--time must be a non-negative integer, got {args.time}")
     if errors:
         raise ConfigError(errors)
+    from . import metrics
+
     cfg = _resolve_config(args)
     game = cfg.resolved_game()
     sol = metrics.ne_oracle(game, args.time, tol=args.tol)

@@ -61,7 +61,6 @@ import numpy as np
 from .game import GameSpec, _sum_in_order, clip_to_box, resolve_game
 from .graph import (DelaySchedule, GraphSchedule, _delay_blocks, _integer, eigenvector_floor,
                     validate_b_connectivity)
-from .metrics import average_loss, stabilization_stat
 from .privacy import (NoiseConfig, PrivacyLedger, _positive_finite, sample_noise,
                       sensitivity_bound, substream, STREAM_NOISE, STREAM_NOISE_AGGREGATE)
 
@@ -386,6 +385,8 @@ class RunResult:
     def summary(self) -> dict:
         """What ``summary.json`` holds. Runs of 100 rounds or more add each
         agent's tail statistics of its running-average local loss."""
+        from .metrics import average_loss, stabilization_stat  # here: a run need not load metrics
+
         stabilization = {}
         if self.horizon >= 100:
             for i in range(self.x.shape[1]):

@@ -5,6 +5,8 @@ Edges are ``(src, dst)`` pairs: ``dst`` receives from ``src``, so an edge
 ``(j, i)`` puts ``j`` in agent ``i``'s in-neighborhood and makes ``W[i, j]``
 positive. Every weight matrix here is row stochastic, with each in-edge of
 agent ``i`` weighted ``1 / in_degree(i)``.
+
+Schedules are frozen dataclasses, checked when built; the result records are NamedTuples.
 """
 
 from __future__ import annotations
@@ -348,8 +350,7 @@ def _shell_order(num_agents: int) -> np.ndarray:
 # Connectivity validation
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     ok: bool
     first_violation: Optional[tuple[int, int]] = None  # [start, end] inclusive
 
@@ -447,8 +448,7 @@ def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray
 # Mixing diagnostics
 
 
-@dataclass(frozen=True)
-class MixingDiagnostics:
+class MixingDiagnostics(NamedTuple):
     c_hat: float
     lambda_hat: float
     r_squared: float
@@ -532,12 +532,12 @@ def eigenvector_floor(schedule: GraphSchedule, horizon: int) -> float:
     The reciprocal is the empirical theta used by the analytic sensitivity
     bound.
     """
-    V = schedule.num_agents
-    Y = np.eye(V)
-    floor = 1.0
+    Y = np.eye(schedule.num_agents)
+    diags = np.ones((horizon + 1, len(Y)))  # row t is diag Y(t)
     for t in range(horizon):
         Y = schedule.weights_at(t) @ Y
-        floor = min(floor, float(np.diag(Y).min()))
+        diags[t + 1] = Y.diagonal()
+    floor = float(diags.min())
     if floor <= 0:
         raise ScheduleError("y_ii reached zero; schedule lacks self-loops")
     return floor

@@ -1,10 +1,13 @@
-"""Equilibrium oracle, dynamic regret, average loss, and stabilization stats."""
+"""Equilibrium oracle, dynamic regret, average loss, and stabilization stats.
+
+The result records are NamedTuples: copy one with a field changed by ``._replace``."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import make_dataclass
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,12 +21,16 @@ class OracleError(RuntimeError):
     declare mu > 0 and a finite, positive grad_lipschitz L_F."""
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
+class EquilibriumSolution(NamedTuple):
     t: int
     x_star: np.ndarray  # (V, m)
     residual: float
     iterations: int
+
+
+# a dataclass's field table, so that ``dataclasses.replace``, ``fields`` and
+# ``asdict`` still take a solution (perfbench's self-test replaces one's x_star)
+EquilibriumSolution.__dataclass_fields__ = make_dataclass("_", EquilibriumSolution._fields).__dataclass_fields__
 
 
 MEMORY = 5  # Anderson memory: differences of up to the last MEMORY + 1 iterates
@@ -117,7 +124,7 @@ def ne_oracle(game: GameSpec, t: int, tol: float = 1e-10,
         f = (x_fb - x).ravel()
         residual = math.sqrt(np.dot(f, f))  # np.linalg.norm's sum of squares and root
         if residual <= tol:
-            return EquilibriumSolution(t=t, x_star=x_fb, residual=residual, iterations=k)
+            return EquilibriumSolution(t, x_fb, residual, k)
         if residual < best_residual * (1 - 1e-12):  # never true of NaN or inf
             best_residual = residual
             stall = 0
@@ -165,7 +172,7 @@ def solve_equilibria(game: GameSpec, times: Sequence[int], tol: float = 1e-10) -
     after an oracle round that ends where it started, the next 1, 2, 4, ...
     rounds are screened at once, and the first round that moves goes back to
     ``ne_oracle``. A settled round reports residual 0.0 and ``iterations ==
-    1``, as the oracle would from that start.
+    1``, as the oracle would from that start, and owns one row of its chunk's block.
     """
     times = list(times)
     V, m = game.num_agents, game.dim
@@ -186,7 +193,7 @@ def solve_equilibria(game: GameSpec, times: Sequence[int], tol: float = 1e-10) -
         x_fb = clip_to_box(x - alpha * g, game.box_lo, game.box_hi)
         same = (x_fb.view(np.uint64) == x.view(np.uint64)).all(axis=(1, 2))
         k = len(ts) if same.all() else int(same.argmin())
-        out.extend(EquilibriumSolution(t=t, x_star=x.copy(), residual=0.0, iterations=1) for t in ts[:k])
+        out.extend(map(EquilibriumSolution, ts[:k], np.repeat(x[None], k, axis=0), repeat(0.0), repeat(1)))
         chunk = 2 * chunk if k == len(ts) else 0
     return out
 
@@ -210,8 +217,7 @@ def kkt_max_violation(game: GameSpec, t: int, x: np.ndarray, face_tol: float = 1
 # Regret and loss series
 
 
-@dataclass(frozen=True)
-class RegretReport:
+class RegretReport(NamedTuple):
     """Cumulative dynamic regret over the rounds of a trajectory.
 
     ``cumulative[k]`` sums the per-round gaps over the first k+1 rounds,
@@ -280,8 +286,7 @@ def average_loss(losses: np.ndarray) -> np.ndarray:
     return np.cumsum(losses, axis=0) / n[:, None]
 
 
-@dataclass(frozen=True)
-class StabilizationStat:
+class StabilizationStat(NamedTuple):
     rel_std: float    # tail std / |tail mean| (absolute std when degenerate)
     slope: float      # least-squares slope over the tail, per step
     degenerate: bool  # tail mean ~ 0, rel_std reported as absolute std

@@ -643,7 +643,7 @@ def test_ne_oracle_rejects_bad_tolerance(tol, capsys):
 ])
 def test_ne_oracle_rejects_a_negative_round(args, options, capsys, monkeypatch):
     solved = []
-    monkeypatch.setattr(cli.metrics, "ne_oracle", lambda *a, **kw: solved.append(a))
+    monkeypatch.setattr("dpgames.metrics.ne_oracle", lambda *a, **kw: solved.append(a))
     assert cli.main(["ne-oracle", "--preset", "fig2-baseline", *args]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -726,6 +726,18 @@ def test_importing_the_cli_loads_neither_argparse_nor_hashlib():
     lines = done.stdout.splitlines()
     assert lines[0] == "[]" and lines[-1] == "0"
     assert lines[1:-1] == [f"{name}: {note}" for name, (note, _) in cli.PRESETS.items()]
+
+
+def test_importing_the_library_loads_neither_json_nor_metrics():
+    # metrics loads on first use of one of its names; json where a file is read or written
+    code = ("import sys; import dpgames as dp, dpgames.engine, dpgames.cli; "
+            "print(sorted({'json', 'dpgames.metrics'} & set(sys.modules))); "
+            "print(dp.ne_oracle is sys.modules['dpgames.metrics'].ne_oracle); "
+            "from dpgames import *; print(all(name in globals() for name in dp.__all__))")
+    src = str(Path(dp.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines() == ["[]", "True", "True"]
 
 
 _PRIVATE = {"mode": "epsilon", "epsilon": 0.2, "sensitivity": "manual", "delta": 1.0}

@@ -9,7 +9,7 @@ import dpgames as dp
 from dpgames import metrics
 from dpgames.metrics import OracleError
 
-from conftest import small_linear_game
+from conftest import ring_graph, small_linear_game
 
 CORNER = np.array([5.0, 10.0, 8.0, 12.0, 6.0])
 
@@ -372,6 +372,8 @@ def test_solve_equilibria_is_bit_identical_to_the_warm_started_loop(game, times)
     ref = _warm_started_loop(game, times)
     assert len(sols) == len(ref)
     assert len({id(s.x_star) for s in sols}) == len(sols)  # each round owns its profile
+    # not two views of one row either: a settled chunk shares one block, a row per round
+    assert not any(np.shares_memory(a.x_star, b.x_star) for a, b in zip(sols, sols[1:]))
     for s, r in zip(sols, ref):
         assert (s.t, type(s.t), s.residual, s.iterations) == (r.t, type(r.t), r.residual, r.iterations)
         assert s.x_star.tobytes() == r.x_star.tobytes()
@@ -396,6 +398,42 @@ def test_cournot_horizon_calls_the_oracle_twice(cournot, monkeypatch):
     rounds = _oracle_rounds(monkeypatch)
     dp.solve_equilibria(cournot, range(401))
     assert rounds == [0, 1]
+
+
+def _cournot_records():
+    cournot = dp.nash_cournot()
+    sols = dp.solve_equilibria(cournot, range(3))
+    return sols[0], dp.dynamic_regret(cournot, np.stack([s.x_star for s in sols]), sols)
+
+
+_RECORDS = {
+    "EquilibriumSolution": lambda: _cournot_records()[0],
+    "RegretReport": lambda: _cournot_records()[1],
+    "StabilizationStat": lambda: dp.stabilization_stat(np.arange(100.0)),
+    "ConnectivityReport": lambda: dp.validate_b_connectivity(ring_graph(3), 1, 5),
+    "MixingDiagnostics": lambda: dp.mixing_diagnostics(ring_graph(3), dp.DelaySchedule.none(), 10),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_result_records_reject_attribute_assignment(name):
+    record = _RECORDS[name]()
+    assert type(record) is getattr(dp, name)
+    first = next(iter(type(record).__annotations__))
+    before = getattr(record, first)
+    for attr in (first, "extra"):  # a field, and a name that is none
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    assert getattr(record, first) is before and not hasattr(record, "extra")
+
+
+def test_a_solution_is_replaced_as_a_dataclass_or_a_named_tuple():
+    # perfbench's self-test corrupts a solution with dataclasses.replace
+    sol = dp.ne_oracle(dp.nash_cournot(), 0)
+    x = sol.x_star + 1.0
+    for moved in (dataclasses.replace(sol, x_star=x), sol._replace(x_star=x)):
+        assert type(moved) is dp.EquilibriumSolution and moved == (sol.t, x, sol.residual, sol.iterations)
+    assert [f.name for f in dataclasses.fields(sol)] == list(sol._fields)
 
 
 # ---------------------------------------------------------------------------
