@@ -2,8 +2,10 @@
 
 Subcommands: run, verify, sweep, presets, ne-oracle. Configuration files are
 JSON laid out by the table ``SCHEMA``, which both reads and writes them; see
-README for the schema. Records are written either as comma-separated tables
-with a header row or as one JSON object per line, UTF-8 with LF line endings.
+README for the schema. A config is checked once, when ``engine.RunConfig``
+builds it, and no subcommand checks it again. Records are written either as
+comma-separated tables with a header row or as one JSON object per line,
+UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .engine import NonFiniteStateError, RunConfig, RunResult
+from .engine import ConfigError, NonFiniteStateError, RunConfig, RunResult
 from .game import GAME_REGISTRY
 from .graph import DelaySchedule, GraphSchedule, ScheduleError, augment, validate_b_connectivity
 from .privacy import NoiseConfig
@@ -28,14 +30,6 @@ SWEEP_AXES = ("gamma", "epsilon", "tau_max", "seed", "T", "horizon")
 EQUIVALENCE_HORIZON = 50  # rounds of the run and twin that ``verify_checks`` compares, at most
 # what reading a malformed value or block of a config can raise
 _MALFORMED = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
-
-
-class ConfigError(ValueError):
-    """One message per config problem, joined for display."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +197,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         shared_draw=p["shared_draw"], **{p["mode"]: p[p["mode"]]}))
     if errors:
         raise ConfigError(errors)
-    cfg = RunConfig(
+    return RunConfig(
         game=c["game"], graph=graph, delays=delays, noise=noise, horizon=c["horizon"],
         gamma=c["gamma"], x0=c["init"], seed=c["seed"], b_window=g["b_window"],
         validate_connectivity=g["validate_connectivity"], cold_start=c["cold_start"],
         run_id=c["run_id"], output={k: v for k, v in c["output"].items() if v is not None})
-    if more := cfg.validate():
-        raise ConfigError(more)
-    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -385,13 +376,9 @@ def _resolve_config(args) -> RunConfig:
         cfg = load_config(args.config)
     else:
         raise ConfigError(["one of --preset or --config is required"])
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "horizon", None) is not None:
-        cfg = replace(cfg, horizon=args.horizon)
-    if errors := cfg.validate():
-        raise ConfigError(errors)
-    return cfg
+    # both overrides in one replace, so that a bad pair is itemized together
+    overrides = {k: v for k in ("seed", "horizon") if (v := getattr(args, k, None)) is not None}
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def cmd_run(args) -> int:
@@ -514,7 +501,7 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ConfigError(["--values must be a non-empty comma-separated list"])
-    # every member is built and validated before the first one runs
+    # every member is built, and so checked, before the first one runs
     members, errors = [], []
     for raw_value in values:
         try:
@@ -522,14 +509,11 @@ def cmd_sweep(args) -> int:
             if axis in ("T", "horizon", "tau_max") and not value.is_integer():
                 raise ValueError(f"{axis} takes integer values")
             member = _apply_axis(cfg, axis, value)
-        except _MALFORMED as e:  # ConfigError is a ValueError
-            errors.append(f"--values {raw_value!r}: {e}")
-            continue
-        if axis != "seed":
-            member = replace(member, seed=derive_seed(cfg.seed, axis, value))
-        member = replace(member, run_id=f"{cfg.run_id}-{axis}-{raw_value}")
-        errors += [f"--values {raw_value!r}: {e}" for e in member.validate()]
-        members.append((raw_value, member))
+            members.append((raw_value, replace(
+                member, seed=member.seed if axis == "seed" else derive_seed(cfg.seed, axis, value),
+                run_id=f"{cfg.run_id}-{axis}-{raw_value}")))
+        except _MALFORMED as e:  # a ConfigError (a ValueError) gives one line per error
+            errors += [f"--values {raw_value!r}: {msg}" for msg in getattr(e, "errors", [e])]
     if errors:
         raise ConfigError(errors)
     rows = []
@@ -589,7 +573,7 @@ def _add_config_args(p, with_overrides=True):
         p.add_argument("--horizon", type=int, default=None, help="override the horizon T")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     import argparse  # here, not at the top: importing the package need not load it
 
     parser = argparse.ArgumentParser(prog="dpgames",

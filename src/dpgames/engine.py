@@ -1,5 +1,8 @@
 """Discrete-time executor of the private, delay-tolerant dual-averaging loop.
 
+A ``RunConfig`` is frozen and checked when built, with its game resolved then,
+so a ``World`` takes it as it is and builds no game.
+
 Each step is a two-phase barrier: every agent first noises its dual variable
 and aggregate estimate and sends both to its current out-neighbors, then every
 agent folds in whatever arrives this step, adds its delayed compensated
@@ -70,6 +73,14 @@ CHUNK_DELAYS = 2 ** 20   # and about this many floats of the twin's delay blocks
                          # feedback delays, (tau_max + 1) V^2 + V per round
 
 
+class ConfigError(ValueError):
+    """One message per config problem, joined for display."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
+
+
 class DegeneracyError(RuntimeError):
     """y_ii collapsed to ~0: the schedule violates the self-loop requirement."""
 
@@ -94,9 +105,12 @@ def step_size(gamma: float, k):
     return gamma / np.sqrt(k + 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; ``game`` may be a registered name or a GameSpec."""
+    """Everything a run needs; ``game`` may be a registered name or a GameSpec.
+
+    Frozen. Building one, by ``dataclasses.replace`` too, resolves the game once for
+    every run of it and raises ConfigError with the errors ``validate`` itemizes."""
 
     game: Union[str, GameSpec]
     graph: GraphSchedule
@@ -111,9 +125,18 @@ class RunConfig:
     cold_start: str = "clamp"        # feedback index t - tau < 0: "clamp" to 0 or "zero" gradient
     run_id: str = "run"
     output: dict = field(default_factory=dict)  # sink preferences, consumed by the CLI
+    _game: GameSpec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "_game", resolve_game(self.game))
+        except ValueError as e:
+            raise ConfigError([str(e)]) from None
+        if errors := self.validate():
+            raise ConfigError(errors)
 
     def resolved_game(self) -> GameSpec:
-        return resolve_game(self.game)
+        return self._game
 
     def resolved_x0(self, game: GameSpec) -> np.ndarray:
         if self.x0 is None:
@@ -121,12 +144,8 @@ class RunConfig:
         return np.asarray(self.x0, dtype=float).reshape(game.num_agents, game.dim)
 
     def validate(self) -> list[str]:
-        """Itemized config errors (empty list when valid)."""
-        errors = []
-        try:
-            game = self.resolved_game()
-        except ValueError as e:
-            return [str(e)]
+        """Itemized config errors (empty list when valid), against the game resolved when built."""
+        errors, game = [], self._game
         # the checks below read these fields, so a wrong type is all that is itemized
         wrong = [f"{k} must be {what}, got {v!r}" for k, kind, what in (
             ("graph", GraphSchedule, "a GraphSchedule"), ("delays", DelaySchedule, "a DelaySchedule"),
@@ -200,9 +219,6 @@ class World:
     _members: tuple = ()  # leading axes of the (*_members, V, m) state: one member per route
 
     def __init__(self, config: RunConfig):
-        errors = config.validate()
-        if errors:
-            raise ValueError("invalid run config: " + "; ".join(errors))
         self.cfg = config
         self.game = config.resolved_game()
         self.graph = config.graph

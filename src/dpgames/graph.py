@@ -25,12 +25,12 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 
 
 class ScheduleError(ValueError):
-    """Raised for malformed graph schedules (empty in-neighborhood, bad edges)."""
+    """Raised for malformed graph schedules (agent count, empty in-neighborhood, bad edges)."""
 
 
 class DelayRangeError(ValueError):
-    """Raised for a delay outside [0, tau_max], tau_ii != 0, a uniform rule's
-    low above its high, a malformed fixed-rule key, or tau_max outside [0, 2^31)."""
+    """Raised for a delay outside [0, tau_max], tau_ii != 0, a rule that is not a dict, a uniform
+    rule's low above its high, a malformed fixed-rule key, or tau_max not an integer in [0, 2^31)."""
 
 
 def _integer(value, low=-np.inf) -> bool:
@@ -107,6 +107,8 @@ class GraphSchedule:
     _phases: tuple[Phase, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _integer(self.num_agents, 1):
+            raise ScheduleError(f"num_agents must be an integer >= 1, got {self.num_agents!r}")
         object.__setattr__(self, "edge_sets", tuple(
             _normalize_edges(self.num_agents, es, self.require_self_loops) for es in self.edge_sets))
         if not self.edge_sets:
@@ -174,11 +176,13 @@ class DelaySchedule:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not 0 <= self.tau_max < 2 ** 31:
-            raise DelayRangeError(f"tau_max must lie in [0, 2^31), got {self.tau_max}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"delay seed must be a non-negative integer, got {self.seed}")
+        if not (_integer(self.tau_max, 0) and self.tau_max < 2 ** 31):
+            raise DelayRangeError(f"tau_max must lie in [0, 2^31), got {self.tau_max!r}")
+        if not (self.seed is None or _integer(self.seed, 0)):
+            raise ValueError(f"delay seed must be a non-negative integer, got {self.seed!r}")
         for name, desc in (("comm", self.comm), ("feedback", self.feedback)):
+            if not isinstance(desc, dict):
+                raise DelayRangeError(f"{name} rule must be a dict, got {desc!r}")
             kind = desc.get("type")
             if kind == "fixed":
                 # a comm key is a (receiver, sender) pair, a feedback key one

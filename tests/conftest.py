@@ -95,6 +95,14 @@ def per_agent_copy(game, **callables):
     return dp.GameSpec.per_agent(**{**game_fields(game, *drop), **callables})
 
 
+def count_checks_and_games(monkeypatch) -> list:
+    """A list that each ``RunConfig.validate`` call and registry-game build appends to."""
+    calls, validate, build = [], dp.RunConfig.validate, dp.game.GAME_REGISTRY["nash-cournot"]
+    monkeypatch.setattr(dp.RunConfig, "validate", lambda cfg: calls.append("validate") or validate(cfg))
+    monkeypatch.setitem(dp.game.GAME_REGISTRY, "nash-cournot", lambda: calls.append("game") or build())
+    return calls
+
+
 def diverging_cournot():
     """The benchmark game with an own partial that overflows at t = 1."""
     return aggregative_copy(dp.nash_cournot(), cournot_partials(),

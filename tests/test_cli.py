@@ -20,8 +20,8 @@ from dpgames.cli import (ConfigError, config_from_dict, config_to_dict, derive_s
                          load_config, preset, write_config)
 from dpgames.engine import NonFiniteStateError
 
-from conftest import (HalvedGradients, diverging_cournot, dropping_first_message,
-                      halved_gradients_config, ring_graph, toy_2d_game)
+from conftest import (HalvedGradients, count_checks_and_games, diverging_cournot,
+                      dropping_first_message, halved_gradients_config, ring_graph, toy_2d_game)
 
 
 def test_config_round_trip(tmp_path):
@@ -662,11 +662,28 @@ def test_ne_oracle_rejects_a_negative_round(args, options, capsys, monkeypatch):
 ])
 def test_run_config_validate_itemizes_a_bad_output(output, expected):
     # the output block a config file would be rejected for
-    cfg = replace(preset("fig5-fixed-delay"), horizon=3, output=output)
-    errors = cfg.validate()
+    with pytest.raises(ConfigError) as e:
+        replace(preset("fig5-fixed-delay"), horizon=3, output=output)
+    errors = e.value.errors
     assert len(errors) == 1 and expected in errors[0]
-    with pytest.raises(ValueError, match="invalid run config"):
-        dp.run(cfg)
+
+
+def test_the_cli_raises_the_engine_config_error():
+    assert cli.ConfigError is dp.engine.ConfigError
+
+
+@pytest.mark.parametrize("command, checks, games", [
+    (["run", "--horizon", "5"], 2, 3),
+    (["sweep", "--horizon", "5", "--axis", "gamma", "--values", "1,2,3"], 8, 9)])
+def test_a_command_checks_each_config_once_when_it_builds_it(command, checks, games, tmp_path,
+                                                            monkeypatch):
+    # loading builds the game for its agent count, then the config; each override and
+    # sweep member builds one more config, and no run checks or builds again
+    write_config(preset("fig5-fixed-delay"), tmp_path / "f.json")
+    monkeypatch.chdir(tmp_path)
+    calls = count_checks_and_games(monkeypatch)
+    assert cli.main([command[0], "--config", "f.json", *command[1:]]) == 0
+    assert (calls.count("validate"), calls.count("game")) == (checks, games)
 
 
 def test_config_error_exit_code(tmp_path, capsys):

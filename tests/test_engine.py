@@ -10,13 +10,13 @@ import pytest
 
 import dpgames as dp
 from dpgames.cli import PRESETS, preset
-from dpgames.engine import (CHUNK_ROUNDS, DegeneracyError, NonFiniteStateError, World,
+from dpgames.engine import (CHUNK_ROUNDS, ConfigError, DegeneracyError, NonFiniteStateError, World,
                             _AugmentedWorld, step_size)
 from dpgames.privacy import STREAM_NOISE, STREAM_NOISE_AGGREGATE, substream
 
-from conftest import (bench_init, complete_graph, diverging_cournot, dropping_first_message, game_fields,
-                      halved_gradients_config, per_agent_copy, ring_graph, small_linear_game,
-                      toy_2d_game)
+from conftest import (bench_init, complete_graph, count_checks_and_games, diverging_cournot,
+                      dropping_first_message, game_fields, halved_gradients_config, per_agent_copy,
+                      ring_graph, small_linear_game, toy_2d_game)
 
 
 def bench_cfg(**kw):
@@ -90,20 +90,18 @@ def test_run_horizon_zero_emits_initial_state_only():
 def test_initial_action_outside_box_is_a_config_error():
     bad = bench_init()
     bad[0, 0] = 9.0
-    cfg = bench_cfg(x0=bad)
-    assert any("outside" in e for e in cfg.validate())
-    with pytest.raises(ValueError):
-        dp.run(cfg)
+    with pytest.raises(ConfigError) as e:  # a ValueError
+        bench_cfg(x0=bad)
+    assert any("outside" in msg for msg in e.value.errors)
 
 
 @pytest.mark.parametrize("field, value", [
     ("seed", True), ("seed", 3.0), ("horizon", True), ("horizon", 2.5), ("horizon", -1)])
 def test_bool_or_non_integer_seed_and_horizon_are_config_errors(field, value):
-    cfg = dataclasses.replace(preset("fig5-fixed-delay"), **{"horizon": 2, field: value})
     message = f"{field} must be a non-negative integer, got {value!r}"
-    assert cfg.validate() == [message]
-    with pytest.raises(ValueError, match=re.escape(message)):
-        dp.run(cfg)
+    with pytest.raises(ConfigError, match=re.escape(message)) as e:
+        dataclasses.replace(preset("fig5-fixed-delay"), **{"horizon": 2, field: value})
+    assert e.value.errors == [message]
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -111,12 +109,11 @@ def test_bool_or_non_integer_seed_and_horizon_are_config_errors(field, value):
     ("gamma", None, "a finite number > 0"), ("b_window", True, "an integer >= 1"),
     ("b_window", 2.5, "an integer >= 1"), ("b_window", "2", "an integer >= 1")])
 def test_bool_or_non_numeric_gamma_and_b_window_are_config_errors(field, value, message):
-    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, validate_connectivity=True,
-                              **{field: value})
     message = f"{field} must be {message}, got {value!r}"
-    assert cfg.validate() == [message]
-    with pytest.raises(ValueError, match=re.escape(message)):
-        World(cfg)
+    with pytest.raises(ConfigError, match=re.escape(message)) as e:
+        dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, validate_connectivity=True,
+                            **{field: value})
+    assert e.value.errors == [message]
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -125,11 +122,10 @@ def test_bool_or_non_numeric_gamma_and_b_window_are_config_errors(field, value, 
     ("noise", "x", "a NoiseConfig")])
 def test_wrongly_typed_fields_are_config_errors(field, value, message):
     # each is the one error itemized, and no check reads the bad field first
-    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, **{field: value})
     message = f"{field} must be {message}, got {value!r}"
-    assert cfg.validate() == [message]
-    with pytest.raises(ValueError, match=re.escape(message)):
-        World(cfg)
+    with pytest.raises(ConfigError, match=re.escape(message)) as e:
+        dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, **{field: value})
+    assert e.value.errors == [message]
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -139,11 +135,35 @@ def test_wrongly_typed_fields_are_config_errors(field, value, message):
     ("x0", np.zeros((4, 1)), "bad initial actions: cannot reshape"),
 ])
 def test_fields_that_do_not_fit_the_game_are_config_errors(field, value, message):
-    cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, **{field: value})
-    errors = cfg.validate()
+    with pytest.raises(ConfigError, match=re.escape(message)) as e:
+        dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, **{field: value})
+    errors = e.value.errors
     assert len(errors) == 1 and errors[0].startswith(message)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        World(cfg)
+
+
+def test_a_config_error_itemizes_what_validate_finds():
+    cfg = preset("fig5-fixed-delay")
+    with pytest.raises(ConfigError) as e:
+        dataclasses.replace(cfg, horizon=-1)
+    object.__setattr__(cfg, "horizon", -1)  # past the frozen guard, to ask validate itself
+    assert e.value.errors == cfg.validate() == ["horizon must be a non-negative integer, got -1"]
+
+
+def test_a_config_is_frozen():
+    cfg = preset("fig5-fixed-delay")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.horizon = 3
+
+
+@pytest.mark.parametrize("name", ["fig5-fixed-delay", "fig7-random-delays-private"])
+def test_a_built_config_runs_without_being_checked_or_resolved_again(name, monkeypatch):
+    calls = count_checks_and_games(monkeypatch)
+    cfg = dataclasses.replace(preset(name), horizon=5)
+    assert calls == ["game", "validate"] * 2  # the preset, then its replacement
+    calls.clear()
+    for execute in (dp.run, dp.run_augmented_reference, dp.engine._run_pair):
+        execute(cfg)
+    assert calls == []
 
 
 def test_a_numpy_bool_validate_connectivity_is_accepted():

@@ -11,7 +11,7 @@ from dpgames import privacy
 from dpgames.cli import config_from_dict, config_to_dict, preset
 from dpgames.graph import DelayRangeError, DiagnosticsError, ScheduleError
 
-from conftest import complete_graph, ring_graph
+from conftest import complete_graph, ring_graph, small_linear_game
 
 
 def test_weights_in_neighborhood_of_two():
@@ -365,6 +365,35 @@ def test_delay_schedule_rejects_out_of_range():
         dp.DelaySchedule(2 ** 31)
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(tau_max=2.5), DelayRangeError, "tau_max must lie in [0, 2^31), got 2.5"),
+    (dict(tau_max=np.float64(3.0)), DelayRangeError, f"tau_max must lie in [0, 2^31), got {np.float64(3.0)!r}"),
+    (dict(tau_max=True, comm={"type": "uniform", "low": 0, "high": 1}), DelayRangeError,
+     "tau_max must lie in [0, 2^31), got True"),
+    (dict(tau_max=2, seed=1.5), ValueError, "delay seed must be a non-negative integer, got 1.5"),
+    (dict(tau_max=2, seed=True), ValueError, "delay seed must be a non-negative integer, got True"),
+    (dict(tau_max=3, comm="uniform"), DelayRangeError, "comm rule must be a dict, got 'uniform'"),
+    (dict(tau_max=3, feedback=["none"]), DelayRangeError, "feedback rule must be a dict, got ['none']"),
+])
+def test_delay_schedule_rejects_a_scalar_that_is_not_an_integer(kwargs, error, message):
+    # never truncated or coerced, and a bool is not an integer
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        dp.DelaySchedule(**kwargs)
+
+
+@pytest.mark.parametrize("num_agents", [5.0, True, 0, -1, "3"])
+def test_graph_schedule_rejects_an_agent_count_that_is_not_a_positive_integer(num_agents):
+    message = f"num_agents must be an integer >= 1, got {num_agents!r}"
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+        dp.GraphSchedule.static(num_agents, [(0, 0)])
+
+
+def test_schedules_take_numpy_integer_scalars():
+    delays = dp.DelaySchedule.uniform(np.int64(3), seed=np.int64(4))
+    assert delays.comm_matrix(0, 3).max() <= 3
+    assert dp.GraphSchedule.static(np.int64(2), [(0, 1)]).weights_at(0)[1].tolist() == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("comm, feedback, message", [
     ({3: 1}, {}, "comm entry key 3 is not a pair of integers"),
     ({(1, 2, 3): 1}, {}, r"comm entry key \(1, 2, 3\) is not a pair of integers"),
@@ -574,7 +603,7 @@ def test_procedural_schedule_rule():
     assert sched.weights_at(0)[1, 0] > 0 and sched.weights_at(0)[1, 2] == 0
     assert sched.weights_at(1)[1, 0] == 0 and sched.weights_at(1)[1, 2] > 0
     assert sched.phase_at(4) is sched.phase_at(2) is sched.phase_at(0)
-    g = config_to_dict(dp.RunConfig(game="nash-cournot", graph=sched))["graph"]
+    g = config_to_dict(dp.RunConfig(game=small_linear_game(3), graph=sched))["graph"]
     assert g["type"] == "periodic" and dp.GraphSchedule.periodic(3, g["edge_sets"]) == sched
 
 

@@ -1,10 +1,14 @@
 """README's entry points keep working: its Python code runs, every command
 of its command-line block exits 0, and every public name it can refer to
-resolves.
+resolves, as does every annotation in the package.
 """
 
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
+import typing
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,16 @@ def test_every_public_name_resolves():
     assert sorted(dpgames.__all__) == sorted(set(dpgames.__all__))
     for name in dpgames.__all__:
         assert hasattr(dpgames, name), name
+
+
+def test_every_annotation_in_the_package_resolves():
+    # typing.get_type_hints evaluates each annotation in its module's namespace
+    names = [dpgames.__name__] + [f"dpgames.{m.name}" for m in pkgutil.iter_modules(dpgames.__path__)]
+    for module in map(importlib.import_module, names):
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for f in [obj, *(vars(obj).values() if inspect.isclass(obj) else ())]:
+                f = getattr(f, "__func__", getattr(f, "fget", f))  # a static or class method, a property
+                if inspect.isclass(f) or inspect.isfunction(f):
+                    typing.get_type_hints(f)
