@@ -23,7 +23,7 @@ import numpy as np
 from . import engine
 from .engine import ConfigError, NonFiniteStateError, RunConfig, RunResult
 from .game import GAME_REGISTRY
-from .graph import DelaySchedule, GraphSchedule, ScheduleError, augment, validate_b_connectivity
+from .graph import _RULE_KEYS, DelaySchedule, GraphSchedule, ScheduleError, augment, validate_b_connectivity
 from .privacy import NoiseConfig
 
 SWEEP_AXES = ("gamma", "epsilon", "tau_max", "seed", "T", "horizon")
@@ -184,14 +184,15 @@ def _schedule(g: dict, n: int) -> GraphSchedule:
     return getattr(GraphSchedule, g["type"])(n, edges, g["require_self_loops"])
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    """The config ``raw`` describes; ConfigError itemizes every bad key."""
+def config_from_dict(raw: dict, **overrides) -> RunConfig:
+    """The config ``raw`` describes with ``overrides`` of its keys; ConfigError itemizes every bad key."""
     errors = []
-    c = _read(SCHEMA, raw, errors)
+    c = {**_read(SCHEMA, raw, errors), **overrides}
     g, d, p = c.get("graph", {}), c.get("delays", {}), c.get("privacy", {})
     graph = _built(errors, "graph: ", lambda: _schedule(g, GAME_REGISTRY[c["game"]]().num_agents))
-    delays = _built(errors, "delays: ", lambda: DelaySchedule(
-        d["tau_max"], d["comm"], d["feedback"], d["seed"]))
+    # each rule's keys by name, so that one that failed to parse raises KeyError
+    delays = _built(errors, "delays: ", lambda: DelaySchedule(d["tau_max"], *(
+        {k: d[r][k] for k in _RULE_KEYS[d[r]["type"]]} for r in ("comm", "feedback")), d["seed"]))
     noise = _built(errors, "privacy: ", lambda: NoiseConfig.off() if p is None else NoiseConfig(
         p["mode"], sensitivity_mode=p["sensitivity"], delta=p["delta"],
         shared_draw=p["shared_draw"], **{p["mode"]: p[p["mode"]]}))
@@ -220,11 +221,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
                   "b_window": cfg.b_window, "validate_connectivity": cfg.validate_connectivity},
         "delays": {**vars(delays), "comm": rule(delays.comm), "feedback": rule(delays.feedback)},
         "privacy": {**vars(noise), "sensitivity": noise.sensitivity_mode} if noise.enabled else None,
-        "init": None if cfg.x0 is None else cfg.resolved_x0(cfg.resolved_game()).tolist()})
+        "init": None if cfg.x0 is None else cfg.x0.tolist()})
 
 
-def load_config(path) -> RunConfig:
-    """The config in the file ``path``; an empty file reads as ``{}``."""
+def load_config(path, **overrides) -> RunConfig:
+    """The config in the file ``path``, an empty one read as ``{}``, with ``overrides``."""
     import json  # here and in each writer: importing the cli need not load json
 
     try:
@@ -233,7 +234,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError([f"config {path} is not UTF-8 JSON: {e}"])
     if not isinstance(raw, dict):
         raise ConfigError([f"config root must be an object, got {reprlib.repr(raw)}"])
-    return config_from_dict(raw)
+    return config_from_dict(raw, **overrides)
 
 
 def write_config(cfg: RunConfig, path) -> None:
@@ -370,15 +371,13 @@ def write_summary(result: RunResult, path) -> None:
 def _resolve_config(args) -> RunConfig:
     if args.preset and args.config:
         raise ConfigError(["pass either --preset or --config, not both"])
-    if args.preset:
-        cfg = preset(args.preset)
-    elif args.config:
-        cfg = load_config(args.config)
-    else:
-        raise ConfigError(["one of --preset or --config is required"])
-    # both overrides in one replace, so that a bad pair is itemized together
+    # both overrides in the one build, so that a bad pair is itemized together
     overrides = {k: v for k in ("seed", "horizon") if (v := getattr(args, k, None)) is not None}
-    return replace(cfg, **overrides) if overrides else cfg
+    if args.config:  # a file is checked at the seed and horizon it runs with
+        return load_config(args.config, **overrides)
+    if not args.preset:
+        raise ConfigError(["one of --preset or --config is required"])
+    return replace(preset(args.preset), **overrides) if overrides else preset(args.preset)
 
 
 def cmd_run(args) -> int:
@@ -440,8 +439,8 @@ def verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     checks.append(("augmented-row-stochastic", worst_aug <= 1e-12,
                    f"max row-sum error {worst_aug:.2e}"))
 
-    short = replace(cfg, horizon=min(horizon, EQUIVALENCE_HORIZON))
     try:
+        short = replace(cfg, horizon=min(horizon, EQUIVALENCE_HORIZON))
         rec = engine._run_pair(short)  # member 0: the arrival ring; member 1: the relay twin
         diff = max(float(np.abs(rec[k][:, 0] - rec[k][:, 1]).max()) for k in "bxv")
         # the two routes differ only in summation order, so agreement is
@@ -471,16 +470,18 @@ def derive_seed(master: int, axis: str, value) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
+def _apply_axis(cfg: RunConfig, axis: str, value: float, **changes) -> RunConfig:
+    """``cfg`` with ``axis`` at ``value`` over the fields ``changes`` names, in one build."""
+    build = lambda **swept: replace(cfg, **{**changes, **swept})
     if axis == "gamma":
-        return replace(cfg, gamma=float(value))
+        return build(gamma=float(value))
     if axis in ("T", "horizon"):
-        return replace(cfg, horizon=int(value))
+        return build(horizon=int(value))
     if axis == "seed":
-        return replace(cfg, seed=int(value))
+        return build(seed=int(value))
     if axis == "epsilon":
         noise = cfg.noise  # the member keeps the sensitivity mode, and a manual delta
-        return replace(cfg, noise=NoiseConfig.fixed_epsilon(
+        return build(noise=NoiseConfig.fixed_epsilon(
             float(value), delta=noise.delta if noise.enabled else 1.0,
             sensitivity_mode=noise.sensitivity_mode, shared_draw=noise.shared_draw))
     if axis == "tau_max":
@@ -491,7 +492,7 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
         # the swept value as its high
         rules = [rule if rule["type"] == "none" else {**rule, "high": tau_max}
                  for rule in (d.comm, d.feedback)]
-        return replace(cfg, delays=DelaySchedule(tau_max, *rules, d.seed))
+        return build(delays=DelaySchedule(tau_max, *rules, d.seed))
     raise ConfigError([f"axis {axis!r} is not sweepable; choose from {SWEEP_AXES}"])
 
 
@@ -508,10 +509,9 @@ def cmd_sweep(args) -> int:
             value = float(raw_value) if axis not in ("seed",) else int(raw_value)
             if axis in ("T", "horizon", "tau_max") and not value.is_integer():
                 raise ValueError(f"{axis} takes integer values")
-            member = _apply_axis(cfg, axis, value)
-            members.append((raw_value, replace(
-                member, seed=member.seed if axis == "seed" else derive_seed(cfg.seed, axis, value),
-                run_id=f"{cfg.run_id}-{axis}-{raw_value}")))
+            # a seed axis sets the seed itself, over the derived one
+            run_id, seed = f"{cfg.run_id}-{axis}-{raw_value}", derive_seed(cfg.seed, axis, value)
+            members.append((raw_value, _apply_axis(cfg, axis, value, seed=seed, run_id=run_id)))
         except _MALFORMED as e:  # a ConfigError (a ValueError) gives one line per error
             errors += [f"--values {raw_value!r}: {msg}" for msg in getattr(e, "errors", [e])]
     if errors:

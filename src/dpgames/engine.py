@@ -1,7 +1,7 @@
 """Discrete-time executor of the private, delay-tolerant dual-averaging loop.
 
-A ``RunConfig`` is frozen and checked when built, with its game resolved then,
-so a ``World`` takes it as it is and builds no game.
+A ``RunConfig`` is frozen and checked when built, with its game, initial
+actions and noise scale resolved then, so a ``World`` only allocates state.
 
 Each step is a two-phase barrier: every agent first noises its dual variable
 and aggregate estimate and sends both to its current out-neighbors, then every
@@ -16,7 +16,7 @@ the slot of round s + tau_ij(s), so at round t the slot t mod (tau_max + 1)
 holds the arrival sum sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r}.
 
 Each round draws its randomness as one block per purpose: the (V, m) noise
-block at the Laplace scale fixed when the ``World`` is built, the (V, V)
+block at the Laplace scale fixed when the ``RunConfig`` is built, the (V, V)
 communication-delay matrix and the (V,) feedback delays. The weights and
 message list of each edge set (``GraphSchedule.phase_at``) are built once
 and shared read-only. The rest of what a round needs that does not depend
@@ -109,8 +109,10 @@ def step_size(gamma: float, k):
 class RunConfig:
     """Everything a run needs; ``game`` may be a registered name or a GameSpec.
 
-    Frozen. Building one, by ``dataclasses.replace`` too, resolves the game once for
-    every run of it and raises ConfigError with the errors ``validate`` itemizes."""
+    Frozen. Building one, by ``dataclasses.replace`` too, checks it and resolves once for
+    every run of it the game, the initial actions and the noise scale (Delta, sigma), or
+    raises ConfigError with one message per problem. A given ``x0`` is replaced by its
+    read-only float (V, m) copy."""
 
     game: Union[str, GameSpec]
     graph: GraphSchedule
@@ -126,26 +128,15 @@ class RunConfig:
     run_id: str = "run"
     output: dict = field(default_factory=dict)  # sink preferences, consumed by the CLI
     _game: GameSpec = field(init=False, repr=False, compare=False)
+    _x0: np.ndarray = field(init=False, repr=False, compare=False)  # x0, or the box midpoints
+    # (Delta, sigma) of every round, None when noise is off
+    _scale: Optional[tuple[float, float]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "_game", resolve_game(self.game))
+            object.__setattr__(self, "_game", game := resolve_game(self.game))
         except ValueError as e:
             raise ConfigError([str(e)]) from None
-        if errors := self.validate():
-            raise ConfigError(errors)
-
-    def resolved_game(self) -> GameSpec:
-        return self._game
-
-    def resolved_x0(self, game: GameSpec) -> np.ndarray:
-        if self.x0 is None:
-            return (game.box_lo + game.box_hi) / 2.0
-        return np.asarray(self.x0, dtype=float).reshape(game.num_agents, game.dim)
-
-    def validate(self) -> list[str]:
-        """Itemized config errors (empty list when valid), against the game resolved when built."""
-        errors, game = [], self._game
         # the checks below read these fields, so a wrong type is all that is itemized
         wrong = [f"{k} must be {what}, got {v!r}" for k, kind, what in (
             ("graph", GraphSchedule, "a GraphSchedule"), ("delays", DelaySchedule, "a DelaySchedule"),
@@ -153,7 +144,8 @@ class RunConfig:
             ("validate_connectivity", (bool, np.bool_), "true or false"))
             if not isinstance(v := getattr(self, k), kind)]
         if wrong:
-            return wrong
+            raise ConfigError(wrong)
+        errors = []
         if self.graph.num_agents != game.num_agents:
             errors.append(f"graph has {self.graph.num_agents} agents, game has {game.num_agents}")
         # a bool is not taken for a number, as in a config file
@@ -182,15 +174,30 @@ class RunConfig:
             if unknown := [k for k in out if k not in ("format", "path")]:
                 errors.append(f"output has unknown keys {unknown}")
         try:
-            x0 = self.resolved_x0(game)
+            x0 = np.array((game.box_lo + game.box_hi) / 2.0 if self.x0 is None else self.x0,
+                          dtype=float).reshape(game.num_agents, game.dim)
             # written as "inside" so that NaN entries count as outside
             inside = np.all((x0 >= game.box_lo - 1e-12) & (x0 <= game.box_hi + 1e-12), axis=1)
             if not inside.all():
-                bad = np.nonzero(~inside)[0]
-                errors.append(f"initial action(s) of agent(s) {bad.tolist()} outside their boxes")
+                errors.append(f"initial action(s) of agent(s) {np.nonzero(~inside)[0].tolist()}"
+                              " outside their boxes")
         except ValueError as e:
             errors.append(f"bad initial actions: {e}")
-        return errors
+        if (noise := self.noise).enabled and "horizon" not in bad:
+            try:
+                delta = float(noise.delta) if noise.sensitivity_mode == "manual" else sensitivity_bound(
+                    game.L, 1.0 / eigenvector_floor(self.graph, max(self.horizon, 1)), game.dim)
+                object.__setattr__(self, "_scale", (delta, noise._sigma(delta)))
+            except ValueError as e:
+                errors.append(f"privacy: {e}")
+        if errors:
+            raise ConfigError(errors)
+        x0.flags.writeable = False
+        object.__setattr__(self, "_x0", x0)
+        object.__setattr__(self, "x0", None if self.x0 is None else x0)
+
+    def resolved_game(self) -> GameSpec:
+        return self._game
 
 
 class _RoundPlan(NamedTuple):
@@ -223,13 +230,11 @@ class World:
         self.game = config.resolved_game()
         self.graph = config.graph
         self.delays = config.delays.with_seed(config.seed)
-        self.noise = config.noise
-        V, m = self.game.num_agents, self.game.dim
-        self.V, self.m = V, m
+        V, m = self.V, self.m = self.game.num_agents, self.game.dim
 
         self.t = 0
         self.b = np.zeros((*self._members, V, m))
-        self.x = np.broadcast_to(config.resolved_x0(self.game), self.b.shape).copy()
+        self.x = np.broadcast_to(config._x0, self.b.shape).copy()
         self.x_hat = self.x.copy()
         self.v = self.game.psi_values(self.x)
         self.psi_x_hat = self.v  # psi_values(x_hat), carried from round to round
@@ -243,22 +248,18 @@ class World:
         self._grad_rows = np.indices(self.b.shape[:-1], sparse=True)  # each state row's index in a slot
         self.ring_count = np.zeros(slots, dtype=int)  # messages waiting in each slot
         self.messages_enqueued = self.messages_delivered = 0
-        if self.noise.enabled:  # the sensitivity and Laplace scale of every round
-            delta = self.noise.delta if self.noise.sensitivity_mode == "manual" else sensitivity_bound(
-                self.game.L, 1.0 / eigenvector_floor(self.graph, max(config.horizon, 1)), m)
-            self._delta, self._sigma = self.noise.resolve(float(delta))
         self._plan: Optional[_RoundPlan] = None  # built by the first step
 
     def _noised(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Every agent's noised (b, v) snapshot at round t: ``b`` and ``v``
         themselves when noise is off, else plus round t's (V, m) Laplace
         blocks, one draw for both when it is shared, added to every member."""
-        if not self.noise.enabled:
+        if self.cfg._scale is None:
             return self.b, self.v
-        shape, seed = (self.V, self.m), self.cfg.seed
-        n_b = sample_noise(self._sigma, shape, substream(seed, STREAM_NOISE, t))
-        n_v = n_b if self.noise.shared_draw else sample_noise(
-            self._sigma, shape, substream(seed, STREAM_NOISE_AGGREGATE, t))
+        sigma, shape, seed = self.cfg._scale[1], (self.V, self.m), self.cfg.seed
+        n_b = sample_noise(sigma, shape, substream(seed, STREAM_NOISE, t))
+        n_v = n_b if self.cfg.noise.shared_draw else sample_noise(
+            sigma, shape, substream(seed, STREAM_NOISE_AGGREGATE, t))
         return self.b + n_b, self.v + n_v
 
     def _plan_at(self, t: int) -> tuple[_RoundPlan, int]:
@@ -467,8 +468,8 @@ def _records(world: World) -> dict:
 def _execute(world: World, start: float) -> RunResult:
     rec = _records(world)
     ledger = PrivacyLedger()
-    if world.noise.enabled:  # every round spent Delta / sigma
-        ledger.record(world.cfg.horizon, world._delta, world._sigma)
+    if world.cfg._scale:  # every round spent Delta / sigma
+        ledger.record(world.cfg.horizon, *world.cfg._scale)
     loss_local, loss_true = _losses(world.game, rec["x"], rec["v"])
     return RunResult(
         config=world.cfg, **rec, loss_local=loss_local, loss_true=loss_true,

@@ -296,7 +296,6 @@ def resolve_game(game) -> GameSpec:
     """Accept a GameSpec or a registered preset name."""
     if isinstance(game, GameSpec):
         return game
-    try:
+    if isinstance(game, str) and game in GAME_REGISTRY:  # a list or other unhashable game is unknown too
         return GAME_REGISTRY[game]()
-    except KeyError:
-        raise ValueError(f"unknown game {game!r}; registered: {sorted(GAME_REGISTRY)}")
+    raise ValueError(f"unknown game {game!r}; registered: {sorted(GAME_REGISTRY)}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -29,8 +30,8 @@ class ScheduleError(ValueError):
 
 
 class DelayRangeError(ValueError):
-    """Raised for a delay outside [0, tau_max], tau_ii != 0, a rule that is not a dict, a uniform
-    rule's low above its high, a malformed fixed-rule key, or tau_max not an integer in [0, 2^31)."""
+    """Raised for a delay outside [0, tau_max], tau_ii != 0, a rule that is not a dict of its type's
+    keys, a uniform low above its high, a malformed fixed-rule key, or tau_max not in [0, 2^31)."""
 
 
 def _integer(value, low=-np.inf) -> bool:
@@ -43,7 +44,11 @@ class DiagnosticsError(RuntimeError):
 
 
 def _normalize_edges(num_agents: int, edges: Iterable[Edge], self_loops: bool) -> frozenset[Edge]:
-    out = {(int(e[0]), int(e[1])) for e in edges}
+    pairs = [tuple(e) if isinstance(e, Iterable) else (e,) for e in edges]
+    # numpy integers count and a bool does not, so int() below converts without truncating
+    if bad := [e for e in pairs if not (len(e) == 2 and all(map(_integer, e)))]:
+        raise ScheduleError(f"edge {bad[0]!r} is not a pair of integers")
+    out = {tuple(map(int, e)) for e in pairs}
     if bad := [e for e in out if not (0 <= e[0] < num_agents and 0 <= e[1] < num_agents)]:
         raise ScheduleError(f"edge {min(bad)} outside agent range [0, {num_agents})")
     return frozenset(out.union((i, i) for i in range(num_agents if self_loops else 0)))
@@ -109,6 +114,8 @@ class GraphSchedule:
     def __post_init__(self):
         if not _integer(self.num_agents, 1):
             raise ScheduleError(f"num_agents must be an integer >= 1, got {self.num_agents!r}")
+        if not isinstance(self.require_self_loops, (bool, np.bool_)):
+            raise ScheduleError(f"require_self_loops must be true or false, got {self.require_self_loops!r}")
         object.__setattr__(self, "edge_sets", tuple(
             _normalize_edges(self.num_agents, es, self.require_self_loops) for es in self.edge_sets))
         if not self.edge_sets:
@@ -147,12 +154,15 @@ class GraphSchedule:
 # Delay schedules
 
 
+_RULE_KEYS = {"none": ("type",), "fixed": ("type", "entries"), "uniform": ("type", "low", "high")}
+
+
 @dataclass(frozen=True)
 class DelaySchedule:
     """Per-edge communication delays tau_ij(t) and per-agent feedback delays
     tau_i(t), all integers in [0, tau_max], with tau_ii(t) = 0 always.
 
-    ``comm`` / ``feedback`` rules:
+    ``comm`` / ``feedback`` rules, each kept read-only with exactly its type's keys:
       {"type": "none"}                              all zero
       {"type": "fixed", "entries": {(i, j): d}}     constant per (receiver i, sender j)
       {"type": "uniform", "low": a, "high": b}      iid uniform integers in [a, b],
@@ -181,14 +191,22 @@ class DelaySchedule:
         if not (self.seed is None or _integer(self.seed, 0)):
             raise ValueError(f"delay seed must be a non-negative integer, got {self.seed!r}")
         for name, desc in (("comm", self.comm), ("feedback", self.feedback)):
-            if not isinstance(desc, dict):
+            if not isinstance(desc, (dict, MappingProxyType)):
                 raise DelayRangeError(f"{name} rule must be a dict, got {desc!r}")
             kind = desc.get("type")
+            # a copy, read-only once checked; a uniform rule without low starts at 0
+            rule = {**desc, "low": desc.get("low", 0)} if kind == "uniform" else dict(desc)
+            if kind not in _RULE_KEYS:
+                raise DelayRangeError(f"unknown delay rule type {kind!r}")
+            if set(rule) != set(keys := _RULE_KEYS[kind]):  # a key missing or unknown
+                raise DelayRangeError(f"{name} {kind} rule needs the keys {list(keys)}, got {list(rule)}")
             if kind == "fixed":
+                if not isinstance(rule["entries"], (dict, MappingProxyType)):
+                    raise DelayRangeError(f"{name} entries must be a dict, got {rule['entries']!r}")
                 # a comm key is a (receiver, sender) pair, a feedback key one
                 # agent; both are kept as Python ints, as are the delays
                 entries = {}
-                for key, d in desc["entries"].items():
+                for key, d in rule["entries"].items():
                     if not (isinstance(key, tuple) and len(key) == 2 and all(map(_integer, key))
                             if name == "comm" else _integer(key)):
                         raise DelayRangeError(f"{name} entry key {key!r} is not " + (
@@ -196,18 +214,17 @@ class DelaySchedule:
                     key = tuple(map(int, key)) if name == "comm" else int(key)
                     self._check(d, f"{name} entry {key}")
                     entries[key] = int(d)
-                object.__setattr__(self, name, {**desc, "entries": entries})
+                rule["entries"] = MappingProxyType(entries)
             elif kind == "uniform":
-                if "low" not in desc:  # a uniform rule without low starts at 0
-                    desc = {**desc, "low": 0}
-                    object.__setattr__(self, name, desc)
-                self._check(desc["low"], f"{name} uniform low")
-                self._check(desc["high"], f"{name} uniform high")
-                if desc["low"] > desc["high"]:
+                self._check(rule["low"], f"{name} uniform low")
+                self._check(rule["high"], f"{name} uniform high")
+                if rule["low"] > rule["high"]:
                     raise DelayRangeError(
-                        f"{name} uniform low {desc['low']} exceeds high {desc['high']}")
-            elif kind != "none":
-                raise DelayRangeError(f"unknown delay rule type {kind!r}")
+                        f"{name} uniform low {rule['low']} exceeds high {rule['high']}")
+            object.__setattr__(self, name, MappingProxyType(rule))
+
+    def __deepcopy__(self, memo) -> "DelaySchedule":
+        return self  # read-only throughout
 
     def _check(self, d: int, what: str) -> None:
         if not (_integer(d, 0) and d <= self.tau_max):
@@ -229,7 +246,7 @@ class DelaySchedule:
                 seed: Optional[int] = None) -> "DelaySchedule":
         hi = tau_max if high is None else high
         rule = {"type": "uniform", "low": low, "high": hi}
-        return DelaySchedule(tau_max, rule, dict(rule), seed)
+        return DelaySchedule(tau_max, rule, rule, seed)  # each rule is copied when built
 
     def with_seed(self, seed: int) -> "DelaySchedule":
         return self if self.seed is not None else replace(self, seed=seed)
@@ -255,7 +272,7 @@ class DelaySchedule:
         smaller V's feedback vector is a prefix. A ``none`` or ``fixed`` rule
         builds one read-only matrix or vector, broadcast over the rounds;
         fixed entries naming an agent outside [0, V) are left out here and
-        rejected by ``RunConfig.validate``. Every comm diagonal is zero.
+        rejected when a ``RunConfig`` is built. Every comm diagonal is zero.
         """
         rule, comm = getattr(self, name), name == "comm"
         if rule["type"] == "uniform":

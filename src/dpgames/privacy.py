@@ -100,7 +100,8 @@ class NoiseConfig:
                       Laplace scale), or "off".
     sensitivity_mode: "manual" uses ``delta`` as Delta_t; "analytic" computes
                       2*L*theta*sqrt(m) with theta measured from a pre-run of
-                      Y(t) over the horizon.
+                      Y(t) over the horizon when a ``RunConfig`` is built,
+                      which keeps (Delta, sigma) for every run of it.
     shared_draw:      one noise vector n_i(t) added to both the dual variable
                       and the aggregate estimate (the algorithm's literal
                       form); False draws independently for the aggregate.
@@ -135,12 +136,6 @@ class NoiseConfig:
     def enabled(self) -> bool:
         return self.mode != "off"
 
-    def resolve(self, delta_t: float) -> tuple[float, float]:
-        """(Delta, sigma) of every step, given the resolved sensitivity Delta."""
-        if not self.enabled:
-            raise ValueError("noise is disabled")
-        return delta_t, self._sigma(delta_t)
-
     def _sigma(self, delta_t: float) -> float:
         """The Laplace scale at sensitivity Delta, once it and Delta / sigma are finite and > 0."""
         sigma = sigma_for(delta_t, self.epsilon) if self.mode == "epsilon" else float(self.sigma)
@@ -166,7 +161,7 @@ class PrivacyLedger:
     """A run's privacy loss under basic sequential composition.
 
     Every round of a run noises its parameters at the one sensitivity Delta
-    and Laplace scale sigma fixed when its ``World`` is built, so the run is
+    and Laplace scale sigma fixed when its ``RunConfig`` is built, so the run is
     recorded once, as (rounds, Delta, sigma), and epsilon_hat is
     rounds * (Delta / sigma): the correctly rounded total of the per-round
     losses Delta / sigma, as their math.fsum is.

@@ -96,9 +96,9 @@ def per_agent_copy(game, **callables):
 
 
 def count_checks_and_games(monkeypatch) -> list:
-    """A list that each ``RunConfig.validate`` call and registry-game build appends to."""
-    calls, validate, build = [], dp.RunConfig.validate, dp.game.GAME_REGISTRY["nash-cournot"]
-    monkeypatch.setattr(dp.RunConfig, "validate", lambda cfg: calls.append("validate") or validate(cfg))
+    """A list that each ``RunConfig`` build ("check") and registry-game build appends to."""
+    calls, check, build = [], dp.RunConfig.__post_init__, dp.game.GAME_REGISTRY["nash-cournot"]
+    monkeypatch.setattr(dp.RunConfig, "__post_init__", lambda cfg: calls.append("check") or check(cfg))
     monkeypatch.setitem(dp.game.GAME_REGISTRY, "nash-cournot", lambda: calls.append("game") or build())
     return calls
 

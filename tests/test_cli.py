@@ -75,16 +75,21 @@ def _run_configs(draw):
     delays = dp.DelaySchedule(tau_max, draw(_delay_rules(pairs, tau_max)),
                               draw(_delay_rules(st.integers(0, V - 1), tau_max)),
                               draw(st.one_of(st.none(), st.integers(0, 2 ** 32))))
-    scale = st.floats(0.01, 100.0)
+    scale, horizon = st.floats(0.01, 100.0), draw(st.integers(0, 50))
+    try:
+        dp.eigenvector_floor(graph, max(horizon, 1))
+        sensitivities = ["manual", "analytic"]
+    except dp.graph.ScheduleError:  # y_ii reaches 0 without self-loops: no analytic scale builds
+        sensitivities = ["manual"]
     mode, sensitivity = draw(st.sampled_from(["off", "epsilon", "sigma"])), draw(
-        st.sampled_from(["manual", "analytic"]))
+        st.sampled_from(sensitivities))
     noise = dp.NoiseConfig() if mode == "off" else dp.NoiseConfig(
         mode, **{mode: draw(scale)}, sensitivity_mode=sensitivity,
         delta=draw(scale if sensitivity == "manual" else st.one_of(st.none(), scale)),
         shared_draw=draw(st.booleans()))
     output = draw(st.fixed_dictionaries({}, optional={
         "format": st.sampled_from(["tabular", "object-lines"]), "path": st.text(max_size=8)}))
-    horizon, gamma = draw(st.integers(0, 50)), draw(scale)
+    gamma = draw(scale)
     x0 = draw(st.sampled_from([None, np.array([[-1.0], [2.0], [2.0], [5.0], [1.0]])]))
     seed, b_window = draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 4))
     # a schedule that fails the connectivity check it asks for is a config error
@@ -673,17 +678,20 @@ def test_the_cli_raises_the_engine_config_error():
 
 
 @pytest.mark.parametrize("command, checks, games", [
-    (["run", "--horizon", "5"], 2, 3),
-    (["sweep", "--horizon", "5", "--axis", "gamma", "--values", "1,2,3"], 8, 9)])
+    (["run", "--horizon", "5"], 1, 2),
+    (["verify", "--horizon", "5"], 2, 3),
+    (["sweep", "--horizon", "5", "--axis", "gamma", "--values", "1,2,3"], 4, 5)],
+    ids=["run", "verify", "sweep"])
 def test_a_command_checks_each_config_once_when_it_builds_it(command, checks, games, tmp_path,
                                                             monkeypatch):
-    # loading builds the game for its agent count, then the config; each override and
-    # sweep member builds one more config, and no run checks or builds again
+    # loading builds the game for its agent count, then the config with the overrides;
+    # verify's short pair and each sweep member build one more config, each in one
+    # replace, and no run checks or builds again
     write_config(preset("fig5-fixed-delay"), tmp_path / "f.json")
     monkeypatch.chdir(tmp_path)
     calls = count_checks_and_games(monkeypatch)
     assert cli.main([command[0], "--config", "f.json", *command[1:]]) == 0
-    assert (calls.count("validate"), calls.count("game")) == (checks, games)
+    assert (calls.count("check"), calls.count("game")) == (checks, games)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -939,12 +947,37 @@ def test_manual_privacy_scales_that_overflow_are_a_config_error(privacy, tmp_pat
     {"mode": "epsilon", "epsilon": 1e-306},  # sigma = Delta / epsilon overflows
 ], ids=["loss", "scale"])
 def test_analytic_privacy_scales_that_overflow_fail_before_round_0(privacy, tmp_path, capsys):
+    # the config is built with the scale, so the fault is a config error, as under manual sensitivity
     rc, out = _private_fig2_run({**privacy, "sensitivity": "analytic"}, tmp_path)
     err = capsys.readouterr().err
-    assert rc == 1 and not out.exists() and not Path(f"{out}.summary.json").exists()
+    assert rc == 2 and not out.exists() and not Path(f"{out}.summary.json").exists()
     assert err.count("\n") == 1
-    assert re.fullmatch(r"error: Delta = 44550, sigma = (1e-306|inf): sigma and Delta / sigma "
-                        r"must be finite and > 0\n", err)
+    assert re.fullmatch(r"config error: privacy: Delta = 44550, sigma = (1e-306|inf): sigma and "
+                        r"Delta / sigma must be finite and > 0\n", err)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["sweep", "--axis", "gamma", "--values", "1,2"]],
+                         ids=["verify", "sweep"])
+def test_an_analytic_scale_that_overflows_is_a_config_error_in_every_command(command, tmp_path,
+                                                                             capsys, monkeypatch):
+    d = {**config_to_dict(preset("fig2-baseline")), "horizon": 5,
+         "privacy": {"mode": "sigma", "sigma": 1e-306, "sensitivity": "analytic"}}
+    p = tmp_path / "private.json"
+    p.write_text(json.dumps(d))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command[0], "--config", str(p), *command[1:]]) == 2
+    assert capsys.readouterr().err == ("config error: privacy: Delta = 44550, sigma = 1e-306: "
+                                       "sigma and Delta / sigma must be finite and > 0\n")
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_a_config_file_is_checked_at_the_horizon_it_runs_with(tmp_path):
+    # the override joins the file's one build: the file's own horizon is never checked
+    d = {**config_to_dict(preset("fig5-fixed-delay")), "horizon": -1}
+    p, out = tmp_path / "f.json", tmp_path / "r.csv"
+    p.write_text(json.dumps(d))
+    assert cli.main(["run", "--config", str(p), "--horizon", "3", "--out", str(out)]) == 0
+    assert load_config(p, horizon=3).horizon == 3 and out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

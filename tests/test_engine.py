@@ -145,8 +145,17 @@ def test_a_config_error_itemizes_what_validate_finds():
     cfg = preset("fig5-fixed-delay")
     with pytest.raises(ConfigError) as e:
         dataclasses.replace(cfg, horizon=-1)
-    object.__setattr__(cfg, "horizon", -1)  # past the frozen guard, to ask validate itself
-    assert e.value.errors == cfg.validate() == ["horizon must be a non-negative integer, got -1"]
+    assert e.value.errors == ["horizon must be a non-negative integer, got -1"]
+    with pytest.raises(ConfigError) as e:
+        dataclasses.replace(cfg, horizon=-1, gamma=0.0)
+    assert e.value.errors == ["horizon must be a non-negative integer, got -1",
+                              "gamma must be a finite number > 0, got 0.0"]
+
+
+def test_an_unhashable_game_is_an_unknown_game():
+    with pytest.raises(ConfigError) as e:
+        dp.RunConfig(game=["x"], graph=complete_graph(5))
+    assert e.value.errors == ["unknown game ['x']; registered: ['nash-cournot']"]
 
 
 def test_a_config_is_frozen():
@@ -159,7 +168,7 @@ def test_a_config_is_frozen():
 def test_a_built_config_runs_without_being_checked_or_resolved_again(name, monkeypatch):
     calls = count_checks_and_games(monkeypatch)
     cfg = dataclasses.replace(preset(name), horizon=5)
-    assert calls == ["game", "validate"] * 2  # the preset, then its replacement
+    assert calls == ["check", "game"] * 2  # the preset, then its replacement
     calls.clear()
     for execute in (dp.run, dp.run_augmented_reference, dp.engine._run_pair):
         execute(cfg)
@@ -168,14 +177,25 @@ def test_a_built_config_runs_without_being_checked_or_resolved_again(name, monke
 
 def test_a_numpy_bool_validate_connectivity_is_accepted():
     cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, validate_connectivity=np.True_)
-    assert cfg.validate() == []
+    assert cfg.validate_connectivity is np.True_ and dp.run(cfg).horizon == 3
 
 
 @pytest.mark.parametrize("gamma, b_window", [(np.float64(0.5), 2), (2, np.int64(1))])
 def test_numpy_and_integer_gamma_and_b_window_are_accepted(gamma, b_window):
     cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, gamma=gamma,
                               b_window=b_window, validate_connectivity=True)
-    assert cfg.validate() == []
+    assert (cfg.gamma, cfg.b_window) == (gamma, b_window) and dp.run(cfg).horizon == 3
+
+
+def test_a_built_config_keeps_a_read_only_copy_of_its_initial_actions():
+    x0 = bench_init()
+    cfg = bench_cfg(horizon=3, x0=x0)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.x0[0, 0] = 99.0
+    x0[0, 0] = 99.0
+    assert np.array_equal(dp.run(cfg).x[0], bench_init())  # the caller's change reaches no run
+    flat = bench_cfg(horizon=3, x0=bench_init().ravel().tolist()).x0  # kept as the (V, m) array
+    assert flat.shape == (5, 1) and not flat.flags.writeable and np.array_equal(flat, bench_init())
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +515,34 @@ def test_noised_snapshot_adds_the_round_blocks(shared):
 @pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference])
 @pytest.mark.parametrize("sensitivity", ["manual", "analytic"])
 def test_noise_scale_is_resolved_once_per_run(execute, sensitivity, monkeypatch):
-    deltas, resolve = [], dp.NoiseConfig.resolve
-    monkeypatch.setattr(dp.NoiseConfig, "resolve",
-                        lambda self, delta: deltas.append(delta) or resolve(self, delta))
-    res = execute(bench_cfg(horizon=30, noise=dp.NoiseConfig.fixed_epsilon(
-        0.2, delta=1.0, sensitivity_mode=sensitivity)))
+    # building the config resolves (Delta, sigma) once; its runs read them
+    noise = dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0, sensitivity_mode=sensitivity)
+    deltas, sigma = [], dp.NoiseConfig._sigma
+    monkeypatch.setattr(dp.NoiseConfig, "_sigma",
+                        lambda self, delta: deltas.append(delta) or sigma(self, delta))
+    cfg = bench_cfg(horizon=30, noise=noise)
+    assert len(deltas) == 1 and cfg._scale == (deltas[0], sigma(noise, deltas[0]))
+    res = execute(cfg)
     assert len(deltas) == 1
-    assert [r[1:3] for r in res.ledger.records] == [resolve(res.config.noise, deltas[0])] * 30
+    assert [r[1:3] for r in res.ledger.records] == [cfg._scale] * 30
+
+
+@pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference, dp.engine._run_pair])
+def test_a_built_analytic_config_runs_without_a_pre_run(execute, monkeypatch):
+    floors, floor = [], dp.engine.eigenvector_floor
+    monkeypatch.setattr(dp.engine, "eigenvector_floor", lambda *a: floors.append(a) or floor(*a))
+    cfg = bench_cfg(horizon=30, noise=dp.NoiseConfig.fixed_epsilon(0.2, sensitivity_mode="analytic"))
+    assert floors == [(cfg.graph, 30)]
+    execute(cfg)
+    assert len(floors) == 1
+
+
+def test_an_analytic_scale_whose_y_ii_reaches_0_is_a_config_error():
+    swap = dp.GraphSchedule.static(2, [(0, 1), (1, 0)], require_self_loops=False)
+    with pytest.raises(ConfigError) as e:
+        dp.RunConfig(game=small_linear_game(2), graph=swap, horizon=3,
+                     noise=dp.NoiseConfig.fixed_epsilon(0.2, sensitivity_mode="analytic"))
+    assert e.value.errors == ["privacy: y_ii reached zero; schedule lacks self-loops"]
 
 
 @pytest.mark.parametrize("world_class", [World, _AugmentedWorld])
@@ -638,10 +679,9 @@ def test_noise_stream_determinism_across_runs():
 def test_analytic_sensitivity_uses_measured_floor(cournot):
     cfg = bench_cfg(horizon=40, noise=dp.NoiseConfig.fixed_epsilon(
         0.2, sensitivity_mode="analytic"))
-    world = World(cfg)
     floor = dp.eigenvector_floor(cfg.graph, 40)
     expected = dp.sensitivity_bound(cournot.L, 1.0 / floor, 1)
-    assert world._delta == pytest.approx(expected)
+    assert cfg._scale[0] == pytest.approx(expected) and dp.run(cfg).ledger.delta == cfg._scale[0]
 
 
 def test_ledger_fills_per_step():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import re
 import tracemalloc
 
@@ -388,6 +389,25 @@ def test_graph_schedule_rejects_an_agent_count_that_is_not_a_positive_integer(nu
         dp.GraphSchedule.static(num_agents, [(0, 0)])
 
 
+@pytest.mark.parametrize("edges, self_loops, message", [
+    ([(0.7, 1)], True, "edge (0.7, 1) is not a pair of integers"),
+    ([("2", 0)], True, "edge ('2', 0) is not a pair of integers"),
+    ([(True, 2)], True, "edge (True, 2) is not a pair of integers"),
+    ([(0, 1, 2)], True, "edge (0, 1, 2) is not a pair of integers"),
+    ([3], True, "edge (3,) is not a pair of integers"),
+    ([(0, 1)], "no", "require_self_loops must be true or false, got 'no'"),
+], ids=["float", "string", "bool", "triple", "scalar", "string-self-loops"])
+def test_graph_schedule_coerces_no_edge(edges, self_loops, message):
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+        dp.GraphSchedule.static(3, edges, self_loops)
+
+
+def test_numpy_integer_edges_are_kept_as_python_ints():
+    sched = dp.GraphSchedule.static(3, np.array([[0, 1], [1, 2], [2, 0]]), np.True_)
+    assert sched.edges_at(0) == {(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)}
+    assert {type(v) for e in sched.edges_at(0) for v in e} == {int}
+
+
 def test_schedules_take_numpy_integer_scalars():
     delays = dp.DelaySchedule.uniform(np.int64(3), seed=np.int64(4))
     assert delays.comm_matrix(0, 3).max() <= 3
@@ -420,6 +440,27 @@ def test_fixed_builds_no_coerced_rule(comm, feedback, message):
     # the entries reach the rule's checks as given, not through int()
     with pytest.raises(DelayRangeError, match=f"^{message}$"):
         dp.DelaySchedule.fixed(2, comm=comm, feedback=feedback)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: dp.DelaySchedule(2, {"type": "uniform"}), DelayRangeError,
+     "comm uniform rule needs the keys ['type', 'low', 'high'], got ['type', 'low']"),
+    (lambda: dp.DelaySchedule(2, feedback={"type": "fixed", "entries": [[0, 1]]}), DelayRangeError,
+     "feedback entries must be a dict, got [[0, 1]]"),
+    (lambda: dp.DelaySchedule(2, {"type": "uniform", "low": 0, "high": 2, "hgih": 3}),
+     DelayRangeError, "comm uniform rule needs the keys ['type', 'low', 'high'], "
+                      "got ['type', 'low', 'high', 'hgih']"),
+    (lambda: dp.DelaySchedule(2, feedback={"type": "none", "entries": {0: 1}}), DelayRangeError,
+     "feedback none rule needs the keys ['type'], got ['type', 'entries']"),
+    (lambda: operator.setitem(dp.DelaySchedule.uniform(10, seed=3).comm, "high", 25), TypeError,
+     "'mappingproxy' object does not support item assignment"),
+    (lambda: operator.setitem(dp.DelaySchedule.fixed(2, {(3, 1): 2}).comm["entries"], (3, 1), 5),
+     TypeError, "'mappingproxy' object does not support item assignment"),
+], ids=["uniform-without-high", "list-entries", "unknown-key", "none-with-entries", "set-high",
+        "set-entry"])
+def test_a_delay_rule_is_checked_whole_and_read_only(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_numpy_integer_entries_are_kept_as_python_ints():

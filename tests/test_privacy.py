@@ -203,8 +203,9 @@ def test_noise_config_validation():
         with pytest.raises(ValueError):
             NoiseConfig("epsilon", **bad)  # a bool is not a number
     cfg = NoiseConfig.fixed_epsilon(0.2, delta=1.0)
-    assert cfg.resolve(1.0) == (1.0, 5.0)
+    assert replace(preset("fig2-baseline"), noise=cfg)._scale == (1.0, 5.0)  # (Delta, sigma)
     assert not NoiseConfig.off().enabled
+    assert replace(preset("fig2-baseline"), noise=NoiseConfig.off())._scale is None
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -215,8 +216,7 @@ def test_noise_config_validation():
      "unknown sensitivity mode 'exact'"),
     (lambda: NoiseConfig("epsilon", epsilon=0.2, delta=1.0, shared_draw=1), TypeError,
      "shared_draw must be true or false, got 1"),
-    (lambda: NoiseConfig.off().resolve(1.0), ValueError, "noise is disabled"),
-], ids=["m-0", "delta-0", "unknown-mode", "unknown-sensitivity", "shared-draw-int", "resolve-off"])
+], ids=["m-0", "delta-0", "unknown-mode", "unknown-sensitivity", "shared-draw-int"])
 def test_each_privacy_fault_names_itself(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -228,13 +228,16 @@ def test_each_privacy_fault_names_itself(call, error, message):
     ("sigma", 1e300, 1e-300),    # Delta / sigma underflows: a noised run that spends nothing
     ("epsilon", 1e300, 1e-300),  # sigma underflows to 0
 ])
-def test_manual_noise_config_rejects_scales_outside_the_floats(mode, scale, delta):
+def test_manual_noise_config_rejects_scales_outside_the_floats(mode, scale, delta, monkeypatch):
     with pytest.raises(ValueError, match=r"sigma and Delta / sigma must be finite and > 0"):
         NoiseConfig(mode, delta=delta, **{mode: scale})
-    # analytic sensitivity resolves Delta, and checks it, when a World is built
+    # analytic sensitivity resolves Delta, and checks it, when a RunConfig is built
     noise = NoiseConfig(mode, sensitivity_mode="analytic", **{mode: scale})
-    with pytest.raises(ValueError, match=r"sigma and Delta / sigma must be finite and > 0"):
-        noise.resolve(delta)
+    monkeypatch.setattr(dp.engine, "sensitivity_bound", lambda L, theta, m: delta)
+    with pytest.raises(dp.engine.ConfigError) as e:
+        replace(preset("fig2-baseline"), horizon=5, noise=noise)
+    assert len(e.value.errors) == 1 and re.fullmatch(
+        r"privacy: Delta = .*: sigma and Delta / sigma must be finite and > 0", e.value.errors[0])
 
 
 def test_noise_config_round_trips_through_the_config_file():
