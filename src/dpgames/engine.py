@@ -23,11 +23,13 @@ and shared read-only. The rest of what a round needs that does not depend
 on the state comes from a round plan, built when a round leaves the last
 one: for a chunk of at most CHUNK_ROUNDS rounds, never past the horizon, it
 holds the chunk's weights with their diagonals, the self-weights, and its
-delays from one ``DelaySchedule._delays`` call per purpose, every message's
-arrival slot, the gradient-ring slots of the delayed gradients, whether a
-round delays no agent's feedback, the negated step sizes -eta(t + 1) that
-the projection multiplies by, and the products Y(t) with the (V, 1) column
-of their diagonals y_ii(t) that divides the delayed gradients. A plan is
+delays from one ``DelaySchedule._delays`` call per purpose, where there is
+an arrival ring every message's arrival slot and the messages per slot
+(``World._ring_plan``), the gradient-ring slots of the delayed gradients,
+whether a round delays no agent's feedback, the negated step sizes
+-eta(t + 1) that the projection multiplies by, and the products Y(t) with
+the (V, 1) column of their diagonals y_ii(t) that divides the delayed
+gradients. A plan is
 refused (``DegeneracyError``) at its first round with min_i y_ii(t) below
 Y_FLOOR, so the round kernel makes no schedule decision, and a run reads its
 y floor from the records. ``World.__init__`` builds no plan, and a world
@@ -45,7 +47,8 @@ Records are preallocated; losses follow the loop.
 ``run_augmented_reference`` re-executes the same arithmetic as a delay-free
 system of V(1 + tau_max) nodes in which virtual relay chains carry the noised
 snapshots (``_AugmentedWorld``). It reads neither the arrival ring nor the
-message list, and serves as an independent oracle for the arrival ring. Both
+message list, its plans included, and serves as an independent oracle for
+the arrival ring; it builds its relay blocks a slice of rounds at a time. Both
 routes run one round, ``World.step``, with its plan and kernel
 ``_apply_updates``, and differ only in how arrival sums are formed
 (``World._arrivals``, ``_AugmentedWorld._arrivals``). ``verify`` steps both
@@ -69,8 +72,10 @@ from .privacy import (NoiseConfig, PrivacyLedger, _positive_finite, sample_noise
 
 Y_FLOOR = 1e-15
 CHUNK_ROUNDS = 64        # rounds one round plan covers at most
-CHUNK_DELAYS = 2 ** 20   # and about this many floats of the twin's delay blocks and the
-                         # feedback delays, (tau_max + 1) V^2 + V per round
+CHUNK_DELAYS = 2 ** 20   # and about this many entries of its (K, V, V) weights, comm delays and
+                         # products Y together, 3 V^2 per round
+_BLOCK_SLICE = 2 ** 13   # floats of the twin's delay blocks built at once, (tau_max + 1) V^2 per
+                         # round: 64 KiB, under glibc's default mmap threshold, so the heap reuses them
 
 
 class ConfigError(ValueError):
@@ -112,7 +117,8 @@ class RunConfig:
     Frozen. Building one, by ``dataclasses.replace`` too, checks it and resolves once for
     every run of it the game, the initial actions and the noise scale (Delta, sigma), or
     raises ConfigError with one message per problem. A given ``x0`` is replaced by its
-    read-only float (V, m) copy."""
+    read-only float (V, m) copy, and a numpy ``horizon``, ``seed``, ``b_window`` or
+    ``validate_connectivity`` by its Python int or bool."""
 
     game: Union[str, GameSpec]
     graph: GraphSchedule
@@ -192,6 +198,9 @@ class RunConfig:
                 errors.append(f"privacy: {e}")
         if errors:
             raise ConfigError(errors)
+        # numpy scalars are kept as the Python ones a config file holds, so the config writes as JSON
+        for k, kind in (("horizon", int), ("seed", int), ("b_window", int), ("validate_connectivity", bool)):
+            object.__setattr__(self, k, kind(getattr(self, k)))
         x0.flags.writeable = False
         object.__setattr__(self, "_x0", x0)
         object.__setattr__(self, "x0", None if self.x0 is None else x0)
@@ -212,8 +221,9 @@ class _RoundPlan(NamedTuple):
     D: np.ndarray          # (K, V, V) comm delays
     rows: np.ndarray       # (K, V) gradient-ring slots of the rounds max(t - tau_i(t), 0), or
                            # under cold_start "zero" the zero slot where tau_i(t) > t
-    slots: list            # K arrays: each message's arrival slot, in send order
-    counts: np.ndarray     # (K, tau_max + 1) messages per arrival slot
+    slots: Optional[list]  # K arrays: each message's arrival slot, in send order, and
+    counts: Optional[np.ndarray]  # (K, tau_max + 1) messages per arrival slot; both None
+                                  # in the twin's plan, which reads no message list
     neg_eta: np.ndarray    # (K,) -eta(t + 1), the signed step of the projection to x(t + 1)
     Y: np.ndarray          # (K + 1, V, V) Y(t) = W(t - 1) ... W(0), to Y(stop)
     y: np.ndarray          # (K, V, 1) y_ii(t), the column dividing the delayed gradients
@@ -271,12 +281,12 @@ class World:
 
     def _build_plan(self, start: int) -> _RoundPlan:
         """The plan of the chunk of rounds from ``start``: CHUNK_ROUNDS rounds,
-        or fewer so that its delay blocks take about CHUNK_DELAYS floats and
+        or fewer so that its (K, V, V) arrays take about CHUNK_DELAYS floats and
         it ends at the horizon. A round at or past the horizon is planned alone.
         Raises DegeneracyError for its first round with min_i y_ii(t) < Y_FLOOR.
         """
         V, T, slots = self.V, self.cfg.horizon, len(self.ring)
-        K = min(CHUNK_ROUNDS, max(CHUNK_DELAYS // (slots * V * V + V), 1), max(T - start, 1))
+        K = min(CHUNK_ROUNDS, max(CHUNK_DELAYS // (3 * V * V), 1), max(T - start, 1))
         t = np.arange(start, start + K)
         D = self.delays._delays("comm", start, start + K, V)
         tau = self.delays._delays("feedback", start, start + K, V)
@@ -290,15 +300,10 @@ class World:
         for k, (phase, Y_k, Y_next) in enumerate(zip(phases, Y, Y[1:])):
             rounds.setdefault(id(phase), (phase, []))[1].append(k)
             np.matmul(phase.weights, Y_k, out=Y_next)
-        arrival, flat = [None] * K, []
-        for phase, ks in rounds.values():
-            ks = np.array(ks)
+        rounds = [(phase, np.array(ks)) for phase, ks in rounds.values()]
+        for phase, ks in rounds:
             W[ks] = phase.weights
-            at = (t[ks, None] + D[ks[:, None], phase.receiver, phase.sender]) % slots
-            for k, row in zip(ks.tolist(), at):
-                arrival[k] = row
-            flat.append((ks[:, None] * slots + at).ravel())
-        counts = np.bincount(np.concatenate(flat), minlength=K * slots).reshape(K, slots)
+        arrival, counts = self._ring_plan(t, D, rounds)
         # contiguous columns: the kernel reads a strided view of a diagonal slower
         w, y = (A.diagonal(axis1=1, axis2=2)[..., None].copy() for A in (W, Y[:K]))
         for k in np.flatnonzero(y.min(axis=(1, 2)) < Y_FLOOR)[:1]:  # the first degenerate round
@@ -308,6 +313,20 @@ class World:
             rows[tau > t[:, None]] = slots
         return _RoundPlan(start, start + K, W, w, D, rows, arrival, counts,
                           -step_size(self.cfg.gamma, t + 1), Y, y, (~tau.any(axis=1)).tolist())
+
+    def _ring_plan(self, t: np.ndarray, D: np.ndarray, rounds: list) -> tuple[list, np.ndarray]:
+        """The arrival ring's part of the plan of rounds ``t``, read from each
+        edge set's message list: every message's arrival slot, in send order,
+        and the messages per slot of each round."""
+        slots = len(self.ring)
+        arrival, flat = [None] * len(t), []
+        for phase, ks in rounds:
+            at = (t[ks, None] + D[ks[:, None], phase.receiver, phase.sender]) % slots
+            for k, row in zip(ks.tolist(), at):
+                arrival[k] = row
+            flat.append((ks[:, None] * slots + at).ravel())
+        counts = np.bincount(np.concatenate(flat), minlength=len(t) * slots).reshape(len(t), slots)
+        return arrival, counts
 
     def _delayed_gradients(self, plan: _RoundPlan, k: int) -> np.ndarray:
         """Put round t = plan.start + k's gradients, at time t and its starting
@@ -502,9 +521,12 @@ class _AugmentedWorld(World):
     sum_r [W(t-r)]_ij b~_j(t-r) I{tau_ij(t-r) = r} term by term without
     reading the arrival ring or the message list.
 
-    Under every delay rule, the blocks of a plan's whole chunk are built
-    from its (W, D) in one pass when the plan is built. In ``verify`` this
-    route forms member 1's arrival sums of ``_PairWorld``'s state.
+    Under every delay rule, the blocks are built from the plan's (W, D) in
+    one pass per slice of its rounds: as many rounds as fit in _BLOCK_SLICE
+    floats, one at least, never past the plan. The slice check is inline in
+    ``_arrivals``, so a round inside the slice makes no further call. The
+    plan holds no arrival slots or counts (``_ring_plan``). In ``verify``
+    this route forms member 1's arrival sums of ``_PairWorld``'s state.
     """
 
     def __init__(self, config: RunConfig):
@@ -513,12 +535,19 @@ class _AugmentedWorld(World):
         self.carried = np.zeros((slots, *self.ring.shape))  # [s, r]: W^r(s) @ (b~, v~)(s)
         r = np.arange(slots)  # the (slot, stage) pairs round t sums: entry t mod slots
         self._stages = [(sent, r) for sent in (r[:, None] - r) % slots]
+        self._slice = max(_BLOCK_SLICE // (slots * self.V * self.V), 1)  # rounds of blocks built at once
+        self._blocks, self._sliced = None, range(0)  # the blocks of the rounds in _sliced
 
-    def _build_plan(self, start: int) -> _RoundPlan:
-        plan = super()._build_plan(start)
-        self._blocks = _delay_blocks(plan.W, plan.D, self.delays.tau_max)  # (K, slots, V, V)
+    def _ring_plan(self, t, D, rounds) -> tuple[None, None]:
+        return None, None  # no arrival ring, so no message list to read
+
+    def _slice_blocks(self, plan: _RoundPlan, k: int) -> None:
+        """Build the delay blocks of ``plan``'s entries from k: ``self._slice``
+        rounds, or fewer so as not to pass the plan's last round."""
+        stop = min(k + self._slice, plan.stop - plan.start)
+        self._blocks = _delay_blocks(plan.W[k:stop], plan.D[k:stop], self.delays.tau_max)
         self._blocks[:, 0, self._agents, self._agents] = 0.0  # self terms use the raw values
-        return plan
+        self._sliced = range(plan.start + k, plan.start + stop)
 
     # World.step under the twin's own name: perfbench's tracer patches each
     # class's own ``step`` entry, and times this one as engine.twin_step
@@ -527,7 +556,9 @@ class _AugmentedWorld(World):
     def _arrivals(self, plan: _RoundPlan, k: int, snapshot: np.ndarray) -> np.ndarray:
         """Relay route: stage round t's (V, 2m) snapshot; the (V, 2m) arrival sums."""
         t, slots = plan.start + k, len(self.carried)
-        np.matmul(self._blocks[k], snapshot, out=self.carried[t % slots])
+        if t not in self._sliced:  # checked here, so that a round of the slice calls nothing more
+            self._slice_blocks(plan, k)
+        np.matmul(self._blocks[t - self._sliced.start], snapshot, out=self.carried[t % slots])
         return self.carried[self._stages[t % slots]].sum(axis=0)
 
 
@@ -549,6 +580,7 @@ class _PairWorld(_AugmentedWorld):
 
     _members = (2,)
     step = World.step  # its own entry as well, so that engine.twin_step times the twin alone
+    _ring_plan = World._ring_plan  # member 0 reads the arrival ring
 
     def _arrivals(self, plan: _RoundPlan, k: int, snapshot: np.ndarray) -> np.ndarray:
         arrived = np.empty(snapshot.shape)

@@ -116,6 +116,8 @@ class GraphSchedule:
             raise ScheduleError(f"num_agents must be an integer >= 1, got {self.num_agents!r}")
         if not isinstance(self.require_self_loops, (bool, np.bool_)):
             raise ScheduleError(f"require_self_loops must be true or false, got {self.require_self_loops!r}")
+        object.__setattr__(self, "num_agents", int(self.num_agents))  # numpy scalars as Python ones
+        object.__setattr__(self, "require_self_loops", bool(self.require_self_loops))
         object.__setattr__(self, "edge_sets", tuple(
             _normalize_edges(self.num_agents, es, self.require_self_loops) for es in self.edge_sets))
         if not self.edge_sets:
@@ -190,6 +192,8 @@ class DelaySchedule:
             raise DelayRangeError(f"tau_max must lie in [0, 2^31), got {self.tau_max!r}")
         if not (self.seed is None or _integer(self.seed, 0)):
             raise ValueError(f"delay seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "tau_max", int(self.tau_max))  # numpy scalars as Python ones
+        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
         for name, desc in (("comm", self.comm), ("feedback", self.feedback)):
             if not isinstance(desc, (dict, MappingProxyType)):
                 raise DelayRangeError(f"{name} rule must be a dict, got {desc!r}")
@@ -218,6 +222,7 @@ class DelaySchedule:
             elif kind == "uniform":
                 self._check(rule["low"], f"{name} uniform low")
                 self._check(rule["high"], f"{name} uniform high")
+                rule["low"], rule["high"] = int(rule["low"]), int(rule["high"])
                 if rule["low"] > rule["high"]:
                     raise DelayRangeError(
                         f"{name} uniform low {rule['low']} exceeds high {rule['high']}")
@@ -423,13 +428,21 @@ def _delay_blocks(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.n
     """The (..., tau_max + 1, V, V) delay blocks W^0 .. W^tau_max of (V, V)
     or (K, V, V) weights and delays, ``W^r[i, j] = W[i, j]`` exactly when
     ``delays[i, j] == r``: each weight lands in one block, so they sum to W.
+    One flat scatter writes them: weight (k, i, j) goes to entry
+    (k S + D) V^2 + i V + j of K S V^2 zeros, S = tau_max + 1, without
+    comparing any delay with the stages it is not.
 
     Checks nothing: ``augment`` checks what callers pass from outside, and
     the twin passes a round plan's weights from ``GraphSchedule.phase_at``
     and delays from ``DelaySchedule``, which built them valid.
     """
-    return np.where(delays[..., None, :, :] == np.arange(tau_max + 1)[:, None, None],
-                    weights[..., None, :, :], 0.0)
+    *lead, V, _ = weights.shape
+    S, n = tau_max + 1, V * V
+    at = delays.reshape(-1, n) * n  # row k: D V^2, plus k S V^2 + i V + j below
+    at += np.arange(0, weights.size * S, S * n)[:, None] + np.arange(n)
+    blocks = np.zeros(weights.size * S)
+    blocks[at.ravel()] = weights.ravel()
+    return blocks.reshape(*lead, S, V, V)
 
 
 def augment(weights: np.ndarray, delays: np.ndarray, tau_max: int) -> np.ndarray:

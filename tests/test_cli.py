@@ -298,6 +298,23 @@ def test_sweep_table_quotes_a_run_id_with_a_comma_or_quote(tmp_path):
     assert {len(row) for row in rows} == {len(header)}
 
 
+def test_a_config_of_numpy_scalars_writes_and_loads_back(tmp_path):
+    # every numpy scalar a config and its schedules accept is kept as its Python int or bool
+    i = np.int64
+    base = preset("fig5-fixed-delay")
+    cfg = replace(base, horizon=i(3), seed=i(4), b_window=i(1), validate_connectivity=np.True_,
+                  graph=dp.GraphSchedule(i(5), base.graph.edge_sets, np.True_),
+                  delays=dp.DelaySchedule.uniform(i(3), low=i(1), high=i(2), seed=i(6)))
+    cli.write_config(cfg, tmp_path / "c.json")
+    loaded = cli.load_config(tmp_path / "c.json")
+    assert config_to_dict(loaded) == config_to_dict(cfg)
+    written = [cfg.horizon, cfg.seed, cfg.b_window, cfg.validate_connectivity, cfg.graph.num_agents,
+               cfg.graph.require_self_loops, cfg.delays.tau_max, cfg.delays.seed,
+               cfg.delays.comm["low"], cfg.delays.comm["high"]]
+    assert [type(v) for v in written] == [int] * 3 + [bool, int, bool] + [int] * 4
+    assert dp.run(loaded).summary() | {"wall_time_s": 0} == dp.run(cfg).summary() | {"wall_time_s": 0}
+
+
 def test_numpy_integer_seed_writes_the_files_of_its_int(tmp_path):
     written = []
     for seed in (3, np.int64(3)):
@@ -679,14 +696,15 @@ def test_the_cli_raises_the_engine_config_error():
 
 @pytest.mark.parametrize("command, checks, games", [
     (["run", "--horizon", "5"], 1, 2),
-    (["verify", "--horizon", "5"], 2, 3),
+    (["verify", "--horizon", "5"], 1, 2),
+    (["verify", "--horizon", str(cli.EQUIVALENCE_HORIZON + 1)], 2, 3),
     (["sweep", "--horizon", "5", "--axis", "gamma", "--values", "1,2,3"], 4, 5)],
-    ids=["run", "verify", "sweep"])
+    ids=["run", "verify", "verify-long", "sweep"])
 def test_a_command_checks_each_config_once_when_it_builds_it(command, checks, games, tmp_path,
                                                             monkeypatch):
     # loading builds the game for its agent count, then the config with the overrides;
-    # verify's short pair and each sweep member build one more config, each in one
-    # replace, and no run checks or builds again
+    # verify's pair, cut to EQUIVALENCE_HORIZON rounds when the run is longer, and each
+    # sweep member build one more config, each in one replace, and no run checks or builds again
     write_config(preset("fig5-fixed-delay"), tmp_path / "f.json")
     monkeypatch.chdir(tmp_path)
     calls = count_checks_and_games(monkeypatch)

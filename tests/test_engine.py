@@ -10,8 +10,8 @@ import pytest
 
 import dpgames as dp
 from dpgames.cli import PRESETS, preset
-from dpgames.engine import (CHUNK_ROUNDS, ConfigError, DegeneracyError, NonFiniteStateError, World,
-                            _AugmentedWorld, step_size)
+from dpgames.engine import (_BLOCK_SLICE, CHUNK_ROUNDS, ConfigError, DegeneracyError,
+                            NonFiniteStateError, World, _AugmentedWorld, step_size)
 from dpgames.privacy import STREAM_NOISE, STREAM_NOISE_AGGREGATE, substream
 
 from conftest import (bench_init, complete_graph, count_checks_and_games, diverging_cournot,
@@ -177,7 +177,7 @@ def test_a_built_config_runs_without_being_checked_or_resolved_again(name, monke
 
 def test_a_numpy_bool_validate_connectivity_is_accepted():
     cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, validate_connectivity=np.True_)
-    assert cfg.validate_connectivity is np.True_ and dp.run(cfg).horizon == 3
+    assert cfg.validate_connectivity is True and dp.run(cfg).horizon == 3  # kept as the Python bool
 
 
 @pytest.mark.parametrize("gamma, b_window", [(np.float64(0.5), 2), (2, np.int64(1))])
@@ -185,6 +185,7 @@ def test_numpy_and_integer_gamma_and_b_window_are_accepted(gamma, b_window):
     cfg = dataclasses.replace(preset("fig5-fixed-delay"), horizon=3, gamma=gamma,
                               b_window=b_window, validate_connectivity=True)
     assert (cfg.gamma, cfg.b_window) == (gamma, b_window) and dp.run(cfg).horizon == 3
+    assert type(cfg.b_window) is int
 
 
 def test_a_built_config_keeps_a_read_only_copy_of_its_initial_actions():
@@ -617,12 +618,12 @@ def test_round_plans_across_chunk_boundaries_match_a_world_stepped_by_hand(cold_
 
 @pytest.mark.parametrize("execute", [dp.run, dp.run_augmented_reference])
 def test_records_do_not_depend_on_the_chunk_length(execute, monkeypatch):
-    # (tau_max + 1) V^2 + V = 180 floats a round: a cap of 540 plans three
-    # rounds at a time
+    # the weights, comm delays and products Y take 3 V^2 = 75 floats a round:
+    # a cap of 225 plans three rounds at a time
     cfg = bench_cfg(horizon=40, delays=dp.DelaySchedule.uniform(6), seed=8,
                     noise=dp.NoiseConfig.fixed_epsilon(0.2, delta=1.0))
     whole = execute(cfg)
-    monkeypatch.setattr(dp.engine, "CHUNK_DELAYS", 540)
+    monkeypatch.setattr(dp.engine, "CHUNK_DELAYS", 225)
     assert World(cfg)._build_plan(0)[:2] == (0, 3)
     chunked = execute(cfg)
     for name in ("x", "x_hat", "v", "b", "y_diag"):
@@ -1028,40 +1029,48 @@ def test_non_finite_state_raises_naming_round_and_agent(execute):
 
 
 class _AugmentCutTwin(_AugmentedWorld):
-    """The twin with each plan's blocks replaced, round by round, by blocks
+    """The twin with each slice's blocks replaced, round by round, by blocks
     cut from the top block row of ``augment(W(t), D(t))``, block 0's
-    diagonal zeroed. ``rounds`` lists the rounds it cut.
+    diagonal zeroed. ``rounds`` lists the rounds it cut; no slice it cuts
+    holds more than _BLOCK_SLICE floats.
     """
 
     def __init__(self, config):
         super().__init__(config)
         self.rounds = []
 
-    def _build_plan(self, start):
-        plan = super()._build_plan(start)
+    def _slice_blocks(self, plan, k):
+        super()._slice_blocks(plan, k)
         V, slots = self.V, len(self.carried)
-        for k, t in enumerate(range(plan.start, plan.stop)):
+        assert self._blocks.size <= _BLOCK_SLICE
+        for j, t in enumerate(self._sliced):
             A = dp.augment(self.graph.weights_at(t), self.delays.comm_matrix(t, V), slots - 1)
-            self._blocks[k] = A[:V].reshape(V, slots, V).swapaxes(0, 1)
-            np.fill_diagonal(self._blocks[k, 0], 0.0)
+            self._blocks[j] = A[:V].reshape(V, slots, V).swapaxes(0, 1)
+            np.fill_diagonal(self._blocks[j, 0], 0.0)
             self.rounds.append(t)
-        return plan
 
 
-@pytest.mark.parametrize("name, horizon, builds", [
+@pytest.mark.parametrize("name, horizon, chunks", [
     ("fig5-fixed-delay", 50, 1), ("fig5-fixed-delay", 2 * CHUNK_ROUNDS + 3, 3),
     ("fig7-random-delays-private", 50, 1), ("fig7-random-delays-private", 2 * CHUNK_ROUNDS + 3, 3)])
-def test_twin_builds_delay_blocks_once_per_chunk(name, horizon, builds, monkeypatch):
-    # fixed and drawn delays alike: one batched build for each round plan
+def test_twin_builds_delay_blocks_once_per_chunk(name, horizon, chunks, monkeypatch):
+    # fixed and drawn delays alike: one batched build for each slice of each
+    # round plan. A slice holds _BLOCK_SLICE // ((tau_max + 1) V^2) rounds:
+    # 8192 // 75 = 109 on fig5, so its whole chunk, and 8192 // 275 = 29 on fig7
     built, augmented = [], []
     blocks, augment = dp.engine._delay_blocks, dp.graph.augment
     monkeypatch.setattr(dp.engine, "_delay_blocks", lambda *args: built.append(args) or blocks(*args))
     for module in (dp.graph, dp.engine):  # every binding the twin could resolve
         monkeypatch.setattr(module, "augment", lambda *args: augmented.append(args) or augment(*args),
                             raising=False)
-    dp.run_augmented_reference(dataclasses.replace(preset(name), horizon=horizon))
-    assert [len(weights) for weights, _, _ in built] == [CHUNK_ROUNDS] * (builds - 1) + [
-        horizon - CHUNK_ROUNDS * (builds - 1)]
+    cfg = dataclasses.replace(preset(name), horizon=horizon)
+    dp.run_augmented_reference(cfg)
+    per_slice = CHUNK_ROUNDS if name == "fig5-fixed-delay" else 29
+    lengths = [CHUNK_ROUNDS] * (chunks - 1) + [horizon - CHUNK_ROUNDS * (chunks - 1)]
+    assert [len(weights) for weights, _, _ in built] == [
+        min(per_slice, n - s) for n in lengths for s in range(0, n, per_slice)]
+    S, V = cfg.delays.tau_max + 1, cfg.graph.num_agents
+    assert all(len(weights) * S * V * V <= _BLOCK_SLICE for weights, _, _ in built)
     assert augmented == []
 
 
@@ -1079,18 +1088,35 @@ def test_delays_come_from_one_builder_call_per_chunk_and_purpose(monkeypatch):
     assert calls == [("comm", 7, 8, 5)]
 
 
-def test_a_chunks_delay_blocks_stay_within_the_cap():
-    # 40 agents, tau_max 10: 11 * 40^2 + 40 = 17640 floats a round, so a
-    # chunk plans 59 rounds and its blocks stay within CHUNK_DELAYS floats
-    V = 40
+def test_a_chunks_delay_blocks_stay_within_the_cap(monkeypatch):
+    # 12 agents, tau_max 10: 11 * 12^2 = 1584 floats of delay blocks a round,
+    # so the twin builds them 5 rounds at a time, never past a plan's last round
+    V = 12
     cfg = dp.RunConfig(game=small_linear_game(V), graph=ring_graph(V),
                        delays=dp.DelaySchedule.uniform(10), horizon=100)
-    twin = _AugmentedWorld(cfg)
-    twin.step()
-    K = dp.engine.CHUNK_DELAYS // (11 * V * V + V)
-    assert twin._plan[:2] == (0, K) and K < CHUNK_ROUNDS
-    assert twin._blocks.shape == (K, 11, V, V)
-    assert twin._blocks.size + K * V <= dp.engine.CHUNK_DELAYS
+    twin, built = _AugmentedWorld(cfg), []
+    slice_blocks = _AugmentedWorld._slice_blocks
+
+    def recording(self, plan, k):
+        slice_blocks(self, plan, k)
+        built.append((self._sliced, self._blocks.size))
+
+    monkeypatch.setattr(_AugmentedWorld, "_slice_blocks", recording)
+    for _ in range(69):  # rounds 0 .. 68: the chunk [0, 64), then 5 rounds of the next
+        twin.step()
+    starts = [*range(0, CHUNK_ROUNDS, 5), CHUNK_ROUNDS]
+    assert [(r.start, r.stop) for r, _ in built] == list(zip(starts, [*starts[1:-1], CHUNK_ROUNDS, 69]))
+    assert all(size == len(r) * 1584 <= _BLOCK_SLICE for r, size in built)
+
+    # a chunk plans 54 rounds of 80 agents, so that its (K, V, V) weights,
+    # comm delays and products Y stay within CHUNK_DELAYS floats
+    V = 80
+    cfg = dp.RunConfig(game=small_linear_game(V), graph=complete_graph(V),
+                       delays=dp.DelaySchedule.uniform(10), horizon=100)
+    plan = World(cfg)._build_plan(0)
+    K = dp.engine.CHUNK_DELAYS // (3 * V * V)
+    assert plan[:2] == (0, K) and K == 54 < CHUNK_ROUNDS
+    assert plan.W.size + plan.D.size + plan.Y[:K].size <= dp.engine.CHUNK_DELAYS
 
 
 @pytest.mark.parametrize("name", ["fig5-fixed-delay", "fig7-random-delays-private"])
@@ -1102,6 +1128,39 @@ def test_twin_equals_a_twin_whose_blocks_are_cut_from_augment(name):
     assert cut.rounds == list(range(cfg.horizon))  # the override supplied every round's blocks
     for field in ("b", "x", "x_hat", "v", "y_diag"):
         assert np.array_equal(getattr(twin, field), getattr(expected, field)), field
+
+
+class _Unreadable:
+    """Stands in for a message list: numpy raises on any use of it."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the twin read a message list")
+
+
+@pytest.mark.parametrize("name", ["fig7-random-delays-private", "scale-v20-random-digraph"])
+def test_the_twin_reads_no_message_list(name):
+    # every phase's sender, receiver and w_msg poisoned: the twin runs the
+    # same bits, and its plans hold no ring data
+    if name == "scale-v20-random-digraph":
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        cfg = workloads.scale_config(7, 2 * CHUNK_ROUNDS + 3)
+    else:
+        cfg = dataclasses.replace(preset(name), horizon=2 * CHUNK_ROUNDS + 3)
+    plain = dp.run_augmented_reference(cfg)
+    poisoned = copy.copy(cfg.graph)
+    object.__setattr__(poisoned, "_phases", tuple(phase._replace(
+        sender=_Unreadable(), receiver=_Unreadable(), w_msg=_Unreadable()) for phase in cfg.graph._phases))
+    twin = _AugmentedWorld(cfg)
+    twin.graph = poisoned
+    res = dp.engine._execute(twin, 0.0)
+    for field in ("b", "x", "x_hat", "v", "y_diag"):
+        assert np.array_equal(getattr(plain, field), getattr(res, field)), field
+    assert twin._plan.slots is None and twin._plan.counts is None
+    with pytest.raises(AssertionError, match="read a message list"):  # the ring route reads it
+        world = World(cfg)
+        world.graph = poisoned
+        world.step()
 
 
 def test_procedural_schedule_alternating_edge_sets_matches_hand_reference(cournot):

@@ -1,6 +1,7 @@
 """Property tests: the arrival ring against the augmented twin, exactly-once
 delivery, and per-edge delays as views onto the round's delay matrix, over
-random schedules, delay rules, noise modes, agent counts and delay bounds.
+random schedules, delay rules, noise modes, agent counts and delay bounds;
+and the delay blocks' scatter against the comparison it replaced.
 
 Examples are derandomized, so the suite runs the same cases every time.
 """
@@ -8,6 +9,7 @@ Examples are derandomized, so the suite runs the same cases every time.
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dpgames as dp
 
@@ -85,3 +87,42 @@ def test_comm_delay_is_a_view_onto_the_comm_matrix(cfg):
         for i in range(V):
             for j in range(V):
                 assert delays.comm_delay(i, j, t) == D[i, j]
+
+
+def reference_blocks(W, D, tau_max):
+    """The delay blocks as they were built before the scatter: every delay compared with every stage."""
+    return np.where(D[..., None, :, :] == np.arange(tau_max + 1)[:, None, None], W[..., None, :, :], 0.0)
+
+
+@st.composite
+def weights_and_delays(draw):
+    V, tau_max = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    shape = draw(st.sampled_from([(V, V), (draw(st.integers(1, 6)), V, V)]))
+    # zeros of both signs, so that a weight written as 0.0 in place of -0.0 shows
+    W = draw(hnp.arrays(float, shape, elements=st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])))
+    D = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, tau_max)))
+    return W, D, tau_max
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(weights_and_delays())
+def test_delay_blocks_equal_the_stage_by_stage_comparison_bit_for_bit(case):
+    W, D, tau_max = case
+    assert same_bits(dp.graph._delay_blocks(W, D, tau_max), reference_blocks(W, D, tau_max))
+    if W.ndim == 3:  # each round of a batch is the blocks of its own (V, V) pair
+        for W_k, D_k in zip(W, D):
+            assert same_bits(dp.graph._delay_blocks(W_k, D_k, tau_max), reference_blocks(W_k, D_k, tau_max))
+
+    # augment's top block row is the blocks side by side, as it was
+    V, S = W.shape[-1], tau_max + 1
+    W, D = np.abs(W.reshape(-1, V, V)[-1]) + np.eye(V), D.reshape(-1, V, V)[-1].copy()
+    W /= W.sum(axis=1, keepdims=True)
+    np.fill_diagonal(D, 0)
+    expected = np.zeros((V * S, V * S))
+    expected[:V] = reference_blocks(W, D, tau_max).transpose(1, 0, 2).reshape(V, -1)
+    expected[np.arange(V, V * S), np.arange(V * S - V)] = 1.0
+    assert same_bits(dp.augment(W, D, tau_max), expected)
